@@ -77,7 +77,6 @@ class SmootherSystem:
 
     normal_matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix
     rhs: np.ndarray
-    free_variable_layout: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +181,7 @@ def assemble_ar_smoother(
     rhs = np.zeros(n)
     rhs[start:] = rho * yo[start:]
     matrix = BandedSPDMatrix(n, r, bands)
-    return SmootherSystem(matrix, rhs, "trajectory values y_hat[t], t = 1..N ascending")
+    return SmootherSystem(matrix, rhs)
 
 
 # Diagonal shifts, relative to the largest diagonal entry, tried in order when
@@ -190,22 +189,32 @@ def assemble_ar_smoother(
 _RIDGE_BOOSTS = (1e-10, 1e-8, 1e-6)
 
 
-def _solve_smoother(matrix: BandedSPDMatrix, rhs: np.ndarray) -> np.ndarray:
+def _shift_diagonal(matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix, boost: float):
+    if isinstance(matrix, BandedSPDMatrix):
+        bands = matrix.bands.copy()
+        bands[0] += boost * max(1.0, float(bands[0].max()))
+        return BandedSPDMatrix(matrix.dim, matrix.bandwidth, bands)
+    diag = matrix.diagonal_blocks
+    shift = boost * max(1.0, float(diag.max())) * np.eye(matrix.block_dim)
+    return BlockTridiagonalSPDMatrix(diag + shift, matrix.off_diagonal_blocks)
+
+
+def _solve_smoother(matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix, rhs: np.ndarray, solve) -> np.ndarray:
+    """Solve with ``solve``, the caller's solver for the matrix type; every retry goes through it too."""
     try:
-        return solve_banded_spd(matrix, rhs)
+        return solve(matrix, rhs)
     except NotPositiveDefinite:
         pass
-    # A trailing coefficient near zero leaves the leading trajectory values
-    # nearly unconstrained and the normal matrix singular at working
-    # precision. A rounding-scale diagonal shift selects the bounded
-    # minimizer instead of aborting the fit; the induced loss perturbation
-    # sits orders of magnitude below the convergence tolerances in use.
-    scale = max(1.0, float(matrix.bands[0].max()))
+    # A trailing AR coefficient near zero leaves the leading trajectory values
+    # nearly unconstrained, and the NAR measurement term pins only the
+    # rank-one readout direction of each state block; either way the normal
+    # matrix can be singular at working precision. A rounding-scale diagonal
+    # shift selects the bounded minimizer instead of aborting the fit; the
+    # induced loss perturbation sits orders of magnitude below the
+    # convergence tolerances in use.
     for boost in _RIDGE_BOOSTS:
-        bands = matrix.bands.copy()
-        bands[0] += boost * scale
         try:
-            return solve_banded_spd(BandedSPDMatrix(matrix.dim, matrix.bandwidth, bands), rhs)
+            return solve(_shift_diagonal(matrix, boost), rhs)
         except NotPositiveDefinite:
             continue
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
@@ -220,7 +229,7 @@ def state_step(
 ) -> TimeSeries:
     """Exact trajectory update at fixed coefficients via the banded smoother."""
     system = assemble_ar_smoother(theta, y, rho, lam, anchor_all)
-    smoothed = _solve_smoother(system.normal_matrix, system.rhs)
+    smoothed = _solve_smoother(system.normal_matrix, system.rhs, solve_banded_spd)
     return TimeSeries(smoothed, y.sample_rate_hz, y.channel_names)
 
 
@@ -314,7 +323,7 @@ def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float =
     off = np.tile(-A, (n - 1, 1, 1))
     matrix = BlockTridiagonalSPDMatrix(diag, off)
     rhs = (rho * x).reshape(-1)
-    return SmootherSystem(matrix, rhs, "state vectors x_hat[t], t = 1..N ascending")
+    return SmootherSystem(matrix, rhs)
 
 
 def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:

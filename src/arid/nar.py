@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingTooShort, HorizonTooShort, NotPositiveDefinite
-from .linear import _RIDGE_BOOSTS, FitResult, LossBreakdown, SmootherSystem
+from .errors import EmbeddingTooShort, HorizonTooShort
+from .linear import FitResult, LossBreakdown, SmootherSystem, _solve_smoother
 from .model import TimeSeries, scalar_values
 from .numerics import BlockTridiagonalSPDMatrix, solve_block_tridiagonal_spd, solve_regularized_ls
 from .signature import _signatures_flat, sig_dim
@@ -137,7 +137,7 @@ def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: flo
     off = np.tile(-model.A_sig, (m_blocks - 1, 1, 1))
     rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(-1)
     matrix = BlockTridiagonalSPDMatrix(diag, off)
-    return SmootherSystem(matrix, rhs, "signature states s_t, t = r..N ascending")
+    return SmootherSystem(matrix, rhs)
 
 
 def nar_state_step(
@@ -159,31 +159,10 @@ def nar_state_step(
     if prev.size != yo.size:
         raise ValueError("y_prev must have the same length as y")
     system = assemble_nar_smoother(model, y, order_r, rho, lam)
-    states = _solve_block_smoother(system.normal_matrix, system.rhs).reshape(-1, model.n_s)
+    states = _solve_smoother(system.normal_matrix, system.rhs, solve_block_tridiagonal_spd)
+    states = states.reshape(-1, model.n_s)
     refreshed = np.concatenate((prev[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
-
-
-def _solve_block_smoother(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return solve_block_tridiagonal_spd(matrix, rhs)
-    except NotPositiveDefinite:
-        pass
-    # The measurement term only pins the rank-one C direction of each state
-    # block, so at lam == 0 the system can be singular at working precision.
-    # A rounding-scale diagonal shift picks the bounded minimizer; same
-    # escape hatch as the scalar smoother.
-    scale = max(1.0, float(matrix.diagonal_blocks.max()))
-    eye = np.eye(matrix.block_dim)
-    for boost in _RIDGE_BOOSTS:
-        shifted = BlockTridiagonalSPDMatrix(
-            matrix.diagonal_blocks + boost * scale * eye, matrix.off_diagonal_blocks
-        )
-        try:
-            return solve_block_tridiagonal_spd(shifted, rhs)
-        except NotPositiveDefinite:
-            continue
-    raise NotPositiveDefinite("signature smoother stayed indefinite after diagonal shifts")
 
 
 def _nar_loss(model: NARModel, states: np.ndarray, yo: np.ndarray, order_r: int, rho: float) -> LossBreakdown:

@@ -1,9 +1,10 @@
 """Structured linear algebra kernels used by the estimators.
 
-Regularized least squares, banded and block-tridiagonal SPD solves, and
-companion-matrix spectra via simultaneous polynomial root iteration. All
-routines are pure functions of their inputs and safe to call from worker
-threads.
+Regularized least squares, SPD smoother solves by banded Cholesky (a
+block-tridiagonal system is packed into band storage and takes the same
+LAPACK path as a banded one), and companion-matrix spectra via simultaneous
+polynomial root iteration. All routines are pure functions of their inputs
+and safe to call from worker threads.
 """
 
 from __future__ import annotations
@@ -136,38 +137,41 @@ class BlockTridiagonalSPDMatrix:
     def dim(self) -> int:
         return self.num_blocks * self.block_dim
 
+    def lower_bands(self) -> np.ndarray:
+        """The matrix in lower band storage, as :class:`BandedSPDMatrix` holds it.
+
+        Row k is subdiagonal k, for k up to ``min(2b - 1, dim - 1)``. Within
+        block column i it takes entries from diagonal block i while k + c < b
+        (c the column inside the block), then from coupling block i.
+        """
+        m, b = self.num_blocks, self.block_dim
+        width = min(2 * b, self.dim)
+        bands = np.zeros((width, m, b))
+        for k in range(width):
+            if k < b:
+                bands[k, :, : b - k] = np.diagonal(self.diagonal_blocks, -k, axis1=1, axis2=2)
+            bands[k, :-1, max(b - k, 0) : min(b, 2 * b - k)] = np.diagonal(
+                self.off_diagonal_blocks, b - k, axis1=1, axis2=2
+            )
+        return bands.reshape(width, self.dim)
+
 
 def solve_block_tridiagonal_spd(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a block Thomas recursion, Cholesky-factoring every pivot block."""
-    m, b = matrix.num_blocks, matrix.block_dim
+    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
+
+    With b x b blocks the matrix is a band matrix of half-bandwidth 2b - 1;
+    it is packed by :meth:`BlockTridiagonalSPDMatrix.lower_bands` and solved
+    by the same LAPACK routine as :func:`solve_banded_spd`.
+    """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (m * b,):
+    if rhs.shape != (matrix.dim,):
         raise ValueError("rhs length must equal num_blocks * block_dim")
     _require_finite("rhs", rhs)
-    diag = matrix.diagonal_blocks
-    off = matrix.off_diagonal_blocks
-    r2 = rhs.reshape(m, b)
-
-    factors = []
-    z = np.empty((m, b))
-    schur = diag[0]
-    for i in range(m):
-        try:
-            factors.append(sla.cho_factor(schur, lower=True))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"pivot block {i} is not positive definite") from exc
-        if i == 0:
-            z[i] = r2[i]
-        else:
-            z[i] = r2[i] - off[i - 1] @ sla.cho_solve(factors[i - 1], z[i - 1])
-        if i < m - 1:
-            schur = diag[i + 1] - off[i] @ sla.cho_solve(factors[i], off[i].T)
-
-    x = np.empty((m, b))
-    x[m - 1] = sla.cho_solve(factors[m - 1], z[m - 1])
-    for i in range(m - 2, -1, -1):
-        x[i] = sla.cho_solve(factors[i], z[i] - off[i].T @ x[i + 1])
-    return x.reshape(-1)
+    try:
+        # The packed bands belong to this call, so LAPACK may factor them in place.
+        return sla.solveh_banded(matrix.lower_bands(), rhs, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("banded Cholesky of the block system hit a nonpositive pivot") from exc
 
 
 def companion_eigenvalues(theta: np.ndarray) -> np.ndarray:

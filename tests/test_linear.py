@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arid.errors import ZeroNormReference
+from arid.errors import NotPositiveDefinite, ZeroNormReference
 from arid.linear import (
+    _RIDGE_BOOSTS,
     FitConfig,
+    _solve_smoother,
+    assemble_ar_smoother,
     error_metrics,
     evaluate_loss,
     fit_ar,
@@ -27,7 +30,13 @@ from arid.model import (
     scalar_values,
     simulate,
 )
-from arid.numerics import solve_regularized_ls
+from arid.numerics import (
+    BandedSPDMatrix,
+    BlockTridiagonalSPDMatrix,
+    solve_banded_spd,
+    solve_block_tridiagonal_spd,
+    solve_regularized_ls,
+)
 
 
 def noise_free_series(theta: np.ndarray, x1: np.ndarray, n_steps: int) -> TimeSeries:
@@ -348,6 +357,43 @@ def test_var_deterministic():
     second = fit_var1(y, config)
     np.testing.assert_array_equal(first.theta_hat, second.theta_hat)
     np.testing.assert_array_equal(first.y_hat.values, second.y_hat.values)
+
+
+# ---------------------------------------------------------------------------
+# diagonal-shift ladder of the smoother solve
+
+
+def test_ladder_rescues_singular_ar_smoother():
+    # A zero trailing coefficient leaves y_hat[1] out of every dynamics
+    # residual, and without anchor_all or a ridge out of the measurement
+    # term too: its row of the normal matrix is zero.
+    theta = ARParams(np.array([0.5, 0.0]))
+    y = TimeSeries(np.sin(np.arange(30.0)))
+    system = assemble_ar_smoother(theta, y, 0.1)
+    with pytest.raises(NotPositiveDefinite):
+        solve_banded_spd(system.normal_matrix, system.rhs)
+    solution = _solve_smoother(system.normal_matrix, system.rhs, solve_banded_spd)
+    assert np.all(np.isfinite(solution))
+    np.testing.assert_array_equal(scalar_values(state_step(theta, y, 0.1)), solution)
+
+
+@pytest.mark.parametrize(
+    "matrix, solve",
+    [
+        (BandedSPDMatrix(3, 0, -np.ones((1, 3))), solve_banded_spd),
+        (BlockTridiagonalSPDMatrix(np.stack([-np.eye(2)] * 2), np.zeros((1, 2, 2))), solve_block_tridiagonal_spd),
+    ],
+)
+def test_ladder_gives_up_on_indefinite_system(matrix, solve):
+    attempts = []
+
+    def counting_solve(candidate, rhs):
+        attempts.append(candidate)
+        return solve(candidate, rhs)
+
+    with pytest.raises(NotPositiveDefinite):
+        _solve_smoother(matrix, np.ones(matrix.dim), counting_solve)
+    assert len(attempts) == 1 + len(_RIDGE_BOOSTS)
 
 
 # ---------------------------------------------------------------------------

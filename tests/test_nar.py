@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from arid.errors import EmbeddingTooShort, HorizonTooShort, SingularSystem
+from arid.errors import EmbeddingTooShort, HorizonTooShort, NotPositiveDefinite, SingularSystem
 from arid.model import TimeSeries, scalar_values
 from arid.nar import (
     NARFitConfig,
     NARModel,
+    assemble_nar_smoother,
     build_sig_matrices,
     fit_nar,
     nar_param_step,
     nar_predict_one_step,
     nar_state_step,
 )
-from arid.numerics import solve_regularized_ls
+from arid.numerics import solve_block_tridiagonal_spd, solve_regularized_ls
 from arid.signature import GeometricPath, embed_to_path, sig_dim, signature
 
 N_S = sig_dim(2, 2)
@@ -288,6 +289,21 @@ def test_smoothing_never_increases_objective_at_fixed_model():
     before = quadratic_objective(model, raw_states, vals, 4, 0.1, 0.001)
     after = quadratic_objective(model, smoothed_states, vals, 4, 0.1, 0.001)
     assert after <= before * (1 + 1e-12)
+
+
+def test_singular_signature_smoother_goes_down_the_shift_ladder():
+    # With no dynamics and a readout along one axis, the first state block is
+    # rho * e0 e0^T, singular at lam == 0.
+    readout = np.zeros(N_S)
+    readout[0] = 1.0
+    model = NARModel(np.zeros((N_S, N_S)), readout)
+    y = TimeSeries(np.sin(np.arange(40.0)))
+    system = assemble_nar_smoother(model, y, 4, 0.1, 0.0)
+    with pytest.raises(NotPositiveDefinite):
+        solve_block_tridiagonal_spd(system.normal_matrix, system.rhs)
+    states, refreshed = nar_state_step(model, y, 4, 0.1, 0.0, y)
+    assert np.all(np.isfinite(states))
+    assert np.all(np.isfinite(scalar_values(refreshed)))
 
 
 # ---------------------------------------------------------------------------

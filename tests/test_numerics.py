@@ -54,6 +54,17 @@ def random_block_tridiagonal_spd(
     return BlockTridiagonalSPDMatrix(diag + shift * np.eye(block_dim), off)
 
 
+def factored_block_tridiagonal_spd(
+    rng: np.random.Generator, num_blocks: int, block_dim: int
+) -> BlockTridiagonalSPDMatrix:
+    """``L @ L.T + I`` for a random block lower-bidiagonal ``L``: SPD with no dense eigensolve."""
+    lower = rng.normal(size=(num_blocks, block_dim, block_dim))
+    sub = rng.normal(size=(num_blocks - 1, block_dim, block_dim))
+    diag = lower @ np.transpose(lower, (0, 2, 1)) + np.eye(block_dim)
+    diag[1:] += sub @ np.transpose(sub, (0, 2, 1))
+    return BlockTridiagonalSPDMatrix(diag, sub @ np.transpose(lower[:-1], (0, 2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # solve_regularized_ls
 
@@ -233,6 +244,27 @@ def test_long_chain_matches_dense_solve():
     solution = solve_block_tridiagonal_spd(matrix, rhs)
     oracle = np.linalg.solve(dense_from_blocks(matrix), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
+
+
+# Single-block systems, and the block shapes of the nar (b=7, M=397) and
+# var_wide (b=32) benchmark workloads.
+@pytest.mark.parametrize("num_blocks, block_dim", [(1, 1), (1, 5), (397, 7), (40, 32)])
+def test_block_solve_matches_dense_oracle_at_fixed_shapes(num_blocks, block_dim):
+    rng = np.random.Generator(np.random.Philox(key=num_blocks * 100 + block_dim))
+    matrix = factored_block_tridiagonal_spd(rng, num_blocks, block_dim)
+    rhs = rng.normal(size=matrix.dim)
+    solution = solve_block_tridiagonal_spd(matrix, rhs)
+    oracle = np.linalg.solve(dense_from_blocks(matrix), rhs)
+    np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("num_blocks, block_dim", [(1, 1), (1, 4), (2, 1), (2, 3), (5, 2), (6, 4)])
+def test_lower_bands_round_trip_through_dense(num_blocks, block_dim):
+    rng = np.random.Generator(np.random.Philox(key=16))
+    matrix = factored_block_tridiagonal_spd(rng, num_blocks, block_dim)
+    bandwidth = min(2 * block_dim - 1, matrix.dim - 1)
+    expected = pack_lower_bands(dense_from_blocks(matrix), bandwidth).bands
+    np.testing.assert_array_equal(matrix.lower_bands(), expected)
 
 
 def test_asymmetric_diagonal_block_rejected():
