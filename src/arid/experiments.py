@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import first_difference, inject_artefact, load_csv, write_csv
 from .errors import AridError, ParseError
-from .linear import FitConfig, error_metrics, fit_ar, fit_var1
+from .linear import FitConfig, error_metrics, fit_ar, fit_ar_batch, fit_var1
 from .model import (
     ARParams,
     LinearSSModel,
@@ -32,7 +32,6 @@ from .model import (
 )
 from .nar import NARFitConfig, NARModel, fit_nar, nar_predict_one_step
 from .numerics import companion_eigenvalues
-from .parallel import map_by_key
 from .selection import order_scan
 
 SCHEMA_VERSION = 1
@@ -353,18 +352,17 @@ def _run_convergence_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict
     spec = _synthetic_spec(cfg)
     config = _fit_config(cfg)
 
-    def run_trial(trial: int):
-        clean, y = spec.trajectory(trial)
-        result = fit_ar(y, config)
+    trials = [spec.trajectory(trial) for trial in range(cfg.trials)]
+    results = fit_ar_batch([y for _, y in trials], config)
+    rows = []
+    for (clean, y), result in zip(trials, results):
         metrics = error_metrics(result.theta_hat, spec.theta, scalar_values(result.y_hat), clean)
         e_x_raw = float(np.linalg.norm(scalar_values(y) - clean) / np.linalg.norm(clean))
         trace = [
             float(np.linalg.norm(est.theta - spec.theta.theta) / np.linalg.norm(spec.theta.theta))
             for est in result.estimate_history
         ]
-        return metrics, e_x_raw, trace
-
-    rows = map_by_key(run_trial, range(cfg.trials))
+        rows.append((metrics, e_x_raw, trace))
     with open(out / "trials.csv", "w") as fh:
         fh.write("trial,e_norm_theta,e_x,e_x_raw\n")
         for t, (metrics, e_x_raw, _) in enumerate(rows):

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonTooShort, NotPositiveDefinite, ZeroNormReference
-from .model import ARParams, TimeSeries, delay_embed, scalar_values
+from .model import ARParams, TimeSeries, delay_embed, delay_windows, scalar_values
 from .numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
+    _require_finite,
     companion_eigenvalues,
     solve_banded_spd,
     solve_block_tridiagonal_spd,
@@ -81,7 +82,7 @@ class SmootherSystem:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of an alternating fit. Immutable; safe to share across threads.
+    """Outcome of an alternating fit. Immutable.
 
     ``estimate_history`` holds the parameter estimate of every iteration
     (entry 0 is the classical regularized least-squares baseline), and
@@ -106,6 +107,12 @@ class ErrorMetrics:
     e_x: float
 
 
+def _dynamics_term(thetas: np.ndarray, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Summed squared one-step residuals of each member of a stack of delay embeddings."""
+    resid = targets - (windows @ thetas[:, :, None])[:, :, 0]
+    return np.vecdot(resid, resid)
+
+
 def evaluate_loss(
     theta: ARParams,
     y_hat: TimeSeries,
@@ -127,11 +134,10 @@ def evaluate_loss(
         raise ValueError("rho must be positive")
     r = theta.order
     gamma, y_plus = delay_embed(y_hat, r)
-    resid = y_plus - gamma @ theta.theta
-    dynamics = float(resid @ resid)
+    dynamics = float(_dynamics_term(theta.theta[None], gamma[None], y_plus[None])[0])
     start = 0 if anchor_all else r - 1
     err = yo[start:] - yh[start:]
-    measurement = float(err @ err)
+    measurement = float(np.vecdot(err, err))
     total = dynamics + rho * measurement
     return LossBreakdown(dynamics, measurement, total, total / yh.size)
 
@@ -140,6 +146,30 @@ def param_step(y_hat: TimeSeries, order_r: int, lam: float) -> ARParams:
     """Exact coefficient update at fixed states: a regularized LS regression."""
     gamma, y_plus = delay_embed(y_hat, order_r)
     return ARParams(solve_regularized_ls(gamma, y_plus, lam))
+
+
+def _assemble_bands(thetas: np.ndarray, yo: np.ndarray, rho: float, lam: float, start: int):
+    """Lower bands (B, r + 1, N) and right-hand sides (B, N) of a stack of AR smoothers."""
+    (count, r), n = thetas.shape, yo.shape[1]
+    stencils = np.concatenate((-thetas[:, ::-1], np.ones((count, 1))), axis=1)
+    width = r + 1
+    # Entry (k, j) sums stencil[a] * stencil[a + k] over increasing a, for
+    # the a whose residual window holds j. Away from both ends every window
+    # does, so the bands are built for a series of at most 2r + 1 values and
+    # their middle column repeated. Entry (k, j) stays zero once j + k passes
+    # N - 1, so systems placed end to end do not couple.
+    short = min(n, 2 * r + 1)
+    bands = np.zeros((count, width, short))
+    for a in range(width):
+        bands[:, : width - a, a : a + short - r] += (stencils[:, a, None] * stencils[:, a:])[:, :, None]
+    bands[:, 0, start:] += rho
+    bands[:, 0, :] += lam
+    if short < n:
+        columns = np.arange(n)
+        bands = bands[:, :, np.where(columns < r, columns, np.maximum(r, columns - (n - short)))]
+    rhs = np.zeros((count, n))
+    rhs[:, start:] = rho * yo[:, start:]
+    return bands, rhs
 
 
 def assemble_ar_smoother(
@@ -166,22 +196,9 @@ def assemble_ar_smoother(
         raise ValueError("rho must be positive")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-
-    stencil = np.concatenate((-theta.theta[::-1], [1.0]))
-    width = r + 1
-    span = n - r
-    bands = np.zeros((width, n))
-    for a in range(width):
-        for b in range(a, width):
-            bands[b - a, a:a + span] += stencil[a] * stencil[b]
     start = 0 if anchor_all else r - 1
-    bands[0, start:] += rho
-    if lam > 0:
-        bands[0, :] += lam
-    rhs = np.zeros(n)
-    rhs[start:] = rho * yo[start:]
-    matrix = BandedSPDMatrix(n, r, bands)
-    return SmootherSystem(matrix, rhs)
+    bands, rhs = _assemble_bands(theta.theta[None], yo[None], rho, lam, start)
+    return SmootherSystem(BandedSPDMatrix(n, r, bands[0]), rhs[0])
 
 
 # Diagonal shifts, relative to the largest diagonal entry, tried in order when
@@ -220,6 +237,20 @@ def _solve_smoother(matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix, rhs: np
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
 
 
+def _solve_stacked(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve B banded smoothers (B, k + 1, N) as one system of dim B * N."""
+    count, width, n = bands.shape
+    stacked = BandedSPDMatrix(count * n, width - 1, bands.transpose(1, 0, 2).reshape(width, count * n))
+    try:
+        return solve_banded_spd(stacked, rhs.reshape(-1)).reshape(count, n)
+    except NotPositiveDefinite:
+        # The shift ladder scales by the largest diagonal entry, which in a
+        # stack belongs to any of its systems; a singular system therefore
+        # has to be shifted alone to get the answer it gets outside a batch.
+        alone = [BandedSPDMatrix(n, width - 1, system) for system in bands]
+        return np.stack([_solve_smoother(matrix, v, solve_banded_spd) for matrix, v in zip(alone, rhs)])
+
+
 def state_step(
     theta: ARParams,
     y: TimeSeries,
@@ -239,15 +270,6 @@ def _zero_floor(values: np.ndarray) -> float:
     return 1e-24 * max(1.0, float(np.sum(values * values)))
 
 
-def _state_objective(loss: LossBreakdown, values: np.ndarray, lam: float) -> float:
-    # What the state update actually minimizes: the loss plus its share of
-    # the ridge (the coefficient ridge is constant within the step).
-    if lam == 0.0:
-        return loss.total
-    flat = values.ravel()
-    return loss.total + lam * float(flat @ flat)
-
-
 def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:
     """Alternating estimation of AR(r) coefficients and a denoised trajectory.
 
@@ -256,46 +278,79 @@ def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:
     measurements. Each iteration refits the coefficients on the current
     trajectory, then re-smooths the trajectory against the raw measurements.
     """
-    yo = scalar_values(y)
-    floor = _zero_floor(yo)
-    y_hat = y
-    history: list[LossBreakdown] = []
-    estimates: list[ARParams] = []
-    monitor_prev = None
-    converged = False
-    anchor = config.anchor_all_values
-    for _ in range(config.max_iterations):
-        theta = param_step(y_hat, config.order_r, config.lam)
-        candidate = state_step(theta, y, config.rho, config.lam, anchor)
-        loss = evaluate_loss(theta, candidate, y, config.rho, anchor)
-        held = evaluate_loss(theta, y_hat, y, config.rho, anchor)
-        if _state_objective(loss, scalar_values(candidate), config.lam) > _state_objective(
-            held, scalar_values(y_hat), config.lam
-        ):
-            # The exact state update cannot raise its own objective, but a
-            # smoother system that is singular at working precision (marginal
-            # roots, loose anchoring, tiny rho) can come back with a solution
-            # inaccurate enough to do so. Holding the previous trajectory
-            # keeps every accepted step a descent step.
-            candidate, loss = y_hat, held
-        y_hat = candidate
-        history.append(loss)
-        estimates.append(theta)
-        monitor = loss.total
-        if config.lam > 0:
-            yh = scalar_values(y_hat)
-            monitor += config.lam * float(theta.theta @ theta.theta + yh @ yh)
-        if monitor <= floor:
-            converged = True
-            break
-        if monitor_prev is not None and abs(monitor_prev - monitor) <= config.convergence_tol * monitor_prev:
-            converged = True
-            break
-        monitor_prev = monitor
+    return fit_ar_batch((y,), config)[0]
 
-    theta = estimates[-1]
-    min_eig = float(np.min(np.abs(companion_eigenvalues(theta.theta))))
-    return FitResult(theta, y_hat, tuple(history), len(history), converged, min_eig, tuple(estimates))
+
+def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
+    """:func:`fit_ar` of several equally long series, run in lockstep.
+
+    Each iteration refits every active series in one batched factorization
+    and smooths them all in one banded solve, their systems placed end to
+    end. Every other step acts on each series alone, and each series stops
+    by its own rule and then leaves the batch, so result i equals
+    ``fit_ar(ys[i], config)`` bit for bit.
+    """
+    ys = tuple(ys)
+    if not ys or len({y.n_steps for y in ys}) != 1:
+        raise ValueError("need one or more series of equal length")
+    yo = np.stack([scalar_values(y) for y in ys])
+    count, n = yo.shape
+    r, rho, lam = config.order_r, config.rho, config.lam
+    if n <= r:
+        raise HorizonTooShort(f"need more than order {r} steps, got {n}")
+    start = 0 if config.anchor_all_values else r - 1
+    floor = np.array([_zero_floor(row) for row in yo])
+    history, estimates = [[] for _ in ys], [[] for _ in ys]
+    y_final, converged = np.empty_like(yo), np.zeros(count, dtype=bool)
+    # Starting from y_hat = y, the held trajectory's measurement term is 0.
+    active, y_hat, measurement, monitor_prev = np.arange(count), yo, np.zeros(count), None
+    for iteration in range(config.max_iterations):
+        windows, targets = delay_windows(y_hat, r)
+        thetas = solve_regularized_ls(windows, targets, lam)
+        # The guard's held loss pairs the new coefficients with the old
+        # trajectory: its dynamics term is the refit's own residual and its
+        # measurement term the previous iteration's.
+        held_dynamics = _dynamics_term(thetas, windows, targets)
+        held_total = held_dynamics + rho * measurement
+        yo_active = yo[active]
+        candidate = _solve_stacked(*_assemble_bands(thetas, yo_active, rho, lam, start))
+        _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
+        dynamics = _dynamics_term(thetas, *delay_windows(candidate, r))
+        err = yo_active[:, start:] - candidate[:, start:]
+        new_measurement = np.vecdot(err, err)
+        total = dynamics + rho * new_measurement
+        # The exact state update cannot raise its own objective (the loss
+        # plus the state ridge), but a smoother system that is singular at
+        # working precision (marginal roots, loose anchoring, tiny rho) can
+        # come back with a solution inaccurate enough to do so. Holding the
+        # previous trajectory keeps every accepted step a descent step.
+        hold = total + lam * np.vecdot(candidate, candidate) > held_total + lam * np.vecdot(y_hat, y_hat)
+        y_hat = np.where(hold[:, None], y_hat, candidate)
+        dynamics = np.where(hold, held_dynamics, dynamics)
+        measurement = np.where(hold, measurement, new_measurement)
+        total = np.where(hold, held_total, total)
+        for i, theta, terms in zip(active, thetas, np.stack((dynamics, measurement, total), axis=1).tolist()):
+            estimates[i].append(ARParams(theta))
+            history[i].append(LossBreakdown(*terms, terms[2] / n))
+
+        monitor = total + lam * (np.vecdot(thetas, thetas) + np.vecdot(y_hat, y_hat))
+        stop = monitor <= floor[active]
+        if monitor_prev is not None:
+            stop |= np.abs(monitor_prev - monitor) <= config.convergence_tol * monitor_prev
+        converged[active] = stop
+        stop |= iteration == config.max_iterations - 1
+        y_final[active[stop]] = y_hat[stop]
+        keep = ~stop
+        active, y_hat, measurement, monitor_prev = active[keep], y_hat[keep], measurement[keep], monitor[keep]
+        if not active.size:
+            break
+
+    min_eigs = np.min(np.abs(companion_eigenvalues(np.stack([steps[-1].theta for steps in estimates]))), axis=1)
+    results = []
+    for y, values, losses, steps, done, eig in zip(ys, y_final, history, estimates, converged, min_eigs):
+        smoothed = TimeSeries(values, y.sample_rate_hz, y.channel_names)
+        results.append(FitResult(steps[-1], smoothed, tuple(losses), len(losses), bool(done), float(eig), tuple(steps)))
+    return tuple(results)
 
 
 def _var_loss(A: np.ndarray, x_hat: np.ndarray, x: np.ndarray, rho: float) -> LossBreakdown:
@@ -339,6 +394,7 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     if x.shape[0] < 2:
         raise HorizonTooShort("need at least two steps")
     floor = _zero_floor(x)
+    lam = config.lam
     x_hat = x
     history: list[LossBreakdown] = []
     estimates: list[np.ndarray] = []
@@ -350,15 +406,13 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
         candidate = solve_block_tridiagonal_spd(system.normal_matrix, system.rhs).reshape(x.shape)
         loss = _var_loss(A, candidate, x, config.rho)
         held = _var_loss(A, x_hat, x, config.rho)
-        # Same descent guard as the scalar fit; see fit_ar.
-        if _state_objective(loss, candidate, config.lam) > _state_objective(held, x_hat, config.lam):
+        # Same descent guard as the scalar fit; see fit_ar_batch.
+        if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
             candidate, loss = x_hat, held
         x_hat = candidate
         history.append(loss)
         estimates.append(A)
-        monitor = loss.total
-        if config.lam > 0:
-            monitor += config.lam * float(np.sum(A * A) + np.sum(x_hat * x_hat))
+        monitor = loss.total + lam * float(np.sum(A * A) + np.sum(x_hat * x_hat))
         if monitor <= floor:
             converged = True
             break

@@ -267,9 +267,15 @@ def delay_embed(y: TimeSeries, order_r: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("order_r must be >= 1")
     if vals.size <= order_r:
         raise HorizonTooShort(f"need more than order_r = {order_r} steps, got {vals.size}")
-    windows = np.lib.stride_tricks.sliding_window_view(vals, order_r)
-    gamma = np.ascontiguousarray(windows[:-1, ::-1])
-    return gamma, vals[order_r:].copy()
+    gamma, y_plus = delay_windows(vals, order_r)
+    return gamma, y_plus.copy()
+
+
+def delay_windows(values: np.ndarray, order_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`delay_embed` of each row of an unchecked (..., N) array: contiguous windows, target views."""
+    taps = np.arange(order_r - 1, values.shape[-1] - 1)[:, None] - np.arange(order_r)
+    # Unlike fancy indexing, np.take returns C-contiguous windows, which batched products need to round as one series.
+    return np.take(values, taps, axis=-1), values[..., order_r:]
 
 
 def predict_one_step(params: ARParams, embedding: np.ndarray) -> float:

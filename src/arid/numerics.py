@@ -2,9 +2,8 @@
 
 Regularized least squares, SPD smoother solves by banded Cholesky (a
 block-tridiagonal system is packed into band storage and takes the same
-LAPACK path as a banded one), and companion-matrix spectra via simultaneous
-polynomial root iteration. All routines are pure functions of their inputs
-and safe to call from worker threads.
+LAPACK path as a banded one), and companion-matrix spectra by LAPACK's
+nonsymmetric eigensolver. All routines are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
 
-_ABERTH_MAX_ITER = 200
-
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFinite(f"{name} contains NaN or Inf")
 
 
@@ -31,31 +29,45 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     ``lam == 0`` the Gram matrix has to be numerically positive definite;
     rank deficiency raises :class:`SingularSystem` instead of silently
     falling back to a pseudoinverse.
+
+    A (B, M, n) stack of designs with (B, M) or (B, M, k) targets solves the
+    B problems in one batched factorization; each solution equals the one
+    its problem gets alone, and rank deficiency in any of them raises.
     """
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if design.ndim != 2 or design.shape[0] < 1 or design.shape[1] < 1:
-        raise ValueError("design must be a nonempty 2-D matrix")
-    if targets.shape[0] != design.shape[0]:
+    single = design.ndim == 2
+    if single:
+        design, targets = design[None], targets[None]
+    if design.ndim != 3 or design.shape[1] < 1 or design.shape[2] < 1:
+        raise ValueError("design must be a nonempty 2-D matrix or a stack of them")
+    if targets.ndim not in (2, 3) or targets.shape[:2] != design.shape[:2]:
         raise ValueError("targets must have one row per design row")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     _require_finite("design", design)
     _require_finite("targets", targets)
 
-    n = design.shape[1]
-    gram = design.T @ design
+    n = design.shape[2]
+    design_t = np.swapaxes(design, 1, 2)
+    gram = design_t @ design
     if lam > 0.0:
         gram = gram + lam * np.eye(n)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("normal matrix is not positive definite") from exc
-    pivots = np.diag(chol)
-    if lam == 0.0 and pivots.min() <= np.sqrt(n * np.finfo(float).eps) * pivots.max():
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    if lam == 0.0 and np.any(pivots.min(axis=1) <= np.sqrt(n * np.finfo(float).eps) * pivots.max(axis=1)):
         # Factorization survived but below the float numerical rank: treat as singular.
         raise SingularSystem("normal matrix is numerically rank-deficient at lam == 0")
-    return sla.cho_solve((chol, True), design.T @ targets)
+    vector = targets.ndim == 2
+    moments = design_t @ (targets[..., None] if vector else targets)
+    # LAPACK's triangular solves take one factor at a time.
+    solution = np.stack([_potrs(c, rhs, lower=True)[0] for c, rhs in zip(chol, moments)])
+    if vector:
+        solution = solution[..., 0]
+    return solution[0] if single else solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +102,7 @@ def solve_banded_spd(matrix: BandedSPDMatrix, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs length must equal matrix dim")
     _require_finite("rhs", rhs)
     try:
-        return sla.solveh_banded(matrix.bands, rhs, lower=True)
+        return sla.solveh_banded(matrix.bands, rhs, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("banded Cholesky hit a nonpositive pivot") from exc
 
@@ -177,59 +189,27 @@ def solve_block_tridiagonal_spd(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarr
 def companion_eigenvalues(theta: np.ndarray) -> np.ndarray:
     """All r roots of ``z^r - theta_1 z^(r-1) - ... - theta_r``.
 
-    This is the spectrum of the companion matrix built from ``theta``. Roots
-    are located with Aberth-Ehrlich simultaneous iteration started on a
-    perturbed circle, so no general eigensolver is involved. Exact zero
-    roots (trailing zero coefficients) are deflated up front.
+    This is the spectrum of the companion matrix built from ``theta``, from
+    LAPACK's nonsymmetric eigensolver. Exact zero roots (trailing zero
+    coefficients) are deflated up front. A (B, r) stack of coefficient
+    vectors gives the (B, r) roots in one batched call, each row equal to
+    the roots of its vector alone.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim != 1 or theta.size < 1:
-        raise ValueError("theta must be a nonempty vector")
-    _require_finite("theta", theta)
-    r = theta.size
-    coeffs = np.concatenate(([1.0], -theta))
-    n_zero = 0
-    while n_zero < r and coeffs[r - n_zero] == 0.0:
-        n_zero += 1
-    deg = r - n_zero
-    roots = np.zeros(r, dtype=complex)
-    if deg > 0:
-        scale = max(1.0, float(np.linalg.norm(theta)))
-        roots[:deg] = _aberth(coeffs[: deg + 1], scale)
-    return roots
-
-
-def _aberth(coeffs: np.ndarray, residual_scale: float) -> np.ndarray:
-    """Roots of a monic real polynomial given by descending coefficients."""
-    deg = coeffs.size - 1
-    if deg == 1:
-        return np.array([-coeffs[1]], dtype=complex)
-    deriv = coeffs[:-1] * np.arange(deg, 0, -1)
-    radius = max(1.0, float(np.max(np.abs(coeffs[1:]))) ** (1.0 / deg))
-    # Start on a circle, rotated off the real axis so conjugate-symmetric
-    # polynomials do not trap iterates on symmetric stationary points.
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4
-    x = radius * np.exp(1j * angles)
-
-    for _ in range(_ABERTH_MAX_ITER):
-        p = np.polyval(coeffs, x)
-        if np.all(np.abs(p) <= 1e-13 * residual_scale):
-            break
-        dp = np.polyval(deriv, x)
-        if np.any(dp == 0):
-            x = np.where(dp == 0, x * (1.0 + 1e-8) + 1e-8, x)
-            continue
-        w = p / dp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        diff[diff == 0] = 1e-20 * (1.0 + 1.0j)
-        s = np.sum(1.0 / diff, axis=1) - 1.0
-        corr = w / (1.0 - w * s)
-        x = x - corr
-        if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(x))):
-            break
-
-    residual = np.abs(np.polyval(coeffs, x))
-    if float(residual.max()) > 1e-8 * residual_scale:
-        raise NoConvergence("root iteration did not reach the residual tolerance")
-    return x
+    theta = np.asarray(theta, dtype=float)
+    stack = np.atleast_2d(theta)
+    if theta.ndim > 2 or stack.shape[1] < 1:
+        raise ValueError("theta must be a nonempty vector or a stack of them")
+    _require_finite("theta", stack)
+    count, r = stack.shape
+    trailing = np.cumprod(stack[:, ::-1] == 0.0, axis=1).sum(axis=1)
+    roots = np.zeros((count, r), dtype=complex)
+    for deg in np.unique(r - trailing[trailing < r]):
+        rows = r - trailing == deg
+        companion = np.zeros((int(rows.sum()), deg, deg))
+        companion[:, :, 0] = stack[rows, :deg]
+        companion[:, np.arange(deg - 1), np.arange(1, deg)] = 1.0
+        try:
+            roots[rows, :deg] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence("eigenvalue iteration did not converge") from exc
+    return roots[0] if theta.ndim < 2 else roots

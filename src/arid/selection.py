@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linear import FitConfig, fit_ar
+from .linear import FitConfig, fit_ar_batch
 from .model import SyntheticSpec, TimeSeries
 from .numerics import companion_eigenvalues
-from .parallel import map_by_key
 
 
 @dataclass(frozen=True)
@@ -59,30 +58,13 @@ def lower_median(values) -> float:
     return float(arr[(arr.size - 1) // 2])
 
 
-def _scan_one(source, order_r: int, trial: int, config: FitConfig) -> OrderScanTrial:
-    if isinstance(source, SyntheticSpec):
-        _, y = source.trajectory(trial)
-    else:
-        y = source
-    result = fit_ar(y, replace(config, order_r=order_r))
-    first = result.estimate_history[0]
-    min_eig_iter1 = float(np.min(np.abs(companion_eigenvalues(first.theta))))
-    return OrderScanTrial(
-        order_r,
-        trial,
-        result.loss_history[-1].normalized,
-        result.min_eig_magnitude,
-        min_eig_iter1,
-    )
-
-
 def order_scan(source, r_values, config: FitConfig, num_trials: int = 1) -> OrderScanReport:
     """Fit every candidate order on every trial and aggregate by lower median.
 
     ``source`` is either a recorded ``TimeSeries`` (single trial only) or a
     ``SyntheticSpec`` whose trial i is drawn with seed ``base_seed + i``.
-    The (order, trial) fits are independent, so they fan out over threads
-    when ARID_THREADS is set; records are merged in deterministic order.
+    Each trial's series is drawn once; the trials of one order are fitted
+    as one batch, and records come out order by order, trial by trial.
     """
     r_values = [int(r) for r in r_values]
     if not r_values:
@@ -91,9 +73,17 @@ def order_scan(source, r_values, config: FitConfig, num_trials: int = 1) -> Orde
         raise ValueError("num_trials must be >= 1")
     if isinstance(source, TimeSeries) and num_trials != 1:
         raise ValueError("multi-trial scans need a SyntheticSpec with a base seed")
+    series = [source.trajectory(t)[1] for t in range(num_trials)] if isinstance(source, SyntheticSpec) else [source]
 
-    keys = [(r, t) for r in r_values for t in range(num_trials)]
-    records = map_by_key(lambda key: _scan_one(source, key[0], key[1], config), keys)
+    records = []
+    for r in r_values:
+        results = fit_ar_batch(series, replace(config, order_r=r))
+        first = companion_eigenvalues(np.stack([result.estimate_history[0].theta for result in results]))
+        min_eig_iter1 = np.min(np.abs(first), axis=1)
+        records.extend(
+            OrderScanTrial(r, trial, result.loss_history[-1].normalized, result.min_eig_magnitude, float(eig))
+            for trial, (result, eig) in enumerate(zip(results, min_eig_iter1))
+        )
 
     per_r = []
     for r in sorted(set(r_values)):

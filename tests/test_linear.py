@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arid.errors import NotPositiveDefinite, ZeroNormReference
+from arid.errors import NotPositiveDefinite, SingularSystem, ZeroNormReference
 from arid.linear import (
     _RIDGE_BOOSTS,
     FitConfig,
     _solve_smoother,
+    _solve_stacked,
     assemble_ar_smoother,
     error_metrics,
     evaluate_loss,
     fit_ar,
+    fit_ar_batch,
     fit_var1,
     param_step,
     state_step,
@@ -169,6 +171,22 @@ def test_param_step_gradient_vanishes_at_solution():
 # state step
 
 
+@pytest.mark.parametrize("order, n_steps", [(1, 2), (3, 5), (3, 7), (3, 8), (5, 40)])
+def test_smoother_bands_sum_in_pair_loop_order(order, n_steps):
+    # Reference: every (a, b) stencil pair added to its band in turn.
+    rng = np.random.Generator(np.random.Philox(key=order * 100 + n_steps))
+    theta = ARParams(rng.normal(size=order))
+    y = TimeSeries(rng.normal(size=n_steps))
+    stencil = np.concatenate((-theta.theta[::-1], [1.0]))
+    expected = np.zeros((order + 1, n_steps))
+    for a in range(order + 1):
+        for b in range(a, order + 1):
+            expected[b - a, a : a + n_steps - order] += stencil[a] * stencil[b]
+    expected[0] += 0.3
+    system = assemble_ar_smoother(theta, y, 0.3, anchor_all=True)
+    np.testing.assert_array_equal(system.normal_matrix.bands, expected)
+
+
 def test_state_step_noise_free_fixed_point():
     theta_true = np.array([0.4, -0.3, 0.2])
     y = noise_free_series(theta_true, np.array([1.0, 0.5, -0.5]), 50)
@@ -299,6 +317,120 @@ def test_ridge_monitor_non_increasing():
     assert final == pytest.approx(recorded, rel=1e-12)
 
 
+def reference_fit_ar(y: TimeSeries, config: FitConfig):
+    """One series, one step at a time: refit, smooth, two loss evaluations, guard, stop rule."""
+    yo = scalar_values(y)
+    floor = 1e-24 * max(1.0, float(np.sum(yo * yo)))
+    anchor, lam = config.anchor_all_values, config.lam
+    y_hat, history, estimates, monitor_prev, converged = y, [], [], None, False
+    for _ in range(config.max_iterations):
+        theta = param_step(y_hat, config.order_r, lam)
+        candidate = state_step(theta, y, config.rho, lam, anchor)
+        loss = evaluate_loss(theta, candidate, y, config.rho, anchor)
+        held = evaluate_loss(theta, y_hat, y, config.rho, anchor)
+        new_values, old_values = scalar_values(candidate), scalar_values(y_hat)
+        if loss.total + lam * float(new_values @ new_values) > held.total + lam * float(old_values @ old_values):
+            candidate, loss = y_hat, held
+        y_hat = candidate
+        history.append(loss)
+        estimates.append(theta)
+        monitor = loss.total
+        if lam > 0:
+            yh = scalar_values(y_hat)
+            monitor += lam * float(theta.theta @ theta.theta + yh @ yh)
+        if monitor <= floor:
+            converged = True
+            break
+        if monitor_prev is not None and abs(monitor_prev - monitor) <= config.convergence_tol * monitor_prev:
+            converged = True
+            break
+        monitor_prev = monitor
+    return y_hat, tuple(history), tuple(estimates), converged
+
+
+def assert_same_fit(result, expected):
+    np.testing.assert_array_equal(result.theta_hat.theta, expected.theta_hat.theta)
+    np.testing.assert_array_equal(result.y_hat.values, expected.y_hat.values)
+    assert result.loss_history == expected.loss_history
+    assert len(result.estimate_history) == len(expected.estimate_history)
+    for got, want in zip(result.estimate_history, expected.estimate_history):
+        np.testing.assert_array_equal(got.theta, want.theta)
+    assert result.iterations_run == expected.iterations_run
+    assert result.converged == expected.converged
+    assert result.min_eig_magnitude == expected.min_eig_magnitude
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(rho=0.1, convergence_tol=1e-300, anchor_all_values=True),
+        dict(rho=0.1, lam=1e-3, anchor_all_values=True),
+        dict(rho=0.1),
+        dict(rho=1e-4, convergence_tol=1e-300),
+    ],
+)
+def test_fit_matches_step_by_step_reference(settings):
+    spec = SyntheticSpec(oscillatory_ar5(), 120, 0.01, 1.0, 41)
+    for trial, order in enumerate((2, 5, 8)):
+        _, y = spec.trajectory(trial)
+        config = FitConfig(order_r=order, max_iterations=30, **settings)
+        result = fit_ar(y, config)
+        y_hat, history, estimates, converged = reference_fit_ar(y, config)
+        np.testing.assert_array_equal(result.y_hat.values, y_hat.values)
+        assert result.loss_history == history
+        for got, want in zip(result.estimate_history, estimates, strict=True):
+            np.testing.assert_array_equal(got.theta, want.theta)
+        assert result.converged == converged
+
+
+def test_batch_members_equal_solo_fits_whatever_their_stop():
+    # Under one config: exactly recoverable AR(6) data stops at the zero
+    # floor on iteration 1, noise seed 4 has its trajectory held by the
+    # descent guard and then stops on an unchanged objective, and the
+    # other noise series run to the iteration cap.
+    config = FitConfig(order_r=6, rho=1e-4, max_iterations=6, convergence_tol=1e-300)
+    exact = noise_free_series(np.array([0.4, -0.3, 0.2, 0.1, -0.05, 0.02]), np.linspace(1.0, -0.5, 6), 40)
+    noisy = [TimeSeries(np.random.Generator(np.random.Philox(key=seed)).normal(size=40)) for seed in (0, 4, 1, 2)]
+    series = [noisy[0], exact, noisy[1], noisy[2], noisy[3]]
+    batch = fit_ar_batch(series, config)
+    solo = [fit_ar(y, config) for y in series]
+    for result, expected in zip(batch, solo, strict=True):
+        assert_same_fit(result, expected)
+
+    assert (batch[1].iterations_run, batch[1].converged) == (1, True)
+    held = batch[2].loss_history
+    assert batch[2].converged and batch[2].iterations_run < config.max_iterations
+    assert any(now.measurement_term == before.measurement_term for before, now in zip(held, held[1:]))
+    for k in (0, 3, 4):
+        assert (batch[k].iterations_run, batch[k].converged) == (config.max_iterations, False)
+
+
+def test_batch_order_does_not_change_results():
+    spec = SyntheticSpec(oscillatory_ar5(), 80, 0.01, 1.0, 43)
+    series = [spec.trajectory(trial)[1] for trial in range(4)]
+    config = FitConfig(order_r=4, rho=0.1, max_iterations=12, anchor_all_values=True)
+    forward = fit_ar_batch(series, config)
+    backward = fit_ar_batch(series[::-1], config)
+    for result, expected in zip(forward, backward[::-1], strict=True):
+        assert_same_fit(result, expected)
+
+
+def test_singular_refit_of_one_member_fails_the_batch():
+    # A constant series has two equal delay columns at order 2.
+    rng = np.random.Generator(np.random.Philox(key=44))
+    series = [TimeSeries(rng.normal(size=30)), TimeSeries(np.full(30, 2.0)), TimeSeries(rng.normal(size=30))]
+    with pytest.raises(SingularSystem):
+        fit_ar_batch(series, FitConfig(order_r=2, rho=0.1, max_iterations=5))
+
+
+def test_batch_needs_equally_long_series():
+    config = FitConfig(order_r=1, rho=0.1)
+    with pytest.raises(ValueError):
+        fit_ar_batch([TimeSeries(np.arange(10.0)), TimeSeries(np.arange(11.0))], config)
+    with pytest.raises(ValueError):
+        fit_ar_batch([], config)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_alternation_never_increases_loss(seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -375,6 +507,36 @@ def test_ladder_rescues_singular_ar_smoother():
     solution = _solve_smoother(system.normal_matrix, system.rhs, solve_banded_spd)
     assert np.all(np.isfinite(solution))
     np.testing.assert_array_equal(scalar_values(state_step(theta, y, 0.1)), solution)
+
+
+def test_ladder_runs_per_system_inside_a_stack():
+    # The singular system of the test above, stacked between regular ones:
+    # the stacked solve fails, and every system must then come back as it
+    # does alone, the singular one shifted by its own diagonal only.
+    rng = np.random.Generator(np.random.Philox(key=45))
+    thetas = [np.array([0.3, -0.2]), np.array([0.5, 0.0]), np.array([-0.4, 0.1])]
+    series = [TimeSeries(rng.normal(size=30)), TimeSeries(np.sin(np.arange(30.0))), TimeSeries(rng.normal(size=30))]
+    systems = [assemble_ar_smoother(ARParams(theta), y, 0.1) for theta, y in zip(thetas, series)]
+    bands = np.stack([system.normal_matrix.bands for system in systems])
+    rhs = np.stack([system.rhs for system in systems])
+    with pytest.raises(NotPositiveDefinite):
+        solve_banded_spd(BandedSPDMatrix(90, 2, np.concatenate(bands, axis=1)), rhs.ravel())
+    solutions = _solve_stacked(bands, rhs)
+    assert np.all(np.isfinite(solutions))
+    for solution, theta, y in zip(solutions, thetas, series):
+        np.testing.assert_array_equal(solution, scalar_values(state_step(ARParams(theta), y, 0.1)))
+
+
+def test_stacked_smoothers_equal_solo_solves():
+    rng = np.random.Generator(np.random.Philox(key=46))
+    thetas = [rng.normal(scale=0.3, size=4) for _ in range(3)]
+    series = [TimeSeries(rng.normal(size=50)) for _ in range(3)]
+    systems = [assemble_ar_smoother(ARParams(theta), y, 0.2, anchor_all=True) for theta, y in zip(thetas, series)]
+    solutions = _solve_stacked(
+        np.stack([system.normal_matrix.bands for system in systems]), np.stack([system.rhs for system in systems])
+    )
+    for solution, system in zip(solutions, systems):
+        np.testing.assert_array_equal(solution, solve_banded_spd(system.normal_matrix, system.rhs))
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,25 @@ def test_non_finite_design_rejected():
         solve_regularized_ls(design, np.array([1.0, 2.0]), 0.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_stacked_problems_equal_separate_solves(lam):
+    rng = np.random.Generator(np.random.Philox(key=10))
+    design = rng.normal(size=(4, 25, 3))
+    for targets in (rng.normal(size=(4, 25)), rng.normal(size=(4, 25, 2))):
+        stacked = solve_regularized_ls(design, targets, lam)
+        assert stacked.shape == (4, 3) + targets.shape[2:]
+        for k in range(4):
+            np.testing.assert_array_equal(stacked[k], solve_regularized_ls(design[k], targets[k], lam))
+
+
+def test_rank_deficiency_in_one_stacked_problem_raises():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    design = rng.normal(size=(3, 10, 2))
+    design[1, :, 1] = design[1, :, 0]
+    with pytest.raises(SingularSystem):
+        solve_regularized_ls(design, rng.normal(size=(3, 10)), 0.0)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.0, 0.1, 3.0]))
 def test_solution_satisfies_stationarity_condition(seed, lam):
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -372,6 +391,19 @@ def test_trailing_zero_coefficients_give_zero_roots():
 def test_all_zero_coefficients_give_all_zero_roots():
     roots = companion_eigenvalues(np.array([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(roots, np.zeros(3), rtol=0, atol=0)
+
+
+def test_stacked_roots_equal_roots_of_each_vector():
+    rng = np.random.Generator(np.random.Philox(key=18))
+    stack = rng.uniform(-1.0, 1.0, size=(6, 4))
+    stack[1, 3] = 0.0
+    stack[2, 2:] = 0.0
+    stack[4] = 0.0
+    roots = companion_eigenvalues(stack)
+    assert roots.shape == (6, 4)
+    for row, theta in zip(roots, stack):
+        np.testing.assert_array_equal(row, companion_eigenvalues(theta))
+    np.testing.assert_array_equal(roots[4], np.zeros(4))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))

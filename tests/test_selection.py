@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from arid.cli import main
 from arid.linear import FitConfig, fit_ar
 from arid.model import ARParams, SyntheticSpec, TimeSeries, oscillatory_ar5
 from arid.numerics import companion_eigenvalues
@@ -86,12 +87,30 @@ def test_aggregates_are_lower_medians_of_records():
         assert entry.min_eig_iter1 == lower_median([r.min_eig_iter1 for r in rows])
 
 
-def test_scan_deterministic_across_thread_counts(monkeypatch):
+def test_each_trial_series_is_drawn_once_per_scan(monkeypatch):
+    drawn = []
+    original = SyntheticSpec.trajectory
+
+    def counting(self, trial=0):
+        drawn.append(trial)
+        return original(self, trial)
+
+    monkeypatch.setattr(SyntheticSpec, "trajectory", counting)
     spec = SyntheticSpec(DECAYING_AR3, 40, 0.01, 0.1, 7)
-    config = FitConfig(order_r=1, rho=0.1, max_iterations=3)
-    monkeypatch.setenv("ARID_THREADS", "1")
-    serial = order_scan(spec, [1, 2, 3], config, num_trials=3)
-    monkeypatch.setenv("ARID_THREADS", "4")
-    threaded = order_scan(spec, [1, 2, 3], config, num_trials=3)
-    assert serial.records == threaded.records
-    assert serial.per_r == threaded.per_r
+    order_scan(spec, [1, 2, 3], FitConfig(order_r=1, rho=0.1, max_iterations=3), num_trials=3)
+    assert drawn == [0, 1, 2]
+
+
+def test_singular_trial_fails_the_whole_scan(monkeypatch, tmp_path):
+    # Trial 1 is a constant series, whose two delay columns coincide at
+    # order 2; the other trials are regular.
+    original = SyntheticSpec.trajectory
+
+    def with_constant_trial(self, trial=0):
+        clean, y = original(self, trial)
+        return (clean, TimeSeries(np.full(y.n_steps, 2.0))) if trial == 1 else (clean, y)
+
+    monkeypatch.setattr(SyntheticSpec, "trajectory", with_constant_trial)
+    argv = ["order-scan", "--orders", "1,2", "--trials", "3", "--n-steps", "40", "--iterations", "3"]
+    assert main([*argv, "--lambda", "0", "--out-dir", str(tmp_path / "run")]) == 3
+    assert main([*argv, "--lambda", "0.01", "--out-dir", str(tmp_path / "ridge")]) == 0
