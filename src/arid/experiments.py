@@ -349,6 +349,8 @@ def _run_order_scan(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 def _run_convergence_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     if cfg.input:
         raise ValueError("convergence-study needs synthetic data with known ground truth")
+    if cfg.trials < 1:
+        raise ValueError(f"convergence-study needs trials >= 1, got {cfg.trials}")
     spec = _synthetic_spec(cfg)
     config = _fit_config(cfg)
 

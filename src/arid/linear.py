@@ -4,7 +4,9 @@ The estimators minimize a joint objective over the model coefficients and a
 denoised trajectory: squared one-step dynamics residuals plus ``rho`` times
 the squared deviation of the trajectory from the recorded measurements.
 Both updates are exact minimizers of that objective in their own variables,
-so with ``lam == 0`` the recorded loss sequence can never increase.
+so with ``lam == 0`` the recorded loss sequence can never increase. The AR
+state update is a banded Cholesky solve; the VAR one is the block smoother
+of ``numerics.solve_block_smoother``, which the NAR fit shares.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from .numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
     _require_finite,
+    block_smoother_diagonals,
     companion_eigenvalues,
     solve_banded_spd,
-    solve_block_tridiagonal_spd,
+    solve_block_smoother,
+    solve_block_tridiagonal_spd,  # noqa: F401  (perfbench/tracing.py wraps this binding by name)
     solve_regularized_ls,
 )
 
@@ -206,17 +210,27 @@ def assemble_ar_smoother(
 _RIDGE_BOOSTS = (1e-10, 1e-8, 1e-6)
 
 
-def _shift_diagonal(matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix, boost: float):
+def _shift_diagonal(matrix, boost: float):
+    """``matrix`` with its diagonal raised by ``boost`` times its largest diagonal-block entry (at least 1).
+
+    ``matrix`` is a :class:`BandedSPDMatrix`, a :class:`BlockTridiagonalSPDMatrix`,
+    or a block smoother ``(A, Q, num_blocks)`` of :func:`solve_block_smoother`,
+    whose shift goes into Q.
+    """
     if isinstance(matrix, BandedSPDMatrix):
         bands = matrix.bands.copy()
         bands[0] += boost * max(1.0, float(bands[0].max()))
         return BandedSPDMatrix(matrix.dim, matrix.bandwidth, bands)
-    diag = matrix.diagonal_blocks
-    shift = boost * max(1.0, float(diag.max())) * np.eye(matrix.block_dim)
-    return BlockTridiagonalSPDMatrix(diag + shift, matrix.off_diagonal_blocks)
+    if isinstance(matrix, BlockTridiagonalSPDMatrix):
+        diag = matrix.diagonal_blocks
+        shift = boost * max(1.0, float(diag.max())) * np.eye(matrix.block_dim)
+        return BlockTridiagonalSPDMatrix(diag + shift, matrix.off_diagonal_blocks)
+    A, Q, num_blocks = matrix
+    shift = boost * max(1.0, float(block_smoother_diagonals(A, Q, num_blocks).max())) * np.eye(len(Q))
+    return A, Q + shift, num_blocks
 
 
-def _solve_smoother(matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix, rhs: np.ndarray, solve) -> np.ndarray:
+def _solve_smoother(matrix, rhs: np.ndarray, solve) -> np.ndarray:
     """Solve with ``solve``, the caller's solver for the matrix type; every retry goes through it too."""
     try:
         return solve(matrix, rhs)
@@ -235,6 +249,11 @@ def _solve_smoother(matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix, rhs: np
         except NotPositiveDefinite:
             continue
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
+
+
+def _solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`solve_block_smoother` through the diagonal-shift ladder; the shifts go into Q."""
+    return _solve_smoother((A, Q, rhs.size // len(Q)), rhs, lambda system, v: solve_block_smoother(*system[:2], v))
 
 
 def _solve_stacked(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -353,20 +372,24 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     return tuple(results)
 
 
-def _var_loss(A: np.ndarray, x_hat: np.ndarray, x: np.ndarray, rho: float) -> LossBreakdown:
+def _var_dynamics(A: np.ndarray, x_hat: np.ndarray) -> float:
     resid = x_hat[1:] - x_hat[:-1] @ A.T
-    dynamics = float(np.sum(resid * resid))
-    err = x - x_hat
-    measurement = float(np.sum(err * err))
+    return float(np.sum(resid * resid))
+
+
+def _var_loss(dynamics: float, measurement: float, rho: float, n_steps: int) -> LossBreakdown:
     total = dynamics + rho * measurement
-    return LossBreakdown(dynamics, measurement, total, total / x.shape[0])
+    return LossBreakdown(dynamics, measurement, total, total / n_steps)
 
 
 def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> SmootherSystem:
     """Block-tridiagonal normal equations of the VAR(1) state update.
 
     With the identity readout every state is measured, so each diagonal
-    block picks up rho directly; the coupling blocks are -A.
+    block picks up rho directly; the coupling blocks are -A. ``fit_var1``
+    solves the same system without assembling it, by
+    :func:`solve_block_smoother` with ``Q = (rho + lam) I``; this explicit
+    form is the reference that solver is tested against.
     """
     n, p = x.shape
     eye = np.eye(p)
@@ -385,31 +408,39 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     """First-order VAR variant of the alternating fit with a full transition matrix.
 
     The readout is the identity, so the smoothing step couples the p
-    channels through a block-tridiagonal system; with p == 1 the whole
+    channels through a block-tridiagonal system, solved by
+    :func:`solve_block_smoother` (a steady-state Cholesky factor on long
+    series, the whole band factor otherwise); with p == 1 the whole
     procedure reduces to ``fit_ar`` at order 1.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")
     x = y.values
-    if x.shape[0] < 2:
+    n, p = x.shape
+    if n < 2:
         raise HorizonTooShort("need at least two steps")
     floor = _zero_floor(x)
-    lam = config.lam
+    rho, lam = config.rho, config.lam
+    Q, rhs = (rho + lam) * np.eye(p), (rho * x).reshape(-1)
     x_hat = x
     history: list[LossBreakdown] = []
     estimates: list[np.ndarray] = []
     monitor_prev = None
     converged = False
+    # Starting from x_hat = x, the held trajectory's measurement term is 0.
+    measurement = 0.0
     for _ in range(config.max_iterations):
-        A = solve_regularized_ls(x_hat[:-1], x_hat[1:], config.lam).T
-        system = assemble_var_smoother(A, x, config.rho, config.lam)
-        candidate = solve_block_tridiagonal_spd(system.normal_matrix, system.rhs).reshape(x.shape)
-        loss = _var_loss(A, candidate, x, config.rho)
-        held = _var_loss(A, x_hat, x, config.rho)
+        A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
+        candidate = _solve_block_smoother(A, Q, rhs).reshape(x.shape)
+        err = x - candidate
+        loss = _var_loss(_var_dynamics(A, candidate), float(np.sum(err * err)), rho, n)
+        # The held loss pairs the new A with the old trajectory, whose
+        # measurement term the previous iteration already computed.
+        held = _var_loss(_var_dynamics(A, x_hat), measurement, rho, n)
         # Same descent guard as the scalar fit; see fit_ar_batch.
         if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
             candidate, loss = x_hat, held
-        x_hat = candidate
+        x_hat, measurement = candidate, loss.measurement_term
         history.append(loss)
         estimates.append(A)
         monitor = loss.total + lam * float(np.sum(A * A) + np.sum(x_hat * x_hat))

@@ -3,8 +3,9 @@
 Windows of the trajectory are lifted to truncated signatures of a
 two-column path (values and their running sum); dynamics and readout are
 then linear in signature space, and the same alternating parameter/state
-scheme as in the linear case applies with a block-tridiagonal smoothing
-step over unconstrained signature states. Smoothed states are not projected
+scheme as in the linear case applies, with the VAR fit's block smoother
+(``numerics.solve_block_smoother``) as the smoothing step over
+unconstrained signature states. Smoothed states are not projected
 back onto the manifold of true signatures; only their readout re-enters the
 next iteration through the refreshed trajectory.
 """
@@ -16,9 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, LossBreakdown, SmootherSystem, _solve_smoother
+from .linear import FitResult, LossBreakdown, SmootherSystem, _solve_block_smoother
 from .model import TimeSeries, scalar_values
-from .numerics import BlockTridiagonalSPDMatrix, solve_block_tridiagonal_spd, solve_regularized_ls
+from .numerics import (
+    BlockTridiagonalSPDMatrix,
+    solve_block_tridiagonal_spd,  # noqa: F401  (perfbench/tracing.py wraps this binding by name)
+    solve_regularized_ls,
+)
 from .signature import _signatures_flat, sig_dim
 
 _ALPHABET = 2  # fixed by the two-column path construction
@@ -113,13 +118,8 @@ def nar_param_step(gamma_minus: np.ndarray, gamma_plus: np.ndarray, y_plus: np.n
     return NARModel(w.T, c)
 
 
-def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> SmootherSystem:
-    """Block-tridiagonal normal equations over the free signature states.
-
-    One block per time step t = r..N. The readout is rank one, so the
-    measurement contributes ``rho * outer(C, C)`` per diagonal block; the
-    coupling blocks are -A.
-    """
+def _smoother_terms(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float):
+    """Per-block measurement term Q and right-hand side of the state step, one block per t = r..N."""
     yo = scalar_values(y)
     if yo.size <= order_r:
         raise HorizonTooShort(f"need more than order_r = {order_r} steps, got {yo.size}")
@@ -127,15 +127,28 @@ def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: flo
         raise ValueError("rho must be positive")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    m_blocks = yo.size - order_r + 1
-    ns = model.n_s
+    Q = rho * np.outer(model.C_sig, model.C_sig) + lam * np.eye(model.n_s)
+    rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(-1)
+    return Q, rhs
+
+
+def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> SmootherSystem:
+    """Block-tridiagonal normal equations over the free signature states.
+
+    One block per time step t = r..N. The readout is rank one, so the
+    measurement contributes ``rho * outer(C, C)`` per diagonal block; the
+    coupling blocks are -A. :func:`nar_state_step` solves the same system
+    without assembling it, by ``numerics.solve_block_smoother``; this
+    explicit form is the reference that solver is tested against.
+    """
+    Q, rhs = _smoother_terms(model, y, order_r, rho, lam)
+    m_blocks, ns = rhs.size // model.n_s, model.n_s
     eye = np.eye(ns)
     diag = np.empty((m_blocks, ns, ns))
-    diag[:] = rho * np.outer(model.C_sig, model.C_sig) + lam * eye
+    diag[:] = Q
     diag[1:] += eye
     diag[:-1] += model.A_sig.T @ model.A_sig
     off = np.tile(-model.A_sig, (m_blocks - 1, 1, 1))
-    rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(-1)
     matrix = BlockTridiagonalSPDMatrix(diag, off)
     return SmootherSystem(matrix, rhs)
 
@@ -158,9 +171,8 @@ def nar_state_step(
     yo = scalar_values(y)
     if prev.size != yo.size:
         raise ValueError("y_prev must have the same length as y")
-    system = assemble_nar_smoother(model, y, order_r, rho, lam)
-    states = _solve_smoother(system.normal_matrix, system.rhs, solve_block_tridiagonal_spd)
-    states = states.reshape(-1, model.n_s)
+    Q, rhs = _smoother_terms(model, y, order_r, rho, lam)
+    states = _solve_block_smoother(model.A_sig, Q, rhs).reshape(-1, model.n_s)
     refreshed = np.concatenate((prev[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
 

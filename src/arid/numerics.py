@@ -1,9 +1,11 @@
 """Structured linear algebra kernels used by the estimators.
 
-Regularized least squares, SPD smoother solves by banded Cholesky (a
-block-tridiagonal system is packed into band storage and takes the same
-LAPACK path as a banded one), and companion-matrix spectra by LAPACK's
-nonsymmetric eigensolver. All routines are pure functions of their inputs.
+Regularized least squares, SPD smoother solves by banded Cholesky, and
+companion-matrix spectra by LAPACK's nonsymmetric eigensolver. The VAR and
+NAR state steps share one block smoother whose bands are built straight
+from its dynamics and measurement blocks; on long systems its Cholesky
+factor is computed for the leading blocks only and its settled block column
+repeated. All routines are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
@@ -113,7 +116,9 @@ class BlockTridiagonalSPDMatrix:
 
     ``off_diagonal_blocks[i]`` couples block i+1 to block i (it sits at the
     (i+1, i) position of the block partition); its transpose is implied at
-    (i, i+1).
+    (i, i+1). The fits no longer build it: they call
+    :func:`solve_block_smoother`, and this explicit form with
+    :func:`solve_block_tridiagonal_spd` is the reference it is tested against.
     """
 
     diagonal_blocks: np.ndarray
@@ -173,7 +178,8 @@ def solve_block_tridiagonal_spd(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarr
 
     With b x b blocks the matrix is a band matrix of half-bandwidth 2b - 1;
     it is packed by :meth:`BlockTridiagonalSPDMatrix.lower_bands` and solved
-    by the same LAPACK routine as :func:`solve_banded_spd`.
+    by the same LAPACK routine as :func:`solve_banded_spd`. The reference
+    for :func:`solve_block_smoother`, which the VAR and NAR fits call.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.dim,):
@@ -184,6 +190,134 @@ def solve_block_tridiagonal_spd(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarr
         return sla.solveh_banded(matrix.lower_bands(), rhs, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("banded Cholesky of the block system hit a nonpositive pivot") from exc
+
+
+# Block columns of the smoother factored before the factor is tested for a
+# steady state; shorter systems than 4 * _LEAD_BLOCKS blocks are factored
+# whole. See solve_block_smoother.
+_LEAD_BLOCKS = 32
+# Largest difference, in units of rounding of the block column's largest
+# entry, at which two consecutive block columns of the factor count as equal.
+_STEADY_ULPS = 4
+
+
+def block_smoother_diagonals(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
+    """The distinct diagonal blocks of the block smoother over ``num_blocks`` blocks.
+
+    Block t is ``Q + [t > 0] I + [t < m - 1] A^T A``. These are the first
+    min(m, 3) of them; every block between the first and the last equals
+    the middle one.
+    """
+    diag = np.empty((min(num_blocks, 3),) + Q.shape)
+    diag[:] = Q
+    diag[1:] += np.eye(Q.shape[0])
+    diag[:-1] += A.T @ A
+    return diag
+
+
+def _band_columns(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """Lower band storage of block columns: (n, b, 2b) from n diagonal and n coupling blocks.
+
+    Row c of slab i is matrix column c of block column i from its diagonal
+    entry down: diagonal block i, then coupling block i, then zeros.
+    """
+    count, b = diag.shape[:2]
+    stacked = np.zeros((count, 3 * b, b))
+    stacked[:, :b] = diag
+    stacked[:, b : 2 * b] = coupling
+    c = np.arange(b)[:, None]
+    return stacked[:, c + np.arange(2 * b), c]
+
+
+def block_smoother_bands(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
+    """The block smoother of :func:`solve_block_smoother` in lower band storage.
+
+    Row k is subdiagonal k, for k up to ``min(2b - 1, dim - 1)``, as
+    :class:`BandedSPDMatrix` holds it. The band columns are built for the
+    first, a middle and the last block, and the middle block column repeated.
+    Only the lower triangle is built, so the bands are symmetric by
+    construction. The array is column-major, the layout LAPACK factors in
+    place.
+    """
+    diag = block_smoother_diagonals(A, Q, num_blocks)
+    coupling = np.empty_like(diag)
+    coupling[:] = -A
+    coupling[-1] = 0.0
+    index = np.minimum(np.arange(num_blocks), 1)
+    index[-1] = len(diag) - 1
+    b = Q.shape[0]
+    return _band_columns(diag, coupling)[index].reshape(-1, 2 * b)[:, : min(2 * b, num_blocks * b)].T
+
+
+def _banded_cholesky(bands: np.ndarray) -> np.ndarray:
+    """LAPACK lower band Cholesky factor of ``bands``, computed in place."""
+    factor, info = dpbtrf(bands, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefinite("banded Cholesky of the block smoother hit a nonpositive pivot")
+    return factor
+
+
+def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray | None:
+    """Lower band Cholesky factor of the whole smoother, from a factor of its leading blocks.
+
+    Away from the ends every block of the smoother is the same, so its
+    Cholesky pivots follow a Riccati recursion to the steady-state smoother
+    gain. Once block column K - 1 of the leading factor equals column K - 2
+    to rounding, it is the factor's block column all the way to the last
+    block, whose diagonal block is then the Cholesky factor of
+    ``Q + I - W W^T`` for the steady coupling block W. Returns None when the
+    leading blocks have not settled.
+    """
+    lead_blocks, b = _LEAD_BLOCKS, Q.shape[0]
+    # The leading K + 1 block columns are the same in every longer system.
+    lead = _banded_cholesky(block_smoother_bands(A, Q, lead_blocks + 2)[:, : (lead_blocks + 1) * b])
+    lead = lead.T.reshape(lead_blocks + 1, b, 2 * b)
+    steady = lead[lead_blocks - 1]
+    if np.abs(steady - lead[lead_blocks - 2]).max() > _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
+        return None
+    c = np.arange(b)
+    coupling = steady[c, b - c + c[:, None]]
+    try:
+        last = np.linalg.cholesky(Q + np.eye(b) - coupling @ coupling.T)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("last pivot block of the block smoother is not positive definite") from exc
+    factor = np.empty((num_blocks, b, 2 * b))
+    factor[:lead_blocks] = lead[:lead_blocks]
+    factor[lead_blocks:-1] = steady
+    factor[-1] = _band_columns(last[None], np.zeros_like(last[None]))[0]
+    return factor.reshape(-1, 2 * b).T
+
+
+def solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the block-tridiagonal SPD state step shared by the VAR and NAR smoothers.
+
+    The system has m = ``len(rhs) / b`` diagonal blocks
+    ``Q + [t > 0] I + [t < m - 1] A^T A`` and coupling blocks -A, A and Q
+    being b x b. Its bands (half-bandwidth 2b - 1) are built for at most
+    three blocks and the middle block column repeated. From 4 *
+    ``_LEAD_BLOCKS`` blocks on, only the leading blocks are factored; when
+    their factor has reached its steady state (see :func:`_steady_factor`)
+    it is tiled over the rest. Otherwise, and on shorter systems, the whole
+    band matrix is factored. Either way LAPACK ``dpbtrs`` solves with the
+    factor; a nonpositive pivot raises :class:`NotPositiveDefinite`.
+    """
+    A = np.asarray(A, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    b = Q.shape[0] if Q.ndim == 2 else 0
+    if b < 1 or Q.shape != (b, b) or A.shape != (b, b):
+        raise ValueError("A and Q must be square blocks of one positive size")
+    if rhs.ndim != 1 or rhs.size < b or rhs.size % b:
+        raise ValueError("rhs length must be a positive multiple of the block size")
+    _require_finite("A", A)
+    _require_finite("Q", Q)
+    _require_finite("rhs", rhs)
+    num_blocks = rhs.size // b
+    factor = _steady_factor(A, Q, num_blocks) if num_blocks >= 4 * _LEAD_BLOCKS else None
+    if factor is None:
+        factor = _banded_cholesky(block_smoother_bands(A, Q, num_blocks))
+    solution, _ = dpbtrs(factor, rhs, lower=1)
+    return solution
 
 
 def companion_eigenvalues(theta: np.ndarray) -> np.ndarray:

@@ -115,6 +115,13 @@ def test_order_scan_accepts_comma_separated_orders(tmp_path):
     assert [entry["order_r"] for entry in report["results"]["per_order"]] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_convergence_study_needs_one_or_more_trials(tmp_path, trials):
+    proc = run_cli("convergence-study", "--trials", trials, "--n-steps", "40", "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert "trials" in proc.stderr and "convergence-study" in proc.stderr
+
+
 def test_predict_without_report_exits_with_usage_code(tmp_path):
     series = tmp_path / "series.csv"
     write_csv(TimeSeries(np.arange(20.0)), series)

@@ -9,6 +9,8 @@ from arid.errors import NotPositiveDefinite, SingularSystem, ZeroNormReference
 from arid.linear import (
     _RIDGE_BOOSTS,
     FitConfig,
+    LossBreakdown,
+    _solve_block_smoother,
     _solve_smoother,
     _solve_stacked,
     assemble_ar_smoother,
@@ -467,6 +469,67 @@ def test_var_reduces_to_scalar_ar():
     assert var_fit.iterations_run == scalar_fit.iterations_run
     for a, b in zip(var_fit.loss_history, scalar_fit.loss_history):
         assert a.total == pytest.approx(b.total, rel=1e-12)
+
+
+def reference_fit_var1(y: TimeSeries, config: FitConfig):
+    """One step at a time: refit, smooth, two full loss evaluations, guard, stop rule."""
+    x = y.values
+    n, p = x.shape
+    rho, lam = config.rho, config.lam
+    floor = 1e-24 * max(1.0, float(np.sum(x * x)))
+
+    def loss_of(A, x_hat):
+        resid = x_hat[1:] - x_hat[:-1] @ A.T
+        dynamics = float(np.sum(resid * resid))
+        err = x - x_hat
+        measurement = float(np.sum(err * err))
+        total = dynamics + rho * measurement
+        return LossBreakdown(dynamics, measurement, total, total / n)
+
+    x_hat, history, estimates, monitor_prev, converged = x, [], [], None, False
+    for _ in range(config.max_iterations):
+        A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
+        candidate = _solve_block_smoother(A, (rho + lam) * np.eye(p), (rho * x).reshape(-1)).reshape(x.shape)
+        loss, held = loss_of(A, candidate), loss_of(A, x_hat)
+        if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
+            candidate, loss = x_hat, held
+        x_hat = candidate
+        history.append(loss)
+        estimates.append(A)
+        monitor = loss.total + lam * float(np.sum(A * A) + np.sum(x_hat * x_hat))
+        if monitor <= floor or (monitor_prev is not None and abs(monitor_prev - monitor) <= config.convergence_tol * monitor_prev):
+            converged = True
+            break
+        monitor_prev = monitor
+    return x_hat, tuple(history), tuple(estimates), converged
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(rho=3.0),
+        dict(rho=0.1, lam=1e-3),
+        dict(rho=1e-4, convergence_tol=1e-300),
+    ],
+)
+@pytest.mark.parametrize("channels, n_steps", [(1, 60), (3, 200)])
+def test_var_fit_matches_step_by_step_reference(settings, channels, n_steps):
+    # 200 steps reach the steady-state factor of the block smoother.
+    rng = np.random.Generator(np.random.Philox(key=47))
+    A_true = 0.3 * np.eye(channels) + 0.2 * np.tri(channels, k=-1)
+    x = np.empty((n_steps, channels))
+    x[0] = rng.normal(size=channels)
+    for t in range(n_steps - 1):
+        x[t + 1] = A_true @ x[t] + 0.3 * rng.normal(size=channels)
+    y = TimeSeries(x + 0.3 * rng.normal(size=x.shape))
+    config = FitConfig(order_r=1, max_iterations=25, **settings)
+    result = fit_var1(y, config)
+    x_hat, history, estimates, converged = reference_fit_var1(y, config)
+    np.testing.assert_array_equal(result.y_hat.values, x_hat)
+    assert result.loss_history == history
+    for got, want in zip(result.estimate_history, estimates, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert result.converged == converged
 
 
 def test_var_recovers_noise_free_transition():

@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arid import numerics
 from arid.errors import NonFinite, NotPositiveDefinite, SingularSystem
-from arid.model import ARParams, build_companion, coefficients_from_roots
+from arid.linear import _shift_diagonal, _solve_block_smoother, assemble_var_smoother
+from arid.model import ARParams, TimeSeries, build_companion, coefficients_from_roots
+from arid.nar import NARModel, assemble_nar_smoother
 from arid.numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
+    block_smoother_bands,
     companion_eigenvalues,
     solve_banded_spd,
+    solve_block_smoother,
     solve_block_tridiagonal_spd,
     solve_regularized_ls,
 )
@@ -312,6 +319,154 @@ def test_block_solve_agrees_with_dense_oracle(seed, num_blocks, block_dim):
     solution = solve_block_tridiagonal_spd(matrix, rhs)
     oracle = np.linalg.solve(dense_from_blocks(matrix), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-8, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# solve_block_smoother
+
+NAR_ORDER = 4
+
+
+def transition_with_radius(rng: np.random.Generator, block_dim: int, radius: float) -> np.ndarray:
+    A = rng.normal(size=(block_dim, block_dim))
+    return A * (radius / float(np.max(np.abs(np.linalg.eigvals(A)))))
+
+
+def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radius: float = 0.6):
+    """(A, Q, rhs, reference system) of a VAR or NAR state step with ``num_blocks`` blocks.
+
+    The reference is the explicitly assembled block-tridiagonal system, or
+    None for a one-block NAR system, which no series can produce.
+    """
+    rng = np.random.default_rng([block_dim, num_blocks, int(1000 * rho)])
+    A = transition_with_radius(rng, block_dim, radius)
+    if family == "var":
+        system = assemble_var_smoother(A, rng.normal(size=(num_blocks, block_dim)), rho)
+        return A, rho * np.eye(block_dim), system.rhs, system
+    # A unit readout and a ridge of 0.1 keep the condition number of the NAR
+    # system below about 100, so 1e-13 bounds the solver, not the problem.
+    lam = 0.1
+    readout = rng.normal(size=block_dim)
+    readout /= np.linalg.norm(readout)
+    Q = rho * np.outer(readout, readout) + lam * np.eye(block_dim)
+    if num_blocks == 1:
+        return A, Q, rng.normal(size=block_dim), None
+    y = TimeSeries(rng.normal(size=num_blocks + NAR_ORDER - 1))
+    system = assemble_nar_smoother(NARModel(A, readout), y, NAR_ORDER, rho, lam)
+    return A, Q, system.rhs, system
+
+
+def oracle_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The block smoother built entry by entry from Kronecker products and solved by LU.
+
+    Dense ``np.linalg.solve`` up to dim 2048; above that a sparse LU keeps
+    the oracle within memory.
+    """
+    b = Q.shape[0]
+    m = rhs.size // b
+    t = np.arange(m)
+    matrix = (
+        sp.kron(sp.eye(m), Q)
+        + sp.kron(sp.diags((t > 0).astype(float)), np.eye(b))
+        + sp.kron(sp.diags((t < m - 1).astype(float)), A.T @ A)
+        - sp.kron(sp.eye(m, k=-1), A)
+        - sp.kron(sp.eye(m, k=1), A.T)
+    )
+    if rhs.size <= 2048:
+        return np.linalg.solve(matrix.toarray(), rhs)
+    return spla.spsolve(matrix.tocsc(), rhs)
+
+
+def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float) -> None:
+    error = float(np.max(np.abs(actual - expected)))
+    assert error <= rtol * float(np.max(np.abs(expected))), f"relative error {error / np.max(np.abs(expected)):.2e}"
+
+
+@pytest.mark.parametrize("rho", [3.0, 0.1, 0.01])
+@pytest.mark.parametrize("num_blocks", [1, 2, 3, 127, 128, 500])
+@pytest.mark.parametrize("block_dim", [1, 4, 7, 32])
+@pytest.mark.parametrize("family", ["var", "nar"])
+def test_block_smoother_matches_oracle_and_reference(family, block_dim, num_blocks, rho):
+    A, Q, rhs, reference = smoother_case(family, block_dim, num_blocks, rho)
+    solution = solve_block_smoother(A, Q, rhs)
+    assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
+    if reference is not None:
+        expected = solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs)
+        assert_close_relative(solution, expected, 1e-13)
+
+
+@pytest.mark.parametrize("family", ["var", "nar"])
+def test_steady_factor_settles_on_long_well_damped_systems(family):
+    # At rho = 3 the factor of the leading blocks settles well inside them.
+    A, Q, rhs, _ = smoother_case(family, 7, 500, 3.0)
+    assert numerics._steady_factor(A, Q, 500) is not None
+
+
+@pytest.mark.parametrize("family", ["var", "nar"])
+def test_near_unit_root_takes_full_factor(family):
+    # A spectral radius near 1 and a weak measurement term slow the Riccati
+    # recursion down so much that the leading blocks do not settle.
+    A, Q, rhs, reference = smoother_case(family, 4, 500, 0.01, radius=0.999)
+    assert numerics._steady_factor(A, Q, 500) is None
+    solution = solve_block_smoother(A, Q, rhs)
+    assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
+    expected = solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs)
+    np.testing.assert_array_equal(solution, expected)
+
+
+def test_short_system_takes_full_factor(monkeypatch):
+    # Below 4 * _LEAD_BLOCKS blocks the leading factor is never tried.
+    A, Q, rhs, reference = smoother_case("var", 4, 4 * numerics._LEAD_BLOCKS - 1, 3.0)
+
+    def fail(*args):
+        raise AssertionError("steady path taken")
+
+    monkeypatch.setattr(numerics, "_steady_factor", fail)
+    solution = solve_block_smoother(A, Q, rhs)
+    np.testing.assert_array_equal(solution, solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs))
+
+
+# A NAR system has at least two blocks.
+@pytest.mark.parametrize(
+    "family, num_blocks", [("var", m) for m in (1, 2, 3, 7, 500)] + [("nar", m) for m in (2, 3, 7, 500)]
+)
+def test_direct_bands_match_assembled_bands(family, num_blocks):
+    A, Q, _, reference = smoother_case(family, 5, num_blocks, 0.1)
+    np.testing.assert_allclose(
+        block_smoother_bands(A, Q, num_blocks), reference.normal_matrix.lower_bands(), rtol=1e-15, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2, 3, 200])
+def test_ladder_shifts_block_smoother_like_assembled_system(num_blocks):
+    # With a large A, the largest diagonal-block entry depends on which
+    # blocks exist: m = 1 has only Q, and m = 2 has no middle block.
+    A, Q, _, reference = smoother_case("var", 3, num_blocks, 0.1, radius=3.0)
+    for boost in (1e-10, 1e-8, 1e-6):
+        A_shifted, Q_shifted, m = _shift_diagonal((A, Q, num_blocks), boost)
+        expected = _shift_diagonal(reference.normal_matrix, boost).lower_bands()
+        np.testing.assert_array_equal(A_shifted, A)
+        assert m == num_blocks
+        np.testing.assert_allclose(block_smoother_bands(A, Q_shifted, m), expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("num_blocks", [3, 500])
+def test_indefinite_block_smoother_raises(num_blocks):
+    # Both the whole factor and the leading factor of the steady path fail.
+    b = 2
+    with pytest.raises(NotPositiveDefinite):
+        solve_block_smoother(np.zeros((b, b)), -np.eye(b), np.ones(num_blocks * b))
+    with pytest.raises(NotPositiveDefinite):
+        _solve_block_smoother(np.zeros((b, b)), -np.eye(b), np.ones(num_blocks * b))
+
+
+def test_block_smoother_validates_shapes():
+    with pytest.raises(ValueError):
+        solve_block_smoother(np.eye(2), np.eye(3), np.ones(6))
+    with pytest.raises(ValueError):
+        solve_block_smoother(np.eye(2), np.eye(2), np.ones(5))
+    with pytest.raises(NonFinite):
+        solve_block_smoother(np.eye(2), np.eye(2), np.array([1.0, np.nan]))
 
 
 # ---------------------------------------------------------------------------
