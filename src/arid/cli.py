@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration or usage problem, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,7 +69,9 @@ def _add_synthetic(p: argparse.ArgumentParser) -> None:
                    help="autoregressive coefficients for the simulator, newest lag first")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="arid",
         description="identify autoregressive dynamics from noisy time series",

@@ -319,7 +319,13 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
         raise HorizonTooShort(f"need more than order {r} steps, got {n}")
     start = 0 if config.anchor_all_values else r - 1
     floor = np.array([_zero_floor(row) for row in yo])
-    history, estimates = [[] for _ in ys], [[] for _ in ys]
+    # Iteration k of series i: its coefficients, and its dynamics,
+    # measurement and total loss terms; rows past runs[i] stay unwritten.
+    # The logs double when full, since the cap can lie far beyond the
+    # iterations a fit runs.
+    theta_log = np.empty((min(config.max_iterations, 64), count, r))
+    loss_log = np.empty((len(theta_log), count, 3))
+    runs = np.zeros(count, dtype=np.intp)
     y_final, converged = np.empty_like(yo), np.zeros(count, dtype=bool)
     # Starting from y_hat = y, the held trajectory's measurement term is 0.
     active, y_hat, measurement, monitor_prev = np.arange(count), yo, np.zeros(count), None
@@ -348,9 +354,11 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
         dynamics = np.where(hold, held_dynamics, dynamics)
         measurement = np.where(hold, measurement, new_measurement)
         total = np.where(hold, held_total, total)
-        for i, theta, terms in zip(active, thetas, np.stack((dynamics, measurement, total), axis=1).tolist()):
-            estimates[i].append(ARParams(theta))
-            history[i].append(LossBreakdown(*terms, terms[2] / n))
+        _require_finite("theta", thetas)
+        if iteration == len(theta_log):
+            theta_log, loss_log = (np.concatenate((log, np.empty_like(log))) for log in (theta_log, loss_log))
+        theta_log[iteration, active] = thetas
+        loss_log[iteration, active] = np.stack((dynamics, measurement, total), axis=1)
 
         monitor = total + lam * (np.vecdot(thetas, thetas) + np.vecdot(y_hat, y_hat))
         stop = monitor <= floor[active]
@@ -359,16 +367,20 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
         converged[active] = stop
         stop |= iteration == config.max_iterations - 1
         y_final[active[stop]] = y_hat[stop]
+        runs[active[stop]] = iteration + 1
         keep = ~stop
         active, y_hat, measurement, monitor_prev = active[keep], y_hat[keep], measurement[keep], monitor[keep]
         if not active.size:
             break
 
-    min_eigs = np.min(np.abs(companion_eigenvalues(np.stack([steps[-1].theta for steps in estimates]))), axis=1)
+    members = np.arange(count)
+    min_eigs = np.min(np.abs(companion_eigenvalues(theta_log[runs - 1, members])), axis=1)
     results = []
-    for y, values, losses, steps, done, eig in zip(ys, y_final, history, estimates, converged, min_eigs):
+    for i, y, values, done, eig in zip(members, ys, y_final, converged, min_eigs):
+        steps = tuple(ARParams(theta) for theta in theta_log[: runs[i], i])
+        losses = tuple(LossBreakdown(*terms, terms[2] / n) for terms in loss_log[: runs[i], i].tolist())
         smoothed = TimeSeries(values, y.sample_rate_hz, y.channel_names)
-        results.append(FitResult(steps[-1], smoothed, tuple(losses), len(losses), bool(done), float(eig), tuple(steps)))
+        results.append(FitResult(steps[-1], smoothed, losses, len(losses), bool(done), float(eig), steps))
     return tuple(results)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linear import FitConfig, fit_ar_batch
+from .linear import FitConfig, fit_ar, fit_ar_batch  # noqa: F401  (perfbench/tracing.py wraps fit_ar by name)
 from .model import SyntheticSpec, TimeSeries
 from .numerics import companion_eigenvalues
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from arid.cli import build_parser
 from arid.dataio import write_csv
 from arid.model import TimeSeries
 
@@ -120,6 +121,22 @@ def test_convergence_study_needs_one_or_more_trials(tmp_path, trials):
     proc = run_cli("convergence-study", "--trials", trials, "--n-steps", "40", "--out-dir", str(tmp_path / "run"))
     assert proc.returncode == 2
     assert "trials" in proc.stderr and "convergence-study" in proc.stderr
+
+
+def test_non_finite_cell_exits_with_numerical_code_naming_its_cell(tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text("left,right\n1,2\n3,nan\n5,6\n")
+    proc = run_cli("fit-var", "--input", str(series), "--has-header", "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 3
+    assert "row 3, column 2" in proc.stderr
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_parses():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["order-scan", "--orders", "1,2", "--seed", "4", "--anchor-all"])
+    second = build_parser().parse_args(["order-scan"])
+    assert (first.orders, first.seed, first.anchor_all) == ([1, 2], 4, True)
+    assert (second.orders, second.seed, second.anchor_all) == (None, None, None)
 
 
 def test_predict_without_report_exits_with_usage_code(tmp_path):

@@ -1,10 +1,16 @@
 """Tests for CSV ingestion, differencing, and artefact injection."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from arid.errors import HorizonTooShort, IndexOutOfRange, ParseError, RaggedRows
-from arid.dataio import first_difference, inject_artefact, load_csv, write_csv
+from arid.errors import HorizonTooShort, IndexOutOfRange, NonFinite, ParseError, RaggedRows
+from arid.dataio import _WRITE_CHUNK_ROWS, _parse_rows, first_difference, inject_artefact, load_csv, write_csv
 from arid.model import TimeSeries, scalar_values
 
 # ---------------------------------------------------------------------------
@@ -73,6 +79,154 @@ def test_roundtrip_preserves_values_bit_exactly(tmp_path):
     write_csv(original, path)
     reloaded = load_csv(path)
     np.testing.assert_array_equal(reloaded.values, original.values)
+
+
+def test_non_finite_cell_reports_location(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("left,right\n1,2\n3,inf\nnan,4\n")
+    with pytest.raises(NonFinite) as info:
+        load_csv(path, has_header=True)
+    assert "row 3, column 2" in str(info.value)
+
+
+def test_malformed_row_outranks_a_non_finite_cell(tmp_path):
+    path = tmp_path / "nan_then_ragged.csv"
+    path.write_text("1,nan\n3\n")
+    with pytest.raises(RaggedRows):
+        load_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the bulk read and write paths against the row parser and per-value writer
+
+SPECIAL_VALUES = (-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_VALUES)
+TABLES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=FINITE)
+
+
+def _per_value_write_csv(series, path):
+    """The writer that formatted one value at a time: the byte oracle of write_csv."""
+    with open(path, "w", newline="") as fh:
+        if series.channel_names is not None:
+            fh.write(",".join(series.channel_names) + "\n")
+        for row in series.values:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _bits(values) -> list:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _outcome(read):
+    """What ``read()`` returns as (names, value bits), or the class and message it raises; no warning may escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            names, values = read()
+            result = (names, _bits(values))
+        except Exception as exc:  # every outcome is compared, errors included
+            result = (type(exc), str(exc))
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+def _load(path, has_header):
+    series = load_csv(path, has_header=has_header)
+    return series.channel_names, series.values
+
+
+@example(values=np.array([[1.5, -2.0, 3.25]]), header=True, crlf=False, pad=False, blanks=[])
+@example(values=np.array([[1.5], [-0.0], [5e-324]]), header=False, crlf=True, pad=True, blanks=[0, 2])
+@given(
+    values=TABLES,
+    header=st.booleans(),
+    crlf=st.booleans(),
+    pad=st.booleans(),
+    blanks=st.lists(st.integers(0, 8), max_size=3),
+)
+def test_bulk_read_matches_row_parser_on_written_layouts(tmp_path_factory, values, header, crlf, pad, blanks):
+    path = tmp_path_factory.mktemp("layout") / "table.csv"
+    names = tuple(f"ch{j}" for j in range(values.shape[1])) if header else None
+    write_csv(TimeSeries(values, channel_names=names), path)
+    lines = path.read_text().splitlines()
+    if pad:
+        lines = [",".join(f" {cell}\t" for cell in line.split(",")) for line in lines]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), "")
+    newline = "\r\n" if crlf else "\n"
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    with mock.patch("arid.dataio._parse_rows", side_effect=AssertionError("fell back to the row parser")):
+        read = _outcome(lambda: _load(path, header))
+    assert read == (names, _bits(values))
+    assert read == _outcome(lambda: _parse_rows(path, header))
+
+
+@given(values=TABLES, header=st.booleans())
+def test_write_csv_bytes_match_per_value_writer(tmp_path_factory, values, header):
+    folder = tmp_path_factory.mktemp("write")
+    series = TimeSeries(values, channel_names=tuple(f"c{j}" for j in range(values.shape[1])) if header else None)
+    write_csv(series, folder / "chunked.csv")
+    _per_value_write_csv(series, folder / "reference.csv")
+    assert (folder / "chunked.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [_WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1, 2 * _WRITE_CHUNK_ROWS + 3])
+def test_write_csv_bytes_match_across_chunks(tmp_path, n_rows):
+    rng = np.random.Generator(np.random.Philox(key=83))
+    values = rng.normal(size=(n_rows, 2)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 2))
+    values[: len(SPECIAL_VALUES), 0] = SPECIAL_VALUES
+    series = TimeSeries(values, channel_names=("a", "b"))
+    write_csv(series, tmp_path / "chunked.csv")
+    _per_value_write_csv(series, tmp_path / "reference.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    np.testing.assert_array_equal(load_csv(tmp_path / "chunked.csv", has_header=True).values, values)
+
+
+@pytest.mark.parametrize(
+    "text, has_header",
+    [
+        ("1,2\n3\n", False),  # ragged
+        ('"1",2\n3,4\n', False),  # quoted cell the row parser accepts
+        ('"1,5",2\n', False),  # quoted cell holding the delimiter
+        ("1\n#2\n", False),  # '#' is data, not a comment
+        ("1,2,\n3,4,\n", False),  # trailing comma
+        ("1_0\n2\n", False),  # float() accepts digit separators
+        ("\ufeff1\n2\n", False),  # byte-order mark
+        ("", False),
+        ("\n\n", False),
+        ("a,b\n", True),  # header only
+        ("a,b\n\n\n", True),
+        ("a\n1,2\n", True),  # header narrower than the data
+        ("1,nan\n", False),
+        ("1\n2\n-inf\n", False),
+        ("1e400\n", False),  # overflows to inf
+        ("1\n \n2\n", False),  # whitespace-only row
+        (",\n1\n", False),  # row of empty cells
+        ("1 2\n", False),
+        ("0x10\n", False),
+    ],
+)
+def test_bad_input_gives_the_row_parsers_outcome(tmp_path, text, has_header):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(lambda: _load(path, has_header)) == _outcome(lambda: _parse_rows(path, has_header))
+
+
+CELLS = st.sampled_from(
+    ["1", "-0", "2.5e-3", " 4 ", "\t5", "6\x0c", "\xa07", "\x858", "nan", "inf", "-Infinity", "1e400", "1_0",
+     '"1"', '"1,5"', "#", "", " ", "\ufeff1", "0x10", "1 2", "a"]
+) | FINITE.map(lambda v: f"{v:.17g}")
+
+
+@given(
+    rows=st.lists(st.lists(CELLS, min_size=1, max_size=3), max_size=5),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    has_header=st.booleans(),
+)
+def test_any_row_mix_gives_the_row_parsers_outcome(tmp_path_factory, rows, newline, has_header):
+    path = tmp_path_factory.mktemp("mix") / "input.csv"
+    path.write_bytes("".join(",".join(row) + newline for row in rows).encode())
+    assert _outcome(lambda: _load(path, has_header)) == _outcome(lambda: _parse_rows(path, has_header))
 
 
 # ---------------------------------------------------------------------------

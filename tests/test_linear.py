@@ -417,6 +417,30 @@ def test_batch_order_does_not_change_results():
         assert_same_fit(result, expected)
 
 
+def test_batch_running_past_its_first_log_rows_matches_the_reference():
+    # The batch logs its histories in 64 rows that double when full; 150
+    # iterations outgrow them twice, with one member stopped at iteration 1.
+    config = FitConfig(order_r=5, rho=0.1, max_iterations=150, convergence_tol=1e-300)
+    spec = SyntheticSpec(oscillatory_ar5(), 120, 0.01, 1.0, 41)
+    exact = noise_free_series(np.array([0.4, -0.3, 0.2, 0.1, -0.05]), np.linspace(1.0, -0.5, 5), 120)
+    series = [spec.trajectory(0)[1], exact, spec.trajectory(1)[1]]
+    for y, result in zip(series, fit_ar_batch(series, config), strict=True):
+        y_hat, history, estimates, converged = reference_fit_ar(y, config)
+        np.testing.assert_array_equal(result.y_hat.values, y_hat.values)
+        assert result.loss_history == history
+        for got, want in zip(result.estimate_history, estimates, strict=True):
+            np.testing.assert_array_equal(got.theta, want.theta)
+        assert (result.iterations_run, result.converged) == (len(history), converged)
+    assert [result.iterations_run for result in fit_ar_batch(series, config)] == [150, 1, 150]
+
+
+def test_iteration_cap_far_beyond_convergence_costs_nothing():
+    y = TimeSeries(np.sin(0.3 * np.arange(200)) + 0.1 * np.random.Generator(np.random.Philox(key=7)).normal(size=200))
+    result = fit_ar(y, FitConfig(order_r=3, rho=1.0, max_iterations=10**10))
+    assert result.converged
+    assert_same_fit(result, fit_ar(y, FitConfig(order_r=3, rho=1.0, max_iterations=1000)))
+
+
 def test_singular_refit_of_one_member_fails_the_batch():
     # A constant series has two equal delay columns at order 2.
     rng = np.random.Generator(np.random.Philox(key=44))
