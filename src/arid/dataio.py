@@ -91,12 +91,23 @@ def _parse_rows(path, has_header: bool) -> tuple[tuple[str, ...] | None, np.ndar
 
 
 def write_csv(series: TimeSeries, path) -> None:
-    """Write values with 17 significant digits so a re-read is bit-exact."""
-    values = series.values
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    """Write a series, one column per channel, so a re-read is bit-exact."""
+    write_table(path, series.values, series.channel_names)
+
+
+def write_table(path, rows, header=None) -> None:
+    """Write a numeric table with 17 significant digits so a re-read is bit-exact.
+
+    Every cell is formatted as a float, so integers up to 2**53 in magnitude
+    print as integers, and ``nan``, ``inf`` and ``-0.0`` print as Python spells them.
+    """
+    values = np.asarray(rows, dtype=float)
     with open(path, "w", newline="") as fh:
-        if series.channel_names is not None:
-            fh.write(",".join(series.channel_names) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        if not values.size:
+            return
+        row = ",".join(["%.17g"] * values.shape[1]) + "\n"
         for start in range(0, len(values), _WRITE_CHUNK_ROWS):
             chunk = values[start : start + _WRITE_CHUNK_ROWS]
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dataio import first_difference, inject_artefact, load_csv, write_csv
+from .dataio import first_difference, inject_artefact, load_csv, write_csv, write_table
 from .errors import AridError, ParseError
-from .linear import FitConfig, error_metrics, fit_ar, fit_ar_batch, fit_var1
+from .linear import FitConfig, FitResult, error_metrics, fit_ar, fit_ar_batch, fit_var1
 from .model import (
     ARParams,
     LinearSSModel,
@@ -182,14 +182,35 @@ def _load_input_series(cfg: ExperimentConfig) -> TimeSeries:
     return y
 
 
-def _write_loss_history(path: Path, history) -> None:
-    with open(path, "w") as fh:
-        fh.write("iteration,dynamics,measurement,total,normalized\n")
-        for i, loss in enumerate(history, start=1):
-            fh.write(
-                f"{i},{loss.dynamics_term:.17g},{loss.measurement_term:.17g},"
-                f"{loss.total:.17g},{loss.normalized:.17g}\n"
-            )
+def _fit_report(result: FitResult, out: Path) -> tuple[dict, dict]:
+    """Write a fit's denoised trajectory and loss history; return the results every fit reports."""
+    write_csv(result.y_hat, out / "denoised.csv")
+    rows = [(i, loss.dynamics_term, loss.measurement_term, loss.total, loss.normalized)
+            for i, loss in enumerate(result.loss_history, start=1)]
+    write_table(out / "loss_history.csv", rows, ("iteration", "dynamics", "measurement", "total", "normalized"))
+    results = {
+        "min_eig_magnitude": result.min_eig_magnitude,
+        "iterations_run": result.iterations_run,
+        "converged": result.converged,
+        "final_loss": dataclasses.asdict(result.loss_history[-1]),
+    }
+    return results, {"denoised": "denoised.csv", "loss_history": "loss_history.csv"}
+
+
+def _nar_model(model: NARModel, cfg: ExperimentConfig) -> dict:
+    """A fitted NAR model as ``report.json`` stores it and ``predict`` reads it back."""
+    return {"type": "nar", "order_r": cfg.order, "depth_d": cfg.depth,
+            "A_sig": model.A_sig.tolist(), "C_sig": model.C_sig.tolist()}
+
+
+def _padded(theta_hat: np.ndarray, theta_true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both coefficient vectors zero-padded to the longer order: a lag beyond a model's order has coefficient 0."""
+    r = max(theta_hat.size, theta_true.size)
+    return np.pad(theta_hat, (0, r - theta_hat.size)), np.pad(theta_true, (0, r - theta_true.size))
+
+
+def _raw_error(y: TimeSeries, clean: np.ndarray) -> float:
+    return float(np.linalg.norm(scalar_values(y) - clean) / np.linalg.norm(clean))
 
 
 def _eig_list(values: np.ndarray) -> list:
@@ -224,25 +245,17 @@ def _run_fit_ar(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         spec = _synthetic_spec(cfg)
         clean, y = spec.trajectory(0)
     result = fit_ar(y, _fit_config(cfg))
-    write_csv(result.y_hat, out / "denoised.csv")
-    _write_loss_history(out / "loss_history.csv", result.loss_history)
-    first = result.estimate_history[0]
-    results = {
-        "model": {"type": "ar", "order_r": cfg.order, "theta": [float(v) for v in result.theta_hat.theta]},
-        "theta_first_iteration": [float(v) for v in first.theta],
-        "eigenvalues": _eig_list(companion_eigenvalues(result.theta_hat.theta)),
-        "min_eig_magnitude": result.min_eig_magnitude,
-        "iterations_run": result.iterations_run,
-        "converged": result.converged,
-        "final_loss": dataclasses.asdict(result.loss_history[-1]),
-    }
+    results, outputs = _fit_report(result, out)
+    results["model"] = {"type": "ar", "order_r": cfg.order, "theta": result.theta_hat.theta.tolist()}
+    results["theta_first_iteration"] = result.estimate_history[0].theta.tolist()
+    results["eigenvalues"] = _eig_list(companion_eigenvalues(result.theta_hat.theta))
     if spec is not None:
-        metrics = error_metrics(result.theta_hat, spec.theta, scalar_values(result.y_hat), clean)
-        raw = float(np.linalg.norm(scalar_values(y) - clean) / np.linalg.norm(clean))
+        theta_hat, theta_true = _padded(result.theta_hat.theta, spec.theta.theta)
+        metrics = error_metrics(theta_hat, theta_true, scalar_values(result.y_hat), clean)
         results["e_norm_theta"] = metrics.e_norm_theta
         results["e_x"] = metrics.e_x
-        results["e_x_raw"] = raw
-    return results, {"denoised": "denoised.csv", "loss_history": "loss_history.csv"}
+        results["e_x_raw"] = _raw_error(y, clean)
+    return results, outputs
 
 
 def demo_var_matrix(p: int = 4) -> np.ndarray:
@@ -266,30 +279,23 @@ def _run_fit_var(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         truth = (A_true, states)
     config = FitConfig(1, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol)
     result = fit_var1(y, config)  # r = 1: every value carries a measurement term already
-    write_csv(result.y_hat, out / "denoised.csv")
-    _write_loss_history(out / "loss_history.csv", result.loss_history)
+    results, outputs = _fit_report(result, out)
     A_first = result.estimate_history[0]
     A_final = result.theta_hat
 
     def offdiag_norm(A):
         return float(np.linalg.norm(A - np.diag(np.diag(A))))
 
-    results = {
-        "model": {"type": "var1", "A": [[float(v) for v in row] for row in A_final]},
-        "A_first_iteration": [[float(v) for v in row] for row in A_first],
-        "offdiag_norm_first": offdiag_norm(A_first),
-        "offdiag_norm_final": offdiag_norm(A_final),
-        "min_eig_magnitude": result.min_eig_magnitude,
-        "iterations_run": result.iterations_run,
-        "converged": result.converged,
-        "final_loss": dataclasses.asdict(result.loss_history[-1]),
-    }
+    results["model"] = {"type": "var1", "A": A_final.tolist()}
+    results["A_first_iteration"] = A_first.tolist()
+    results["offdiag_norm_first"] = offdiag_norm(A_first)
+    results["offdiag_norm_final"] = offdiag_norm(A_final)
     if truth is not None:
         A_true, states = truth
         metrics = error_metrics(A_final, A_true, result.y_hat.values, states)
         results["e_norm_theta"] = metrics.e_norm_theta
         results["e_x"] = metrics.e_x
-    return results, {"denoised": "denoised.csv", "loss_history": "loss_history.csv"}
+    return results, outputs
 
 
 def _run_fit_nar(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -298,23 +304,9 @@ def _run_fit_nar(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     else:
         _, y = _synthetic_spec(cfg).trajectory(0)
     result = fit_nar(y, _nar_config(cfg))
-    write_csv(result.y_hat, out / "denoised.csv")
-    _write_loss_history(out / "loss_history.csv", result.loss_history)
-    model: NARModel = result.theta_hat
-    results = {
-        "model": {
-            "type": "nar",
-            "order_r": cfg.order,
-            "depth_d": cfg.depth,
-            "A_sig": [[float(v) for v in row] for row in model.A_sig],
-            "C_sig": [float(v) for v in model.C_sig],
-        },
-        "min_eig_magnitude": result.min_eig_magnitude,
-        "iterations_run": result.iterations_run,
-        "converged": result.converged,
-        "final_loss": dataclasses.asdict(result.loss_history[-1]),
-    }
-    return results, {"denoised": "denoised.csv", "loss_history": "loss_history.csv"}
+    results, outputs = _fit_report(result, out)
+    results["model"] = _nar_model(result.theta_hat, cfg)
+    return results, outputs
 
 
 def _run_order_scan(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -324,20 +316,12 @@ def _run_order_scan(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         source = _synthetic_spec(cfg)
     r_values = cfg.orders or tuple(range(1, 11))
     report = order_scan(source, r_values, _fit_config(cfg), cfg.trials)
-    with open(out / "scan_trials.csv", "w") as fh:
-        fh.write("order,trial,normalized_loss,min_eig,min_eig_iter1\n")
-        for rec in report.records:
-            fh.write(
-                f"{rec.order_r},{rec.trial},{rec.normalized_loss:.17g},"
-                f"{rec.min_eig_magnitude:.17g},{rec.min_eig_iter1:.17g}\n"
-            )
-    with open(out / "scan_medians.csv", "w") as fh:
-        fh.write("order,median_normalized_loss,median_min_eig,median_min_eig_iter1\n")
-        for entry in report.per_r:
-            fh.write(
-                f"{entry.order_r},{entry.normalized_loss:.17g},"
-                f"{entry.min_eig_magnitude:.17g},{entry.min_eig_iter1:.17g}\n"
-            )
+    trials = [(r.order_r, r.trial, r.normalized_loss, r.min_eig_magnitude, r.min_eig_iter1) for r in report.records]
+    medians = [(e.order_r, e.normalized_loss, e.min_eig_magnitude, e.min_eig_iter1) for e in report.per_r]
+    write_table(out / "scan_trials.csv", trials, ("order", "trial", "normalized_loss", "min_eig", "min_eig_iter1"))
+    write_table(
+        out / "scan_medians.csv", medians, ("order", "median_normalized_loss", "median_min_eig", "median_min_eig_iter1")
+    )
     results = {
         "num_trials": report.num_trials,
         "aggregation": report.aggregation,
@@ -352,36 +336,24 @@ def _run_convergence_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict
     if cfg.trials < 1:
         raise ValueError(f"convergence-study needs trials >= 1, got {cfg.trials}")
     spec = _synthetic_spec(cfg)
-    config = _fit_config(cfg)
-
     trials = [spec.trajectory(trial) for trial in range(cfg.trials)]
-    results = fit_ar_batch([y for _, y in trials], config)
-    rows = []
-    for (clean, y), result in zip(trials, results):
-        metrics = error_metrics(result.theta_hat, spec.theta, scalar_values(result.y_hat), clean)
-        e_x_raw = float(np.linalg.norm(scalar_values(y) - clean) / np.linalg.norm(clean))
-        trace = [
-            float(np.linalg.norm(est.theta - spec.theta.theta) / np.linalg.norm(spec.theta.theta))
-            for est in result.estimate_history
-        ]
-        rows.append((metrics, e_x_raw, trace))
-    with open(out / "trials.csv", "w") as fh:
-        fh.write("trial,e_norm_theta,e_x,e_x_raw\n")
-        for t, (metrics, e_x_raw, _) in enumerate(rows):
-            fh.write(f"{t},{metrics.e_norm_theta:.17g},{metrics.e_x:.17g},{e_x_raw:.17g}\n")
-    with open(out / "traces.csv", "w") as fh:
-        fh.write("trial,iteration,e_norm_theta\n")
-        for t, (_, _, trace) in enumerate(rows):
-            for i, value in enumerate(trace, start=1):
-                fh.write(f"{t},{i},{value:.17g}\n")
+    fits = fit_ar_batch([y for _, y in trials], _fit_config(cfg))
+    trial_rows, trace_rows = [], []
+    for t, ((clean, y), result) in enumerate(zip(trials, fits)):
+        theta_hat, theta_true = _padded(result.theta_hat.theta, spec.theta.theta)
+        metrics = error_metrics(theta_hat, theta_true, scalar_values(result.y_hat), clean)
+        trial_rows.append((t, metrics.e_norm_theta, metrics.e_x, _raw_error(y, clean)))
+        for i, est in enumerate(result.estimate_history, start=1):
+            est_theta, _ = _padded(est.theta, theta_true)
+            trace_rows.append((t, i, np.linalg.norm(est_theta - theta_true) / np.linalg.norm(theta_true)))
+    write_table(out / "trials.csv", trial_rows, ("trial", "e_norm_theta", "e_x", "e_x_raw"))
+    write_table(out / "traces.csv", trace_rows, ("trial", "iteration", "e_norm_theta"))
 
-    e_norms = [m.e_norm_theta for m, _, _ in rows]
-    e_xs = [m.e_x for m, _, _ in rows]
-    e_raws = [raw for _, raw, _ in rows]
+    _, e_norms, e_xs, e_raws = np.array(trial_rows).T
     results = {
         "trials": cfg.trials,
-        "count_e_norm_below_0_05": int(sum(e < 0.05 for e in e_norms)),
-        "count_e_x_improved": int(sum(ex < raw for ex, raw in zip(e_xs, e_raws))),
+        "count_e_norm_below_0_05": int(np.sum(e_norms < 0.05)),
+        "count_e_x_improved": int(np.sum(e_xs < e_raws)),
         "median_e_norm_theta": float(np.median(e_norms)),
         "median_e_x": float(np.median(e_xs)),
         "median_e_x_raw": float(np.median(e_raws)),
@@ -429,12 +401,11 @@ def _run_artefact_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
     write_csv(train, out / "train_artefact.csv")
     write_csv(result.y_hat, out / "denoised.csv")
-    with open(out / "predictions.csv", "w") as fh:
-        fh.write("t,actual,predicted_first,predicted_final\n")
-        for i, a in enumerate(actual):
-            fh.write(
-                f"{cfg.order + 1 + i},{a:.17g},{preds_first[i]:.17g},{preds_final[i]:.17g}\n"
-            )
+    write_table(
+        out / "predictions.csv",
+        np.column_stack((cfg.order + 1 + np.arange(actual.size), actual, preds_first[:-1], preds_final[:-1])),
+        ("t", "actual", "predicted_first", "predicted_final"),
+    )
     results = {
         "rmse_raw_window": rmse_raw,
         "rmse_denoised_window": rmse_denoised,
@@ -443,13 +414,7 @@ def _run_artefact_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         "mse_final_iteration": mse_final,
         "prediction_improved": bool(mse_final < mse_first),
         "iterations_run": result.iterations_run,
-        "model": {
-            "type": "nar",
-            "order_r": cfg.order,
-            "depth_d": cfg.depth,
-            "A_sig": [[float(v) for v in row] for row in final.A_sig],
-            "C_sig": [float(v) for v in final.C_sig],
-        },
+        "model": _nar_model(final, cfg),
     }
     outputs = {
         "train": "train_artefact.csv",
@@ -489,10 +454,8 @@ def _run_predict(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     else:
         raise ValueError(f"cannot predict with a model of type {model_dict['type']!r}")
 
-    with open(out / "predictions.csv", "w") as fh:
-        fh.write("t,prediction\n")
-        for i, p in enumerate(preds):
-            fh.write(f"{order + 1 + i},{p:.17g}\n")
+    t = order + 1 + np.arange(preds.size)
+    write_table(out / "predictions.csv", np.column_stack((t, preds)), ("t", "prediction"))
     results = {"n_predictions": int(preds.size), "model_type": model_dict["type"]}
     if preds.size > 1:
         actual = vals[order:]

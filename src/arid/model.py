@@ -162,8 +162,8 @@ def coefficients_from_roots(roots: np.ndarray) -> ARParams:
     """AR coefficients whose characteristic polynomial has the given roots.
 
     The root multiset must be closed under conjugation so the expanded
-    polynomial is real; the rounding-level imaginary residue left by the
-    complex convolution is discarded.
+    polynomial is real; the rounding-level imaginary residue left by
+    ``np.poly``'s complex convolution is discarded.
     """
     roots = np.atleast_1d(np.asarray(roots, dtype=complex))
     if roots.ndim != 1 or roots.size < 1:
@@ -183,10 +183,7 @@ def coefficients_from_roots(roots: np.ndarray) -> ARParams:
         else:
             raise NotConjugateClosed(f"root {z} has no conjugate partner")
 
-    poly = np.array([1.0 + 0.0j])
-    for z in roots:
-        poly = np.convolve(poly, np.array([1.0, -z]))
-    return ARParams(-poly.real[1:])
+    return ARParams(-np.poly(roots).real[1:])
 
 
 def oscillatory_ar5(radius: float = 1.0) -> ARParams:

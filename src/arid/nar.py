@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, LossBreakdown, SmootherSystem, _solve_block_smoother
+from .linear import FitResult, LossBreakdown, SmootherSystem, _solve_block_smoother, _var_dynamics, _var_loss
 from .model import TimeSeries, scalar_values
 from .numerics import (
     BlockTridiagonalSPDMatrix,
@@ -178,12 +178,9 @@ def nar_state_step(
 
 
 def _nar_loss(model: NARModel, states: np.ndarray, yo: np.ndarray, order_r: int, rho: float) -> LossBreakdown:
-    resid = states[1:] - states[:-1] @ model.A_sig.T
-    dynamics = float(np.sum(resid * resid))
+    """The VAR(1) loss over the signature states, with the readout's residual as the measurement term."""
     err = yo[order_r - 1:] - states @ model.C_sig
-    measurement = float(err @ err)
-    total = dynamics + rho * measurement
-    return LossBreakdown(dynamics, measurement, total, total / yo.size)
+    return _var_loss(_var_dynamics(model.A_sig, states), float(err @ err), rho, yo.size)
 
 
 def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:

@@ -123,6 +123,24 @@ def test_convergence_study_needs_one_or_more_trials(tmp_path, trials):
     assert "trials" in proc.stderr and "convergence-study" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags", [("fit-ar", "--order", "4"), ("fit-ar", "--theta", "0.5,-0.2", "--order", "3")]
+)
+def test_fit_ar_at_another_order_than_the_simulator_succeeds(tmp_path, flags):
+    proc = run_cli(*flags, "--n-steps", "80", "--iterations", "4", "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    assert np.isfinite(json.loads(proc.stdout)["results"]["e_norm_theta"])
+
+
+def test_convergence_study_at_another_order_than_the_simulator_succeeds(tmp_path):
+    proc = run_cli(
+        "convergence-study", "--order", "4", "--trials", "2", "--n-steps", "80", "--iterations", "4",
+        "--out-dir", str(tmp_path / "run"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert np.isfinite(json.loads(proc.stdout)["results"]["median_e_norm_theta"])
+
+
 def test_non_finite_cell_exits_with_numerical_code_naming_its_cell(tmp_path):
     series = tmp_path / "series.csv"
     series.write_text("left,right\n1,2\n3,nan\n5,6\n")

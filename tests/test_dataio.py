@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from arid.errors import HorizonTooShort, IndexOutOfRange, NonFinite, ParseError, RaggedRows
-from arid.dataio import _WRITE_CHUNK_ROWS, _parse_rows, first_difference, inject_artefact, load_csv, write_csv
+from arid.dataio import (
+    _WRITE_CHUNK_ROWS,
+    _parse_rows,
+    first_difference,
+    inject_artefact,
+    load_csv,
+    write_csv,
+    write_table,
+)
 from arid.model import TimeSeries, scalar_values
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,44 @@ def test_write_csv_bytes_match_across_chunks(tmp_path, n_rows):
     _per_value_write_csv(series, tmp_path / "reference.csv")
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     np.testing.assert_array_equal(load_csv(tmp_path / "chunked.csv", has_header=True).values, values)
+
+
+def _f_string_table(path, rows, header):
+    """The per-row f-string writers that write_table replaced: integers as ``{i}``, floats as ``{x:.17g}``."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v}" if isinstance(v, int) else f"{v:.17g}" for v in row) + "\n")
+
+
+TABLE_SPECIALS = (0.0, *SPECIAL_VALUES, float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _WRITE_CHUNK_ROWS + 1])
+def test_write_table_bytes_match_f_string_rows(tmp_path, n_rows):
+    rng = np.random.Generator(np.random.Philox(key=29))
+    floats = (rng.normal(size=(n_rows, 2)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 2))).tolist()
+    rows = [
+        (i, (-1) ** i * 7 * i, TABLE_SPECIALS[i % len(TABLE_SPECIALS)], *floats[i])
+        for i in range(n_rows)
+    ]
+    header = ("t", "k", "special", "a", "b")
+    write_table(tmp_path / "table.csv", rows, header)
+    _f_string_table(tmp_path / "reference.csv", rows, header)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@given(
+    rows=st.lists(st.tuples(st.integers(-(2**53), 2**53), st.floats(), st.floats()), max_size=12),
+    header=st.booleans(),
+)
+def test_write_table_bytes_match_f_string_rows_on_any_values(tmp_path_factory, rows, header):
+    folder = tmp_path_factory.mktemp("table")
+    names = ("i", "x", "y") if header else None
+    write_table(folder / "table.csv", rows, names)
+    _f_string_table(folder / "reference.csv", rows, names)
+    assert (folder / "table.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

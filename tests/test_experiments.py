@@ -218,3 +218,36 @@ def test_predict_from_ar_report_matches_manual_windows(tmp_path):
 def test_predict_requires_report_and_input(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(command="predict", out_dir=str(tmp_path)))
+
+
+# ---------------------------------------------------------------------------
+# fits at an order other than the simulator's
+
+
+@pytest.mark.parametrize("order, theta", [(4, None), (7, None), (3, (0.5, -0.2))])
+def test_fit_ar_error_pads_the_shorter_coefficient_vector_with_zeros(tmp_path, order, theta):
+    config = ExperimentConfig(
+        command="fit-ar", out_dir=str(tmp_path), n_steps=80, iterations=4, seed=2, order=order, theta=theta
+    )
+    report = run_experiment(config)
+    truth = run_experiment(ExperimentConfig(command="simulate", out_dir=str(tmp_path / "sim"), theta=theta))
+    theta_hat = np.asarray(report.results["model"]["theta"])
+    theta_true = np.asarray(truth.results["theta"])
+    r = max(theta_hat.size, theta_true.size)
+    gap = np.pad(theta_hat, (0, r - theta_hat.size)) - np.pad(theta_true, (0, r - theta_true.size))
+    assert report.results["e_norm_theta"] == pytest.approx(np.linalg.norm(gap) / np.linalg.norm(theta_true), rel=1e-15)
+
+
+def test_convergence_study_below_the_true_order_traces_padded_errors(tmp_path):
+    config = ExperimentConfig(
+        command="convergence-study", out_dir=str(tmp_path), n_steps=80, iterations=4, trials=2, order=3
+    )
+    report = run_experiment(config)
+    assert np.isfinite(report.results["median_e_norm_theta"])
+    trials = np.loadtxt(tmp_path / "trials.csv", delimiter=",", skiprows=1)
+    traces = np.loadtxt(tmp_path / "traces.csv", delimiter=",", skiprows=1)
+    assert trials.shape == (2, 4) and np.isfinite(trials).all()
+    assert np.isfinite(traces).all()
+    # The last traced estimate is the final one, whose error trials.csv reports.
+    for t in range(2):
+        assert traces[traces[:, 0] == t][-1, 2] == trials[t, 1]

@@ -2,14 +2,23 @@
 
 `perfbench/tracing.py` skips a target it cannot resolve, and the per-layer
 metrics that target feeds then drop out of the benchmark result. A rename in
-`arid` therefore has to keep the old binding, which this test enforces.
+`arid` therefore has to keep the old binding, which this test enforces. A
+hook that can no longer read its call's arguments (such as the file path of
+``load_csv`` or ``write_csv``) marks its counters broken, and they drop out
+too; traced CLI runs check for that.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from arid.cli import main
+from arid.dataio import write_csv
+from arid.model import TimeSeries
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -28,3 +37,24 @@ def test_every_trace_target_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"trace targets that no longer resolve: {missing}"
+
+
+def test_traced_cli_runs_feed_every_per_layer_metric(tmp_path, capsys):
+    tracer = _load_tracing().Tracer()
+    recording = tmp_path / "recording.csv"
+    write_csv(TimeSeries([[0.1 * ((3 * t + c) % 7) for c in range(3)] for t in range(60)]), recording)
+    ops = (
+        ["order-scan", "--orders", "1,2,3", "--trials", "2", "--n-steps", "60", "--iterations", "3"],
+        ["fit-var", "--input", str(recording), "--iterations", "3"],
+        ["artefact-study", "--n-steps", "60", "--t-start", "20", "--t-end", "35", "--order", "4",
+         "--lambda", "0.001", "--iterations", "2"],
+    )
+    for k, argv in enumerate(ops):
+        assert tracer.run_op(k, lambda: main([*argv, "--out-dir", str(tmp_path / f"op{k}")])) == 0
+    capsys.readouterr()
+    assert not tracer.broken
+    names = set().union(*tracer.per_op_metrics().values())
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # run.py adds the trace.* metrics itself, from its own timings.
+    wanted = {metric["name"] for metric in benchmark["per_layer"] if not metric["name"].startswith("trace.")}
+    assert wanted - names == set()
