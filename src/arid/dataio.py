@@ -104,7 +104,7 @@ def write_table(path, rows, header=None) -> None:
     values = np.asarray(rows, dtype=float)
     with open(path, "w", newline="") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
+            csv.writer(fh, lineterminator="\n").writerow(header)  # quotes only the names that need it
         if not values.size:
             return
         row = ",".join(["%.17g"] * values.shape[1]) + "\n"

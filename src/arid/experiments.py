@@ -192,6 +192,7 @@ def _fit_report(result: FitResult, out: Path) -> tuple[dict, dict]:
         "min_eig_magnitude": result.min_eig_magnitude,
         "iterations_run": result.iterations_run,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "final_loss": dataclasses.asdict(result.loss_history[-1]),
     }
     return results, {"denoised": "denoised.csv", "loss_history": "loss_history.csv"}

@@ -3,10 +3,10 @@
 The estimators minimize a joint objective over the model coefficients and a
 denoised trajectory: squared one-step dynamics residuals plus ``rho`` times
 the squared deviation of the trajectory from the recorded measurements.
-Both updates are exact minimizers of that objective in their own variables,
-so with ``lam == 0`` the recorded loss sequence can never increase. The AR
-state update is a banded Cholesky solve; the VAR one is the block smoother
-of ``numerics.solve_block_smoother``, which the NAR fit shares.
+Both updates are exact minimizers in their own variables, so with ``lam ==
+0`` the loss can never increase. One driver, :func:`_alternate`, runs the
+loop of the AR, VAR and NAR fits: descent guard, stop rule (``stop_reason``),
+history logs and the :class:`FitResult`; each family brings its two steps.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ class FitConfig:
     def __post_init__(self):
         if self.order_r < 1:
             raise ValueError("order_r must be >= 1")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValueError(f"convergence_tol must be positive and finite, got {self.convergence_tol}")
 
 
 @dataclass(frozen=True)
@@ -84,22 +84,31 @@ class SmootherSystem:
     rhs: np.ndarray
 
 
+# Why a fit stopped: the cap came first, or the figure it monitors hit the zero floor, stalled or met the tolerance.
+STOP_REASONS = ("iteration_cap", "zero_floor", "stall", "tolerance")
+
+
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of an alternating fit. Immutable.
 
     ``estimate_history`` holds the parameter estimate of every iteration
     (entry 0 is the classical regularized least-squares baseline), and
-    ``loss_history`` the matching post-update losses.
+    ``loss_history`` the matching post-update losses. ``stop_reason`` is one
+    of :data:`STOP_REASONS`.
     """
 
     theta_hat: object
     y_hat: TimeSeries
     loss_history: tuple[LossBreakdown, ...]
     iterations_run: int
-    converged: bool
+    stop_reason: str
     min_eig_magnitude: float
     estimate_history: tuple
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "iteration_cap"
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +292,90 @@ def state_step(
     return TimeSeries(smoothed, y.sample_rate_hz, y.channel_names)
 
 
-def _zero_floor(values: np.ndarray) -> float:
+def _sumsq(stack: np.ndarray) -> np.ndarray:
+    """Sum of squares of each member of a stack, by ``np.sum``."""
+    return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
+
+
+def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=None) -> tuple[FitResult, ...]:
+    """Alternate ``refit`` and ``smooth`` on the (B, ...) stack ``observed``, one fit per series of ``ys``.
+
+    ``refit(y_hat)`` returns the parameters of the running fits and their
+    dynamics terms on ``y_hat``; ``smooth(params, active)`` the
+    candidate trajectories with their dynamics and measurement terms. With
+    ``ridge``, a per-fit sum of squares, the fits are descents (AR, VAR):
+    guarded, and stopped on the objective or the zero floor. Without it
+    (NAR) a fit stops once its trajectory stops changing. A fit that stops
+    leaves the stack, so result i equals the fit of ``ys[i]`` alone bit for
+    bit. ``estimate`` maps a logged parameter row to the estimate, and
+    ``roots`` a stack of rows to the eigenvalues of their dynamics.
+    """
+    count, n, lam = len(observed), ys[0].n_steps, config.lam
     # Exactly recoverable data drives the loss to rounding level, where the
-    # relative-change test is meaningless; declare convergence outright.
-    return 1e-24 * max(1.0, float(np.sum(values * values)))
+    # relative-change test is meaningless; such a fit stops outright.
+    floor = 1e-24 * np.maximum(1.0, _sumsq(observed))
+    runs, reasons, y_final = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp), np.empty_like(observed)
+    # Starting from y_hat = y, the held trajectory's measurement term is 0.
+    active, y_hat, measurement, previous = np.arange(count), observed, np.zeros(count), np.full(count, np.nan)
+    for iteration in range(config.max_iterations):
+        params, held_dynamics = refit(y_hat)
+        candidate, dynamics, new_measurement = smooth(params, active)
+        _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
+        total = dynamics + config.rho * new_measurement
+        if ridge is None:
+            step = candidate - y_hat
+            change = np.sqrt(np.vecdot(step, step))
+            scale = np.maximum(np.sqrt(np.vecdot(y_hat, y_hat)), 1e-300)
+        else:
+            # The exact state update cannot raise its own objective (the loss
+            # plus the state ridge), but a smoother system that is singular
+            # at working precision (marginal roots, loose anchoring, tiny rho)
+            # can come back with a solution inaccurate enough to do so.
+            # Holding the previous trajectory keeps every accepted step a
+            # descent step. The held loss pairs the new parameters with the
+            # old trajectory, whose measurement term is the last iteration's.
+            held_total = held_dynamics + config.rho * measurement[active]
+            norms = (ridge(candidate), ridge(y_hat)) if lam else (0.0, 0.0)
+            hold = total + lam * norms[0] > held_total + lam * norms[1]
+            candidate[hold] = y_hat[hold]
+            dynamics = np.where(hold, held_dynamics, dynamics)
+            new_measurement = np.where(hold, measurement[active], new_measurement)
+            measurement[active] = new_measurement
+            total = np.where(hold, held_total, total)
+            monitor = total + lam * (ridge(params) + np.where(hold, norms[1], norms[0]))
+            scale = previous[active]
+            change, previous[active] = np.abs(scale - monitor), monitor
+        if iteration == 0:
+            # Row k of fit i holds its parameters and loss terms, unwritten past runs[i]. The logs
+            # double when full, since the cap can lie far beyond the iterations a fit runs.
+            theta_log = np.empty((min(config.max_iterations, 64), count, *params.shape[1:]))
+            loss_log = np.empty((len(theta_log), count, 3))
+        elif iteration == len(theta_log):
+            theta_log, loss_log = (np.concatenate((log, np.empty_like(log))) for log in (theta_log, loss_log))
+        theta_log[iteration, active] = params
+        loss_log[iteration, active] = np.stack((dynamics, new_measurement, total), axis=1)
+
+        # Codes index STOP_REASONS; 0 keeps the fit running until the cap.
+        reason = np.where(change == 0, 2, np.where(change <= tol * scale, 3, 0))
+        if ridge is not None:
+            reason[monitor <= floor[active]] = 1
+        stop = (reason > 0) | (iteration == config.max_iterations - 1)
+        reasons[active], runs[active] = reason, iteration + 1
+        if stop.any():
+            y_final[active[stop]] = candidate[stop]
+            active, candidate = active[~stop], candidate[~stop]
+            if not active.size:
+                break
+        y_hat = candidate
+
+    min_eigs = np.min(np.abs(roots(theta_log[runs - 1, np.arange(count)])), axis=1).tolist()
+    results = []
+    for i, (y, eig) in enumerate(zip(ys, min_eigs)):
+        steps = tuple(estimate(params) for params in theta_log[: runs[i], i])
+        losses = tuple(LossBreakdown(*terms, terms[2] / n) for terms in loss_log[: runs[i], i].tolist())
+        smoothed = TimeSeries(y_final[i], y.sample_rate_hz, y.channel_names)
+        results.append(FitResult(steps[-1], smoothed, losses, len(losses), STOP_REASONS[reasons[i]], eig, steps))
+    return tuple(results)
 
 
 def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:
@@ -301,97 +390,39 @@ def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:
 
 
 def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
-    """:func:`fit_ar` of several equally long series, run in lockstep.
+    """:func:`fit_ar` of several equally long series, run in lockstep by :func:`_alternate`.
 
     Each iteration refits every active series in one batched factorization
     and smooths them all in one banded solve, their systems placed end to
-    end. Every other step acts on each series alone, and each series stops
-    by its own rule and then leaves the batch, so result i equals
-    ``fit_ar(ys[i], config)`` bit for bit.
+    end, so result i equals ``fit_ar(ys[i], config)`` bit for bit.
     """
     ys = tuple(ys)
     if not ys or len({y.n_steps for y in ys}) != 1:
         raise ValueError("need one or more series of equal length")
     yo = np.stack([scalar_values(y) for y in ys])
-    count, n = yo.shape
     r, rho, lam = config.order_r, config.rho, config.lam
-    if n <= r:
-        raise HorizonTooShort(f"need more than order {r} steps, got {n}")
+    if yo.shape[1] <= r:
+        raise HorizonTooShort(f"need more than order {r} steps, got {yo.shape[1]}")
     start = 0 if config.anchor_all_values else r - 1
-    floor = np.array([_zero_floor(row) for row in yo])
-    # Iteration k of series i: its coefficients, and its dynamics,
-    # measurement and total loss terms; rows past runs[i] stay unwritten.
-    # The logs double when full, since the cap can lie far beyond the
-    # iterations a fit runs.
-    theta_log = np.empty((min(config.max_iterations, 64), count, r))
-    loss_log = np.empty((len(theta_log), count, 3))
-    runs = np.zeros(count, dtype=np.intp)
-    y_final, converged = np.empty_like(yo), np.zeros(count, dtype=bool)
-    # Starting from y_hat = y, the held trajectory's measurement term is 0.
-    active, y_hat, measurement, monitor_prev = np.arange(count), yo, np.zeros(count), None
-    for iteration in range(config.max_iterations):
+
+    def refit(y_hat):
         windows, targets = delay_windows(y_hat, r)
         thetas = solve_regularized_ls(windows, targets, lam)
-        # The guard's held loss pairs the new coefficients with the old
-        # trajectory: its dynamics term is the refit's own residual and its
-        # measurement term the previous iteration's.
-        held_dynamics = _dynamics_term(thetas, windows, targets)
-        held_total = held_dynamics + rho * measurement
+        return thetas, _dynamics_term(thetas, windows, targets)
+
+    def smooth(thetas, active):
         yo_active = yo[active]
         candidate = _solve_stacked(*_assemble_bands(thetas, yo_active, rho, lam, start))
-        _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
-        dynamics = _dynamics_term(thetas, *delay_windows(candidate, r))
         err = yo_active[:, start:] - candidate[:, start:]
-        new_measurement = np.vecdot(err, err)
-        total = dynamics + rho * new_measurement
-        # The exact state update cannot raise its own objective (the loss
-        # plus the state ridge), but a smoother system that is singular at
-        # working precision (marginal roots, loose anchoring, tiny rho) can
-        # come back with a solution inaccurate enough to do so. Holding the
-        # previous trajectory keeps every accepted step a descent step.
-        hold = total + lam * np.vecdot(candidate, candidate) > held_total + lam * np.vecdot(y_hat, y_hat)
-        y_hat = np.where(hold[:, None], y_hat, candidate)
-        dynamics = np.where(hold, held_dynamics, dynamics)
-        measurement = np.where(hold, measurement, new_measurement)
-        total = np.where(hold, held_total, total)
-        _require_finite("theta", thetas)
-        if iteration == len(theta_log):
-            theta_log, loss_log = (np.concatenate((log, np.empty_like(log))) for log in (theta_log, loss_log))
-        theta_log[iteration, active] = thetas
-        loss_log[iteration, active] = np.stack((dynamics, measurement, total), axis=1)
+        return candidate, _dynamics_term(thetas, *delay_windows(candidate, r)), np.vecdot(err, err)
 
-        monitor = total + lam * (np.vecdot(thetas, thetas) + np.vecdot(y_hat, y_hat))
-        stop = monitor <= floor[active]
-        if monitor_prev is not None:
-            stop |= np.abs(monitor_prev - monitor) <= config.convergence_tol * monitor_prev
-        converged[active] = stop
-        stop |= iteration == config.max_iterations - 1
-        y_final[active[stop]] = y_hat[stop]
-        runs[active[stop]] = iteration + 1
-        keep = ~stop
-        active, y_hat, measurement, monitor_prev = active[keep], y_hat[keep], measurement[keep], monitor[keep]
-        if not active.size:
-            break
-
-    members = np.arange(count)
-    min_eigs = np.min(np.abs(companion_eigenvalues(theta_log[runs - 1, members])), axis=1)
-    results = []
-    for i, y, values, done, eig in zip(members, ys, y_final, converged, min_eigs):
-        steps = tuple(ARParams(theta) for theta in theta_log[: runs[i], i])
-        losses = tuple(LossBreakdown(*terms, terms[2] / n) for terms in loss_log[: runs[i], i].tolist())
-        smoothed = TimeSeries(values, y.sample_rate_hz, y.channel_names)
-        results.append(FitResult(steps[-1], smoothed, losses, len(losses), bool(done), float(eig), steps))
-    return tuple(results)
+    return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, ARParams, companion_eigenvalues,
+                      ridge=lambda v: np.vecdot(v, v))
 
 
 def _var_dynamics(A: np.ndarray, x_hat: np.ndarray) -> float:
     resid = x_hat[1:] - x_hat[:-1] @ A.T
     return float(np.sum(resid * resid))
-
-
-def _var_loss(dynamics: float, measurement: float, rho: float, n_steps: int) -> LossBreakdown:
-    total = dynamics + rho * measurement
-    return LossBreakdown(dynamics, measurement, total, total / n_steps)
 
 
 def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> SmootherSystem:
@@ -423,7 +454,8 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     channels through a block-tridiagonal system, solved by
     :func:`solve_block_smoother` (a steady-state Cholesky factor on long
     series, the whole band factor otherwise); with p == 1 the whole
-    procedure reduces to ``fit_ar`` at order 1.
+    procedure reduces to ``fit_ar`` at order 1. It runs as a stack of one
+    in :func:`_alternate`.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")
@@ -431,43 +463,18 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     n, p = x.shape
     if n < 2:
         raise HorizonTooShort("need at least two steps")
-    floor = _zero_floor(x)
-    rho, lam = config.rho, config.lam
-    Q, rhs = (rho + lam) * np.eye(p), (rho * x).reshape(-1)
-    x_hat = x
-    history: list[LossBreakdown] = []
-    estimates: list[np.ndarray] = []
-    monitor_prev = None
-    converged = False
-    # Starting from x_hat = x, the held trajectory's measurement term is 0.
-    measurement = 0.0
-    for _ in range(config.max_iterations):
-        A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
-        candidate = _solve_block_smoother(A, Q, rhs).reshape(x.shape)
-        err = x - candidate
-        loss = _var_loss(_var_dynamics(A, candidate), float(np.sum(err * err)), rho, n)
-        # The held loss pairs the new A with the old trajectory, whose
-        # measurement term the previous iteration already computed.
-        held = _var_loss(_var_dynamics(A, x_hat), measurement, rho, n)
-        # Same descent guard as the scalar fit; see fit_ar_batch.
-        if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
-            candidate, loss = x_hat, held
-        x_hat, measurement = candidate, loss.measurement_term
-        history.append(loss)
-        estimates.append(A)
-        monitor = loss.total + lam * float(np.sum(A * A) + np.sum(x_hat * x_hat))
-        if monitor <= floor:
-            converged = True
-            break
-        if monitor_prev is not None and abs(monitor_prev - monitor) <= config.convergence_tol * monitor_prev:
-            converged = True
-            break
-        monitor_prev = monitor
+    Q, rhs = (config.rho + config.lam) * np.eye(p), (config.rho * x).reshape(-1)
 
-    A = estimates[-1]
-    min_eig = float(np.min(np.abs(np.linalg.eigvals(A))))
-    y_hat = TimeSeries(x_hat, y.sample_rate_hz, y.channel_names)
-    return FitResult(A, y_hat, tuple(history), len(history), converged, min_eig, tuple(estimates))
+    def refit(x_hat):
+        A = solve_regularized_ls(x_hat[0, :-1], x_hat[0, 1:], config.lam).T
+        return A[None], np.array([_var_dynamics(A, x_hat[0])])
+
+    def smooth(A, active):
+        candidate = _solve_block_smoother(A[0], Q, rhs).reshape(1, n, p)
+        return candidate, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
+
+    return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,
+                      ridge=_sumsq)[0]
 
 
 def _as_vector(params) -> np.ndarray:

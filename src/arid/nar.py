@@ -2,12 +2,11 @@
 
 Windows of the trajectory are lifted to truncated signatures of a
 two-column path (values and their running sum); dynamics and readout are
-then linear in signature space, and the same alternating parameter/state
-scheme as in the linear case applies, with the VAR fit's block smoother
-(``numerics.solve_block_smoother``) as the smoothing step over
-unconstrained signature states. Smoothed states are not projected
-back onto the manifold of true signatures; only their readout re-enters the
-next iteration through the refreshed trajectory.
+then linear in signature space. The linear fits' driver, ``linear._alternate``,
+runs the alternation, with the VAR fit's block smoother as the smoothing
+step over unconstrained signature states and no descent guard. Smoothed
+states are not projected back onto the manifold of true signatures; only
+their readout re-enters the next iteration through the refreshed trajectory.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, LossBreakdown, SmootherSystem, _solve_block_smoother, _var_dynamics, _var_loss
+from .linear import FitResult, SmootherSystem, _alternate, _solve_block_smoother, _var_dynamics
 from .model import TimeSeries, scalar_values
 from .numerics import (
     BlockTridiagonalSPDMatrix,
@@ -50,14 +49,14 @@ class NARFitConfig:
             raise ValueError("order_r must be >= 2 (a window needs two values)")
         if self.depth_d < 1:
             raise ValueError("depth_d must be >= 1")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.state_change_tol > 0:
-            raise ValueError("state_change_tol must be positive")
+        if not 0 < self.state_change_tol < np.inf:
+            raise ValueError(f"state_change_tol must be positive and finite, got {self.state_change_tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,43 +176,36 @@ def nar_state_step(
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
 
 
-def _nar_loss(model: NARModel, states: np.ndarray, yo: np.ndarray, order_r: int, rho: float) -> LossBreakdown:
-    """The VAR(1) loss over the signature states, with the readout's residual as the measurement term."""
-    err = yo[order_r - 1:] - states @ model.C_sig
-    return _var_loss(_var_dynamics(model.A_sig, states), float(err @ err), rho, yo.size)
+def _unpack(params: np.ndarray) -> NARModel:
+    """The model of one logged row: the transition A on top, the readout C below."""
+    return NARModel(params[:-1], params[-1])
 
 
 def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
-    """Alternating signature-space estimation on a scalar series.
+    """Alternating signature-space estimation on a scalar series, a stack of one in ``linear._alternate``.
 
     The signature features are recomputed from the current denoised
     trajectory at the top of every iteration, so the loop is a fixed-point
-    iteration rather than a joint descent: the recorded losses are
-    diagnostics, not a certified monotone sequence. Runs the full iteration
-    budget unless the trajectory stalls (relative change below
-    ``state_change_tol``).
+    iteration, not a joint descent: there is no guard, and the recorded losses
+    (the VAR(1) loss over the signature states, with the readout's residual
+    as the measurement term) are diagnostics. The first r - 1 values have no
+    state and keep their measurements. A fit stops early only if its
+    trajectory stalls (relative change below ``state_change_tol``).
     """
-    yo = scalar_values(y)
-    y_hat = y
-    history: list[LossBreakdown] = []
-    models: list[NARModel] = []
-    converged = False
-    for _ in range(config.max_iterations):
-        gamma_minus, gamma_plus, y_plus = build_sig_matrices(y_hat, config.order_r, config.depth_d)
-        model = nar_param_step(gamma_minus, gamma_plus, y_plus, config.lam)
-        states, y_new = nar_state_step(model, y, config.order_r, config.rho, config.lam, y_hat)
-        history.append(_nar_loss(model, states, yo, config.order_r, config.rho))
-        models.append(model)
-        prev_vals = scalar_values(y_hat)
-        delta = float(np.linalg.norm(scalar_values(y_new) - prev_vals))
-        y_hat = y_new
-        if delta <= config.state_change_tol * max(float(np.linalg.norm(prev_vals)), 1e-300):
-            converged = True
-            break
+    yo, r = scalar_values(y), config.order_r
 
-    model = models[-1]
-    min_eig = float(np.min(np.abs(np.linalg.eigvals(model.A_sig))))
-    return FitResult(model, y_hat, tuple(history), len(history), converged, min_eig, tuple(models))
+    def refit(y_hat):
+        model = nar_param_step(*build_sig_matrices(TimeSeries(y_hat[0]), r, config.depth_d), config.lam)
+        return np.vstack((model.A_sig, model.C_sig))[None], None
+
+    def smooth(params, active):
+        model = _unpack(params[0])
+        states, y_new = nar_state_step(model, y, r, config.rho, config.lam, y)
+        err = yo[r - 1:] - states @ model.C_sig
+        return scalar_values(y_new)[None], np.array([_var_dynamics(model.A_sig, states)]), np.array([err @ err])
+
+    return _alternate((y,), yo[None], config, config.state_change_tol, refit, smooth, _unpack,
+                      lambda params: np.linalg.eigvals(params[:, :-1]))[0]
 
 
 def nar_predict_one_step(model: NARModel, y_context: TimeSeries, order_r: int, depth_d: int) -> np.ndarray:

@@ -60,6 +60,18 @@ def test_invalid_parameter_exits_with_usage_code(tmp_path):
     assert proc.stderr.strip()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("fit-ar", "--lambda", "nan"), ("fit-ar", "--lambda", "inf"), ("fit-ar", "--rho", "inf"),
+     ("fit-var", "--rho", "nan"), ("fit-nar", "--lambda", "nan"), ("fit-nar", "--rho", "inf"),
+     ("fit-ar", "--convergence-tol", "inf")],
+)
+def test_non_finite_config_value_exits_with_usage_code(tmp_path, command, flag, value):
+    proc = run_cli(command, flag, value, "--out-dir", str(tmp_path), "--n-steps", "40", "--iterations", "2")
+    assert proc.returncode == 2
+    assert "must be" in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_unknown_config_key_exits_with_usage_code(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"no_such_knob": 1}))

@@ -60,3 +60,4 @@ def test_var_demo_preset_takes_a_recording(tmp_path, capsys):
     assert report["config"]["input"] == str(path) and report["config"]["has_header"] is True
     assert "e_norm_theta" not in report["results"]
     assert len(report["results"]["model"]["A"]) == 3
+    assert (report["results"]["converged"], report["results"]["stop_reason"]) == (False, "iteration_cap")

@@ -89,6 +89,19 @@ def test_roundtrip_preserves_values_bit_exactly(tmp_path):
     np.testing.assert_array_equal(reloaded.values, original.values)
 
 
+def test_header_names_that_need_quotes_survive_a_round_trip(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('"a,b",c,"say ""hi"""\n1,2,3\n4,5,6\n')
+    loaded = load_csv(path, has_header=True)
+    assert loaded.channel_names == ("a,b", "c", 'say "hi"')
+    copy = tmp_path / "copy.csv"
+    write_csv(loaded, copy)
+    assert copy.read_text().startswith('"a,b",c,"say ""hi"""\n1,2,3\n')
+    reloaded = load_csv(copy, has_header=True)
+    assert reloaded.channel_names == loaded.channel_names
+    np.testing.assert_array_equal(reloaded.values, loaded.values)
+
+
 def test_non_finite_cell_reports_location(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("left,right\n1,2\n3,inf\nnan,4\n")

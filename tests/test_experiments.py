@@ -93,6 +93,7 @@ def test_fit_ar_synthetic_reports_ground_truth_errors(tmp_path):
     assert len(denoised) == 100
     losses = (tmp_path / "loss_history.csv").read_text().strip().splitlines()
     assert len(losses) == report.results["iterations_run"] + 1
+    assert (report.results["converged"], report.results["stop_reason"]) == (False, "iteration_cap")
 
 
 def test_fit_ar_deterministic_up_to_timings(tmp_path):
@@ -152,6 +153,7 @@ def test_fit_nar_reports_signature_model(tmp_path):
     assert len(model["A_sig"][0]) == 7
     assert len(model["C_sig"]) == 7
     assert report.results["iterations_run"] == 2
+    assert (report.results["converged"], report.results["stop_reason"]) == (False, "iteration_cap")
 
 
 def test_artefact_study_reports_window_and_prediction_metrics(tmp_path):

@@ -256,7 +256,7 @@ def test_noise_free_fit_converges_immediately():
     theta_true = np.array([0.4, -0.3, 0.2])
     y = noise_free_series(theta_true, np.array([1.0, 0.5, -0.5]), 60)
     result = fit_ar(y, FitConfig(order_r=3, rho=0.1))
-    assert result.converged
+    assert result.converged and result.stop_reason == "zero_floor"
     assert result.iterations_run == 1
     np.testing.assert_allclose(result.theta_hat.theta, theta_true, rtol=0, atol=1e-8)
 
@@ -300,7 +300,7 @@ def test_fit_records_every_iteration():
     assert result.iterations_run == 7
     assert len(result.loss_history) == 7
     assert len(result.estimate_history) == 7
-    assert not result.converged
+    assert not result.converged and result.stop_reason == "iteration_cap"
 
 
 def test_ridge_monitor_non_increasing():
@@ -399,12 +399,14 @@ def test_batch_members_equal_solo_fits_whatever_their_stop():
     for result, expected in zip(batch, solo, strict=True):
         assert_same_fit(result, expected)
 
-    assert (batch[1].iterations_run, batch[1].converged) == (1, True)
+    assert (batch[1].iterations_run, batch[1].converged, batch[1].stop_reason) == (1, True, "zero_floor")
     held = batch[2].loss_history
     assert batch[2].converged and batch[2].iterations_run < config.max_iterations
+    assert batch[2].stop_reason == "stall"
     assert any(now.measurement_term == before.measurement_term for before, now in zip(held, held[1:]))
     for k in (0, 3, 4):
         assert (batch[k].iterations_run, batch[k].converged) == (config.max_iterations, False)
+        assert batch[k].stop_reason == "iteration_cap"
 
 
 def test_batch_order_does_not_change_results():
@@ -437,7 +439,7 @@ def test_batch_running_past_its_first_log_rows_matches_the_reference():
 def test_iteration_cap_far_beyond_convergence_costs_nothing():
     y = TimeSeries(np.sin(0.3 * np.arange(200)) + 0.1 * np.random.Generator(np.random.Philox(key=7)).normal(size=200))
     result = fit_ar(y, FitConfig(order_r=3, rho=1.0, max_iterations=10**10))
-    assert result.converged
+    assert result.converged and result.stop_reason == "tolerance"
     assert_same_fit(result, fit_ar(y, FitConfig(order_r=3, rho=1.0, max_iterations=1000)))
 
 
@@ -564,7 +566,7 @@ def test_var_recovers_noise_free_transition():
     for t in range(39):
         x[t + 1] = A_true @ x[t]
     result = fit_var1(TimeSeries(x), FitConfig(order_r=1, rho=0.1))
-    assert result.converged
+    assert result.converged and result.stop_reason == "zero_floor"
     np.testing.assert_allclose(result.theta_hat, A_true, rtol=0, atol=1e-10)
 
 
@@ -576,6 +578,7 @@ def test_var_deterministic():
     second = fit_var1(y, config)
     np.testing.assert_array_equal(first.theta_hat, second.theta_hat)
     np.testing.assert_array_equal(first.y_hat.values, second.y_hat.values)
+    assert (first.iterations_run, first.converged, first.stop_reason) == (10, False, "iteration_cap")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arid.errors import EmbeddingTooShort, HorizonTooShort, NotPositiveDefinite, SingularSystem
+from arid.linear import LossBreakdown
 from arid.model import TimeSeries, scalar_values
 from arid.nar import (
     NARFitConfig,
@@ -328,6 +329,7 @@ def test_fit_runs_full_budget_on_noisy_data():
     assert result.iterations_run == 3
     assert len(result.loss_history) == 3
     assert len(result.estimate_history) == 3
+    assert not result.converged and result.stop_reason == "iteration_cap"
 
 
 def test_exactly_linear_series_is_a_fixed_point():
@@ -335,9 +337,56 @@ def test_exactly_linear_series_is_a_fixed_point():
     result = fit_nar(
         TimeSeries(vals), NARFitConfig(order_r=4, depth_d=2, rho=0.1, lam=1e-10, max_iterations=5)
     )
-    assert result.converged
+    assert result.converged and result.stop_reason == "tolerance"
     drift = float(np.max(np.abs(scalar_values(result.y_hat) - vals)))
     assert drift < 1e-6
+
+
+def reference_fit_nar(y: TimeSeries, config: NARFitConfig):
+    """One step at a time: re-lift, refit, smooth, one loss evaluation, trajectory-change stop rule."""
+    yo = scalar_values(y)
+    r, rho = config.order_r, config.rho
+    y_hat, history, models, converged = y, [], [], False
+    for _ in range(config.max_iterations):
+        model = nar_param_step(*build_sig_matrices(y_hat, r, config.depth_d), config.lam)
+        states, y_new = nar_state_step(model, y, r, rho, config.lam, y_hat)
+        resid = states[1:] - states[:-1] @ model.A_sig.T
+        dynamics = float(np.sum(resid * resid))
+        err = yo[r - 1 :] - states @ model.C_sig
+        measurement = float(err @ err)
+        total = dynamics + rho * measurement
+        history.append(LossBreakdown(dynamics, measurement, total, total / yo.size))
+        models.append(model)
+        prev = scalar_values(y_hat)
+        delta = float(np.linalg.norm(scalar_values(y_new) - prev))
+        y_hat = y_new
+        if delta <= config.state_change_tol * max(float(np.linalg.norm(prev)), 1e-300):
+            converged = True
+            break
+    return y_hat, tuple(history), tuple(models), converged
+
+
+@pytest.mark.parametrize(
+    "values, settings, stops_early",
+    [
+        # Noise hits the iteration cap; the geometric series stops on the state-change rule.
+        (np.random.Generator(np.random.Philox(key=75)).normal(size=60), dict(lam=0.001, max_iterations=6), False),
+        (geometric_series(0.95, 2.0, 60), dict(lam=1e-10, max_iterations=5), True),
+    ],
+)
+def test_fit_matches_step_by_step_reference(values, settings, stops_early):
+    y = TimeSeries(values)
+    config = NARFitConfig(order_r=4, depth_d=2, rho=0.1, **settings)
+    result = fit_nar(y, config)
+    y_hat, history, models, converged = reference_fit_nar(y, config)
+    np.testing.assert_array_equal(result.y_hat.values, y_hat.values)
+    assert result.loss_history == history
+    for got, want in zip(result.estimate_history, models, strict=True):
+        np.testing.assert_array_equal(got.A_sig, want.A_sig)
+        np.testing.assert_array_equal(got.C_sig, want.C_sig)
+    assert (result.iterations_run, result.converged) == (len(history), converged)
+    assert converged == stops_early
+    assert (len(history) < config.max_iterations) == stops_early
 
 
 # ---------------------------------------------------------------------------
