@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .errors import (
     AridError,
@@ -42,7 +43,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, help="alternation iteration cap")
     p.add_argument("--trials", type=int, help="number of independent trials")
     p.add_argument("--convergence-tol", dest="convergence_tol", type=float,
-                   help="relative loss change that stops the alternation")
+                   help="relative change that stops the alternation: of the objective, "
+                        "or of the trajectory for fit-nar and artefact-study")
     p.add_argument("--anchor-all", dest="anchor_all", action="store_const", const=True,
                    help="measurement term on every sample (default for experiments)")
     p.add_argument("--no-anchor-all", dest="anchor_all", action="store_const", const=False,
@@ -156,7 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     except (AridError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json())
+    # The report as run_experiment wrote it, not encoded a second time.
+    sys.stdout.write((Path(cfg.out_dir) / "report.json").read_text())
     return 0
 
 

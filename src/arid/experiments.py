@@ -50,6 +50,9 @@ COMMANDS = (
     "predict",
 )
 
+# Commands that fit NAR models; their convergence_tol is the trajectory-change tolerance.
+_NAR_COMMANDS = ("fit-nar", "artefact-study")
+
 # Configuration file keys use "lambda"; the dataclass field avoids the keyword.
 _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
@@ -74,7 +77,9 @@ class ExperimentConfig:
     rho: float = 0.1
     lam: float = 0.0
     iterations: int = 100
-    convergence_tol: float = 1e-10
+    # Unset, it takes the fitting family's default: FitConfig's objective
+    # tolerance, or NARFitConfig's trajectory-change tolerance for NAR runs.
+    convergence_tol: float | None = None
     anchor_all: bool = True
     n_steps: int = 200
     transition_std: float = 0.01
@@ -94,6 +99,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, tuple(value))
+        if self.convergence_tol is None:
+            nar = self.command in _NAR_COMMANDS
+            self.convergence_tol = NARFitConfig.state_change_tol if nar else FitConfig.convergence_tol
 
     @classmethod
     def from_mapping(cls, command: str, data: dict) -> "ExperimentConfig":
@@ -152,7 +160,7 @@ def _fit_config(cfg: ExperimentConfig) -> FitConfig:
 
 
 def _nar_config(cfg: ExperimentConfig) -> NARFitConfig:
-    return NARFitConfig(cfg.order, cfg.depth, cfg.rho, cfg.lam, cfg.iterations)
+    return NARFitConfig(cfg.order, cfg.depth, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol)
 
 
 def _synthetic_spec(

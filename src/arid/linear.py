@@ -11,7 +11,9 @@ history logs and the :class:`FitResult`; each family brings its two steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -92,23 +94,36 @@ STOP_REASONS = ("iteration_cap", "zero_floor", "stall", "tolerance")
 class FitResult:
     """Outcome of an alternating fit. Immutable.
 
-    ``estimate_history`` holds the parameter estimate of every iteration
-    (entry 0 is the classical regularized least-squares baseline), and
-    ``loss_history`` the matching post-update losses. ``stop_reason`` is one
-    of :data:`STOP_REASONS`.
+    ``theta_log`` holds the parameters of every iteration, one read-only row
+    each (row 0 is the classical regularized least-squares baseline), and
+    ``loss_log`` the matching post-update dynamics, measurement and total
+    loss terms. ``estimate_history`` (the estimate of every row, by
+    ``estimate``, ending in ``theta_hat``) and ``loss_history`` (one
+    :class:`LossBreakdown` per row) are tuples built from the logs when first
+    read. ``stop_reason`` is one of :data:`STOP_REASONS`.
     """
 
     theta_hat: object
     y_hat: TimeSeries
-    loss_history: tuple[LossBreakdown, ...]
     iterations_run: int
     stop_reason: str
     min_eig_magnitude: float
-    estimate_history: tuple
+    theta_log: np.ndarray
+    loss_log: np.ndarray
+    estimate: Callable = field(repr=False)
 
     @property
     def converged(self) -> bool:
         return self.stop_reason != "iteration_cap"
+
+    @cached_property
+    def estimate_history(self) -> tuple:
+        return (*map(self.estimate, self.theta_log[:-1]), self.theta_hat)
+
+    @cached_property
+    def loss_history(self) -> tuple[LossBreakdown, ...]:
+        n = self.y_hat.n_steps
+        return tuple(LossBreakdown(*terms, terms[2] / n) for terms in self.loss_log.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,27 +177,34 @@ def param_step(y_hat: TimeSeries, order_r: int, lam: float) -> ARParams:
 
 
 def _assemble_bands(thetas: np.ndarray, yo: np.ndarray, rho: float, lam: float, start: int):
-    """Lower bands (B, r + 1, N) and right-hand sides (B, N) of a stack of AR smoothers."""
+    """Lower bands (B, r + 1, N) and right-hand sides (B, N) of a stack of AR smoothers.
+
+    The bands are a view of one (B, N, r + 1) array, so the B systems placed
+    end to end are the column-major (r + 1, B * N) bands LAPACK reads.
+    """
     (count, r), n = thetas.shape, yo.shape[1]
-    stencils = np.concatenate((-thetas[:, ::-1], np.ones((count, 1))), axis=1)
     width = r + 1
+    # The stencils [-theta_r ... -theta_1, 1], padded with r zeros.
+    padded = np.zeros((count, width + r))
+    padded[:, :r], padded[:, r] = -thetas[:, ::-1], 1.0
     # Entry (k, j) sums stencil[a] * stencil[a + k] over increasing a, for
     # the a whose residual window holds j. Away from both ends every window
     # does, so the bands are built for a series of at most 2r + 1 values and
     # their middle column repeated. Entry (k, j) stays zero once j + k passes
     # N - 1, so systems placed end to end do not couple.
     short = min(n, 2 * r + 1)
-    bands = np.zeros((count, width, short))
+    products = padded[:, :width, None] * padded[:, np.arange(width)[:, None] + np.arange(width)]
+    columns = np.zeros((count, short, width))
     for a in range(width):
-        bands[:, : width - a, a : a + short - r] += (stencils[:, a, None] * stencils[:, a:])[:, :, None]
-    bands[:, 0, start:] += rho
-    bands[:, 0, :] += lam
-    if short < n:
-        columns = np.arange(n)
-        bands = bands[:, :, np.where(columns < r, columns, np.maximum(r, columns - (n - short)))]
+        columns[:, a : a + short - r, : width - a] += products[:, a, None, : width - a]
+    columns[:, start:, 0] += rho
+    columns[:, :, 0] += lam
+    repeats = np.ones(short, dtype=np.intp)
+    repeats[r] += n - short
+    columns = np.repeat(columns, repeats, axis=1)
     rhs = np.zeros((count, n))
     rhs[:, start:] = rho * yo[:, start:]
-    return bands, rhs
+    return columns.transpose(0, 2, 1), rhs
 
 
 def assemble_ar_smoother(
@@ -260,9 +282,10 @@ def _solve_smoother(matrix, rhs: np.ndarray, solve) -> np.ndarray:
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
 
 
-def _solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray, probe=None) -> np.ndarray:
     """:func:`solve_block_smoother` through the diagonal-shift ladder; the shifts go into Q."""
-    return _solve_smoother((A, Q, rhs.size // len(Q)), rhs, lambda system, v: solve_block_smoother(*system[:2], v))
+    return _solve_smoother((A, Q, rhs.size // len(Q)), rhs,
+                           lambda system, v: solve_block_smoother(*system[:2], v, probe))
 
 
 def _solve_stacked(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -310,7 +333,7 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     bit. ``estimate`` maps a logged parameter row to the estimate, and
     ``roots`` a stack of rows to the eigenvalues of their dynamics.
     """
-    count, n, lam = len(observed), ys[0].n_steps, config.lam
+    count, lam = len(observed), config.lam
     # Exactly recoverable data drives the loss to rounding level, where the
     # relative-change test is meaningless; such a fit stops outright.
     floor = 1e-24 * np.maximum(1.0, _sumsq(observed))
@@ -337,12 +360,14 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
             held_total = held_dynamics + config.rho * measurement[active]
             norms = (ridge(candidate), ridge(y_hat)) if lam else (0.0, 0.0)
             hold = total + lam * norms[0] > held_total + lam * norms[1]
-            candidate[hold] = y_hat[hold]
-            dynamics = np.where(hold, held_dynamics, dynamics)
-            new_measurement = np.where(hold, measurement[active], new_measurement)
+            if hold.any():
+                candidate[hold] = y_hat[hold]
+                dynamics = np.where(hold, held_dynamics, dynamics)
+                new_measurement = np.where(hold, measurement[active], new_measurement)
+                total = np.where(hold, held_total, total)
             measurement[active] = new_measurement
-            total = np.where(hold, held_total, total)
-            monitor = total + lam * (ridge(params) + np.where(hold, norms[1], norms[0]))
+            # At lam == 0 the ridge terms add a zero, which leaves the nonnegative total as it is.
+            monitor = total + lam * (ridge(params) + np.where(hold, norms[1], norms[0])) if lam else total
             scale = previous[active]
             change, previous[active] = np.abs(scale - monitor), monitor
         if iteration == 0:
@@ -368,14 +393,13 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
                 break
         y_hat = candidate
 
+    theta_log.flags.writeable = loss_log.flags.writeable = False
     min_eigs = np.min(np.abs(roots(theta_log[runs - 1, np.arange(count)])), axis=1).tolist()
-    results = []
-    for i, (y, eig) in enumerate(zip(ys, min_eigs)):
-        steps = tuple(estimate(params) for params in theta_log[: runs[i], i])
-        losses = tuple(LossBreakdown(*terms, terms[2] / n) for terms in loss_log[: runs[i], i].tolist())
-        smoothed = TimeSeries(y_final[i], y.sample_rate_hz, y.channel_names)
-        results.append(FitResult(steps[-1], smoothed, losses, len(losses), STOP_REASONS[reasons[i]], eig, steps))
-    return tuple(results)
+    return tuple(
+        FitResult(estimate(theta_log[run - 1, i]), TimeSeries(y_final[i], y.sample_rate_hz, y.channel_names), run,
+                  STOP_REASONS[reason], eig, theta_log[:run, i], loss_log[:run, i], estimate)
+        for i, (y, run, reason, eig) in enumerate(zip(ys, runs.tolist(), reasons.tolist(), min_eigs))
+    )
 
 
 def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:

@@ -217,9 +217,10 @@ def simulate(model: LinearSSModel, x1: np.ndarray, n_steps: int, noise: NoiseSpe
     """Roll the model forward from ``x1`` for ``n_steps`` with noisy readout.
 
     Returns the latent states (n_steps, n) and the measured series. Per time
-    step the transition noise is drawn before the measurement noise; for a
-    companion model the transition noise is a scalar entering only the first
-    state coordinate, which keeps the scalar AR recursion intact.
+    step the transition noise is drawn before the measurement noise, the
+    whole stream in one call; for a companion model the transition noise is
+    a scalar entering only the first state coordinate, which keeps the
+    scalar AR recursion intact.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     n = model.state_dim
@@ -229,26 +230,24 @@ def simulate(model: LinearSSModel, x1: np.ndarray, n_steps: int, noise: NoiseSpe
     if n_steps < 1:
         raise HorizonTooShort("n_steps must be >= 1")
 
-    rng = noise.generator()
     p = model.output_dim
-    scalar_nu = model.structure == "companion"
+    companion = model.structure == "companion"
+    k = 1 if companion else n
+    # Step t draws k transition values, then p measurement values; the last
+    # step draws no transition noise, so a zero row stands in for it.
+    drawn = noise.generator().standard_normal(n_steps * (k + p) - k)
+    steps = np.concatenate((drawn[:-p], np.zeros(k), drawn[-p:])).reshape(n_steps, k + p)
+    nu = noise.transition_std * steps[:-1, :k]
+    # A companion model's scalar kick goes in as a Python float, the cheapest per-step add.
+    at, kicks = (0, nu[:, 0].tolist()) if companion else (slice(None), nu)
     states = np.empty((n_steps, n))
-    measured = np.empty((n_steps, p))
-    x = x1.copy()
-    for t in range(n_steps):
+    states[0] = x = x1
+    for t, kick in enumerate(kicks, start=1):
+        x = model.A @ x
+        x[at] += kick
         states[t] = x
-        if t < n_steps - 1:
-            if scalar_nu:
-                nu = noise.transition_std * rng.standard_normal()
-            else:
-                nu = noise.transition_std * rng.standard_normal(n)
-        measured[t] = model.C @ x + noise.measurement_std * rng.standard_normal(p)
-        if t < n_steps - 1:
-            x = model.A @ x
-            if scalar_nu:
-                x[0] += nu
-            else:
-                x += nu
+    # One matrix-vector product per step, as C @ x_t alone would take, in one stacked call.
+    measured = (model.C @ states[:, :, None])[:, :, 0] + noise.measurement_std * steps[:, k:]
     return states, TimeSeries(measured)
 
 

@@ -20,6 +20,7 @@ from .linear import FitResult, SmootherSystem, _alternate, _solve_block_smoother
 from .model import TimeSeries, scalar_values
 from .numerics import (
     BlockTridiagonalSPDMatrix,
+    SteadyProbe,
     solve_block_tridiagonal_spd,  # noqa: F401  (perfbench/tracing.py wraps this binding by name)
     solve_regularized_ls,
 )
@@ -90,10 +91,11 @@ def _window_signatures(values: np.ndarray, order_r: int, depth_d: int) -> np.nda
     return _signatures_flat(paths, depth_d)
 
 
-def build_sig_matrices(y_hat: TimeSeries, order_r: int, depth_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_sig_matrices(y_hat, order_r: int, depth_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked signature features of consecutive windows of a scalar series.
 
-    Returns ``(gamma_minus, gamma_plus, y_plus)``: row j of ``gamma_minus``
+    ``y_hat`` is a single-channel :class:`TimeSeries` or the vector of its
+    values. Returns ``(gamma_minus, gamma_plus, y_plus)``: row j of ``gamma_minus``
     is the signature of the window ending at t = r + j (one-based), and
     ``gamma_plus`` is the same stack shifted one step forward, so matching
     rows are consecutive states. ``y_plus`` holds the values aligned with
@@ -103,7 +105,7 @@ def build_sig_matrices(y_hat: TimeSeries, order_r: int, depth_d: int) -> tuple[n
         raise EmbeddingTooShort("order_r must be >= 2")
     if depth_d < 1:
         raise ValueError("depth_d must be >= 1")
-    yh = scalar_values(y_hat)
+    yh = scalar_values(y_hat) if isinstance(y_hat, TimeSeries) else np.asarray(y_hat, dtype=float)
     if yh.size <= order_r:
         raise HorizonTooShort(f"need more than order_r = {order_r} steps, got {yh.size}")
     sigs = _window_signatures(yh, order_r, depth_d)
@@ -159,19 +161,21 @@ def nar_state_step(
     rho: float,
     lam: float,
     y_prev: TimeSeries,
+    probe: SteadyProbe | None = None,
 ) -> tuple[np.ndarray, TimeSeries]:
     """Smooth the signature states against the measurements at a fixed model.
 
     Returns the stacked smoothed states (one row per t = r..N) and the
     refreshed trajectory estimate. Values before t = r have no state of
-    their own and are carried over from ``y_prev``.
+    their own and are carried over from ``y_prev``. ``probe`` is handed to
+    ``numerics.solve_block_smoother``; a fit shares one over its steps.
     """
     prev = scalar_values(y_prev)
     yo = scalar_values(y)
     if prev.size != yo.size:
         raise ValueError("y_prev must have the same length as y")
     Q, rhs = _smoother_terms(model, y, order_r, rho, lam)
-    states = _solve_block_smoother(model.A_sig, Q, rhs).reshape(-1, model.n_s)
+    states = _solve_block_smoother(model.A_sig, Q, rhs, probe).reshape(-1, model.n_s)
     refreshed = np.concatenate((prev[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
 
@@ -190,17 +194,21 @@ def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
     (the VAR(1) loss over the signature states, with the readout's residual
     as the measurement term) are diagnostics. The first r - 1 values have no
     state and keep their measurements. A fit stops early only if its
-    trajectory stalls (relative change below ``state_change_tol``).
+    trajectory stalls (relative change below ``state_change_tol``). Once a
+    state step's steady-state lead has failed to settle, the fit's later
+    steps factor their smoothers whole without trying it.
     """
     yo, r = scalar_values(y), config.order_r
+    probe, model = SteadyProbe(), None
 
     def refit(y_hat):
-        model = nar_param_step(*build_sig_matrices(TimeSeries(y_hat[0]), r, config.depth_d), config.lam)
+        nonlocal model
+        model = nar_param_step(*build_sig_matrices(y_hat[0], r, config.depth_d), config.lam)
         return np.vstack((model.A_sig, model.C_sig))[None], None
 
     def smooth(params, active):
-        model = _unpack(params[0])
-        states, y_new = nar_state_step(model, y, r, config.rho, config.lam, y)
+        # params stacks the model that refit has just built.
+        states, y_new = nar_state_step(model, y, r, config.rho, config.lam, y, probe)
         err = yo[r - 1:] - states @ model.C_sig
         return scalar_values(y_new)[None], np.array([_var_dynamics(model.A_sig, states)]), np.array([err @ err])
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs, dptsv
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
@@ -79,7 +78,9 @@ class BandedSPDMatrix:
 
     ``bands[k, j]`` holds entry (j + k, j); row 0 is the main diagonal. Only
     the lower triangle is stored, symmetry is implied. Positive definiteness
-    is asserted by the solver, not by the container.
+    is asserted by the solver, not by the container. The bands are kept in
+    the layout they come in, without a copy; column-major bands are the
+    layout LAPACK reads.
     """
 
     dim: int
@@ -91,7 +92,7 @@ class BandedSPDMatrix:
             raise ValueError("dim must be >= 1")
         if not 0 <= self.bandwidth < self.dim:
             raise ValueError("bandwidth must lie in [0, dim)")
-        bands = np.ascontiguousarray(np.asarray(self.bands, dtype=float))
+        bands = np.asarray(self.bands, dtype=float)
         if bands.shape != (self.bandwidth + 1, self.dim):
             raise ValueError(f"bands must have shape {(self.bandwidth + 1, self.dim)}")
         _require_finite("bands", bands)
@@ -99,15 +100,24 @@ class BandedSPDMatrix:
 
 
 def solve_banded_spd(matrix: BandedSPDMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting."""
+    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
+
+    Calls LAPACK ``dpbsv``, or ``dptsv`` at bandwidth 1: the routines
+    ``scipy.linalg.solveh_banded`` picks for these bands, so the solution is
+    the same bit for bit. Neither the bands nor ``rhs`` is overwritten.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.dim,):
         raise ValueError("rhs length must equal matrix dim")
     _require_finite("rhs", rhs)
-    try:
-        return sla.solveh_banded(matrix.bands, rhs, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("banded Cholesky hit a nonpositive pivot") from exc
+    bands = matrix.bands
+    if matrix.bandwidth == 1:
+        _, _, solution, info = dptsv(bands[0], bands[1, :-1], rhs)
+    else:
+        _, solution, info = dpbsv(bands, rhs, lower=1)
+    if info > 0:
+        raise NotPositiveDefinite("banded Cholesky hit a nonpositive pivot")
+    return solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,12 +194,8 @@ def solve_block_tridiagonal_spd(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarr
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.dim,):
         raise ValueError("rhs length must equal num_blocks * block_dim")
-    _require_finite("rhs", rhs)
-    try:
-        # The packed bands belong to this call, so LAPACK may factor them in place.
-        return sla.solveh_banded(matrix.lower_bands(), rhs, overwrite_ab=True, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("banded Cholesky of the block system hit a nonpositive pivot") from exc
+    bands = matrix.lower_bands()
+    return solve_banded_spd(BandedSPDMatrix(matrix.dim, len(bands) - 1, bands), rhs)
 
 
 # Block columns of the smoother factored before the factor is tested for a
@@ -199,6 +205,18 @@ _LEAD_BLOCKS = 32
 # Largest difference, in units of rounding of the block column's largest
 # entry, at which two consecutive block columns of the factor count as equal.
 _STEADY_ULPS = 4
+
+
+class SteadyProbe:
+    """Whether :func:`solve_block_smoother` still tries the steady path on a run of related systems.
+
+    One fit hands the same probe to each of its state steps. Once a leading
+    factor has failed to settle, the probe is off, and the later systems are
+    factored whole straight away, which is what they would have been anyway.
+    """
+
+    def __init__(self):
+        self.on = True
 
 
 def block_smoother_diagonals(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
@@ -288,7 +306,7 @@ def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray 
     return factor.reshape(-1, 2 * b).T
 
 
-def solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray, probe: SteadyProbe | None = None) -> np.ndarray:
     """Solve the block-tridiagonal SPD state step shared by the VAR and NAR smoothers.
 
     The system has m = ``len(rhs) / b`` diagonal blocks
@@ -299,7 +317,9 @@ def solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.nd
     their factor has reached its steady state (see :func:`_steady_factor`)
     it is tiled over the rest. Otherwise, and on shorter systems, the whole
     band matrix is factored. Either way LAPACK ``dpbtrs`` solves with the
-    factor; a nonpositive pivot raises :class:`NotPositiveDefinite`.
+    factor; a nonpositive pivot raises :class:`NotPositiveDefinite`. With a
+    ``probe`` that is off, the leading blocks are not tried; a lead that
+    fails to settle switches it off.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -313,8 +333,11 @@ def solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.nd
     _require_finite("Q", Q)
     _require_finite("rhs", rhs)
     num_blocks = rhs.size // b
-    factor = _steady_factor(A, Q, num_blocks) if num_blocks >= 4 * _LEAD_BLOCKS else None
+    steady = num_blocks >= 4 * _LEAD_BLOCKS and (probe is None or probe.on)
+    factor = _steady_factor(A, Q, num_blocks) if steady else None
     if factor is None:
+        if steady and probe is not None:
+            probe.on = False
         factor = _banded_cholesky(block_smoother_bands(A, Q, num_blocks))
     solution, _ = dpbtrs(factor, rhs, lower=1)
     return solution

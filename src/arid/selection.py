@@ -76,12 +76,14 @@ def order_scan(source, r_values, config: FitConfig, num_trials: int = 1) -> Orde
     series = [source.trajectory(t)[1] for t in range(num_trials)] if isinstance(source, SyntheticSpec) else [source]
 
     records = []
+    n = series[0].n_steps
     for r in r_values:
         results = fit_ar_batch(series, replace(config, order_r=r))
-        first = companion_eigenvalues(np.stack([result.estimate_history[0].theta for result in results]))
+        # The first estimate and the last loss, read from the logs without building the histories.
+        first = companion_eigenvalues(np.stack([result.theta_log[0] for result in results]))
         min_eig_iter1 = np.min(np.abs(first), axis=1)
         records.extend(
-            OrderScanTrial(r, trial, result.loss_history[-1].normalized, result.min_eig_magnitude, float(eig))
+            OrderScanTrial(r, trial, float(result.loss_log[-1, 2]) / n, result.min_eig_magnitude, float(eig))
             for trial, (result, eig) in enumerate(zip(results, min_eig_iter1))
         )
 

@@ -64,12 +64,35 @@ def test_invalid_parameter_exits_with_usage_code(tmp_path):
     "command, flag, value",
     [("fit-ar", "--lambda", "nan"), ("fit-ar", "--lambda", "inf"), ("fit-ar", "--rho", "inf"),
      ("fit-var", "--rho", "nan"), ("fit-nar", "--lambda", "nan"), ("fit-nar", "--rho", "inf"),
-     ("fit-ar", "--convergence-tol", "inf")],
+     ("fit-ar", "--convergence-tol", "inf"), ("fit-nar", "--convergence-tol", "inf")],
 )
 def test_non_finite_config_value_exits_with_usage_code(tmp_path, command, flag, value):
     proc = run_cli(command, flag, value, "--out-dir", str(tmp_path), "--n-steps", "40", "--iterations", "2")
     assert proc.returncode == 2
     assert "must be" in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["fit-nar", "artefact-study"])
+def test_nar_commands_stop_on_the_convergence_tol_they_echo(tmp_path, command):
+    # The tolerance bounds the relative change of the trajectory; unset, it is
+    # NARFitConfig's 1e-8. What is printed is the report as written.
+    args = (command, "--seed", "5", "--order", "4", "--lambda", "0.001", "--iterations", "20")
+    if command == "artefact-study":
+        args += ("--n-steps", "120", "--t-start", "30", "--t-end", "60")
+    runs = {}
+    for tol in ("1e-2", "1e-12", None):
+        out = tmp_path / f"run_{tol}"
+        proc = run_cli(*args, *(("--convergence-tol", tol) if tol else ()), "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (out / "report.json").read_text()
+        runs[tol] = json.loads(proc.stdout)
+    assert [runs[tol]["config"]["convergence_tol"] for tol in runs] == [1e-2, 1e-12, 1e-8]
+    loose, tight, unset = (runs[tol]["results"]["iterations_run"] for tol in runs)
+    assert loose < tight == 20
+    assert loose <= unset <= tight
+    if command == "fit-nar":
+        assert runs["1e-2"]["results"]["stop_reason"] == "tolerance"
+        assert runs["1e-12"]["results"]["stop_reason"] == "iteration_cap"
 
 
 def test_unknown_config_key_exits_with_usage_code(tmp_path):

@@ -11,6 +11,7 @@ from arid.linear import (
     FitConfig,
     LossBreakdown,
     _solve_block_smoother,
+    _assemble_bands,
     _solve_smoother,
     _solve_stacked,
     assemble_ar_smoother,
@@ -409,6 +410,22 @@ def test_batch_members_equal_solo_fits_whatever_their_stop():
         assert batch[k].stop_reason == "iteration_cap"
 
 
+def test_histories_are_tuples_built_from_read_only_logs():
+    spec = SyntheticSpec(oscillatory_ar5(), 80, 0.01, 1.0, 47)
+    config = FitConfig(order_r=3, rho=0.1, max_iterations=9, convergence_tol=1e-300)
+    for result in fit_ar_batch([spec.trajectory(trial)[1] for trial in range(3)], config):
+        assert not result.theta_log.flags.writeable and not result.loss_log.flags.writeable
+        assert result.theta_log.shape == (result.iterations_run, 3)
+        assert result.loss_log.shape == (result.iterations_run, 3)
+        assert type(result.loss_history) is tuple and type(result.estimate_history) is tuple
+        assert result.loss_history is result.loss_history
+        assert result.estimate_history[-1] is result.theta_hat
+        for estimate, row in zip(result.estimate_history, result.theta_log, strict=True):
+            np.testing.assert_array_equal(estimate.theta, row)
+        for loss, row in zip(result.loss_history, result.loss_log.tolist(), strict=True):
+            assert loss == LossBreakdown(*row, row[2] / 80)
+
+
 def test_batch_order_does_not_change_results():
     spec = SyntheticSpec(oscillatory_ar5(), 80, 0.01, 1.0, 43)
     series = [spec.trajectory(trial)[1] for trial in range(4)]
@@ -615,6 +632,22 @@ def test_ladder_runs_per_system_inside_a_stack():
     assert np.all(np.isfinite(solutions))
     for solution, theta, y in zip(solutions, thetas, series):
         np.testing.assert_array_equal(solution, scalar_values(state_step(ARParams(theta), y, 0.1)))
+
+
+def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
+    # The same systems straight from _assemble_bands, whose column-major
+    # bands the stacked solve hands to LAPACK without a copy.
+    rng = np.random.Generator(np.random.Philox(key=45))
+    thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
+    series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
+    bands, rhs = _assemble_bands(thetas, series, 0.1, 0.0, 1)
+    stacked = bands.transpose(1, 0, 2).reshape(3, 90)
+    assert np.shares_memory(stacked, bands)
+    with pytest.raises(NotPositiveDefinite):
+        solve_banded_spd(BandedSPDMatrix(90, 2, stacked), rhs.ravel())
+    solutions = _solve_stacked(bands, rhs)
+    for solution, theta, y in zip(solutions, thetas, series, strict=True):
+        np.testing.assert_array_equal(solution, scalar_values(state_step(ARParams(theta), TimeSeries(y), 0.1)))
 
 
 def test_stacked_smoothers_equal_solo_solves():

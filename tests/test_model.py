@@ -224,6 +224,47 @@ def test_noise_free_simulation_satisfies_recursion(seed, order):
         np.testing.assert_allclose(vals[t], float(theta @ window), rtol=0, atol=1e-9)
 
 
+def per_step_simulate(model, x1, n_steps, noise):
+    """The step-by-step simulation: per step, the transition noise, then the measurement noise, each drawn alone."""
+    rng = noise.generator()
+    scalar_nu = model.structure == "companion"
+    states = np.empty((n_steps, model.state_dim))
+    measured = np.empty((n_steps, model.output_dim))
+    x = np.array(x1, dtype=float)
+    for t in range(n_steps):
+        states[t] = x
+        if t < n_steps - 1:
+            nu = noise.transition_std * (rng.standard_normal() if scalar_nu else rng.standard_normal(x.size))
+        measured[t] = model.C @ x + noise.measurement_std * rng.standard_normal(model.output_dim)
+        if t < n_steps - 1:
+            x = model.A @ x
+            if scalar_nu:
+                x[0] += nu
+            else:
+                x += nu
+    return states, measured
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 200])
+@pytest.mark.parametrize("structure", ["companion", "general"])
+def test_simulation_equals_the_per_step_draws_bit_for_bit(structure, n_steps):
+    # simulate draws the whole noise stream in one call; every state and
+    # measurement must still be the one the per-step draws give, with a
+    # dense readout in the general case.
+    rng = np.random.Generator(np.random.Philox(key=70))
+    for seed in range(5):
+        if structure == "companion":
+            model = build_companion(ARParams(rng.normal(scale=0.3, size=4)))
+        else:
+            model = LinearSSModel(rng.normal(scale=0.3, size=(4, 4)), rng.normal(size=(3, 4)))
+        x1 = rng.normal(size=4)
+        noise = NoiseSpec(0.1, 0.5, seed)
+        states, measured = simulate(model, x1, n_steps, noise)
+        expected_states, expected_measured = per_step_simulate(model, x1, n_steps, noise)
+        np.testing.assert_array_equal(states, expected_states)
+        np.testing.assert_array_equal(measured.values, expected_measured)
+
+
 # ---------------------------------------------------------------------------
 # delay embedding and prediction
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from arid import numerics
 from arid.errors import EmbeddingTooShort, HorizonTooShort, NotPositiveDefinite, SingularSystem
 from arid.linear import LossBreakdown
-from arid.model import TimeSeries, scalar_values
+from arid.model import SyntheticSpec, TimeSeries, scalar_values, signature_aligned_ar5
 from arid.nar import (
     NARFitConfig,
     NARModel,
@@ -387,6 +388,29 @@ def test_fit_matches_step_by_step_reference(values, settings, stops_early):
     assert (result.iterations_run, result.converged) == (len(history), converged)
     assert converged == stops_early
     assert (len(history) < config.max_iterations) == stops_early
+
+
+def test_long_fit_stops_trying_the_steady_lead_once_it_fails(monkeypatch):
+    # The artefact preset's shape (397 blocks of 7): the lead factor does not
+    # settle, so only the first state step tries it, and the fit still
+    # equals the reference, whose every step tries it.
+    _, y = SyntheticSpec(signature_aligned_ar5(), 400, 0.05, 0.02, 3).trajectory(0)
+    config = NARFitConfig(order_r=4, depth_d=2, rho=0.1, lam=1e-3, max_iterations=4)
+    steady, tries = numerics._steady_factor, []
+
+    def counting(*args):
+        tries.append(steady(*args))
+        return tries[-1]
+
+    monkeypatch.setattr(numerics, "_steady_factor", counting)
+    result = fit_nar(y, config)
+    assert tries == [None]
+    y_hat, history, models, _ = reference_fit_nar(y, config)
+    assert len(tries) == 1 + config.max_iterations
+    np.testing.assert_array_equal(result.y_hat.values, y_hat.values)
+    assert result.loss_history == history
+    for got, want in zip(result.estimate_history, models, strict=True):
+        np.testing.assert_array_equal(got.A_sig, want.A_sig)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
@@ -235,6 +236,29 @@ def test_banded_solve_agrees_with_dense_oracle(seed, dim, bandwidth):
     np.testing.assert_allclose(solution, oracle, rtol=1e-8, atol=1e-8)
 
 
+@pytest.mark.parametrize("bandwidth", range(1, 11))
+def test_banded_solve_equals_scipy_solveh_banded_bit_for_bit(bandwidth):
+    # solve_banded_spd calls LAPACK itself: dptsv at bandwidth 1 and dpbsv
+    # above, the routines scipy.linalg.solveh_banded picks for these bands.
+    rng = np.random.Generator(np.random.Philox(key=60 + bandwidth))
+    matrices = [pack_lower_bands(random_banded_spd_dense(rng, 40, bandwidth), bandwidth) for _ in range(3)]
+    rhs = rng.normal(size=(3, 40))
+    for matrix, v in zip(matrices, rhs):
+        bands = matrix.bands.copy()
+        solution = solve_banded_spd(matrix, v)
+        np.testing.assert_array_equal(solution, sla.solveh_banded(bands, v, lower=True))
+        np.testing.assert_array_equal(matrix.bands, bands)
+    # A stack placed end to end, in the column-major layout the AR fits build.
+    stacked = np.asfortranarray(np.concatenate([matrix.bands for matrix in matrices], axis=1))
+    solution = solve_banded_spd(BandedSPDMatrix(120, bandwidth, stacked), rhs.ravel())
+    np.testing.assert_array_equal(solution, sla.solveh_banded(stacked, rhs.ravel(), lower=True))
+
+
+def test_band_container_keeps_column_major_bands_without_a_copy():
+    bands = np.asfortranarray(np.ones((3, 10)))
+    assert BandedSPDMatrix(10, 2, bands).bands is bands
+
+
 # ---------------------------------------------------------------------------
 # solve_block_tridiagonal_spd
 
@@ -424,6 +448,32 @@ def test_short_system_takes_full_factor(monkeypatch):
     monkeypatch.setattr(numerics, "_steady_factor", fail)
     solution = solve_block_smoother(A, Q, rhs)
     np.testing.assert_array_equal(solution, solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs))
+
+
+def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
+    # The near-unit-root system above never settles: the first solve tries
+    # the lead and switches the probe off, the second goes straight to the
+    # whole factor, and both give the answer of a solve without a probe.
+    A, Q, rhs, _ = smoother_case("var", 4, 500, 0.01, radius=0.999)
+    expected = solve_block_smoother(A, Q, rhs)
+    steady, tries = numerics._steady_factor, []
+
+    def counting(*args):
+        tries.append(args)
+        return steady(*args)
+
+    monkeypatch.setattr(numerics, "_steady_factor", counting)
+    probe = numerics.SteadyProbe()
+    for _ in range(2):
+        np.testing.assert_array_equal(solve_block_smoother(A, Q, rhs, probe), expected)
+    assert len(tries) == 1 and not probe.on
+
+
+def test_probe_stays_on_while_the_lead_settles():
+    A, Q, rhs, _ = smoother_case("var", 7, 500, 3.0)
+    probe = numerics.SteadyProbe()
+    np.testing.assert_array_equal(solve_block_smoother(A, Q, rhs, probe), solve_block_smoother(A, Q, rhs))
+    assert probe.on
 
 
 # A NAR system has at least two blocks.

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from test_linear import reference_fit_ar
 
+import arid.linear
+import arid.selection
 from arid.cli import main
 from arid.linear import FitConfig, fit_ar
 from arid.model import ARParams, SyntheticSpec, TimeSeries, oscillatory_ar5
@@ -114,3 +117,32 @@ def test_singular_trial_fails_the_whole_scan(monkeypatch, tmp_path):
     argv = ["order-scan", "--orders", "1,2", "--trials", "3", "--n-steps", "40", "--iterations", "3"]
     assert main([*argv, "--lambda", "0", "--out-dir", str(tmp_path / "run")]) == 3
     assert main([*argv, "--lambda", "0.01", "--out-dir", str(tmp_path / "ridge")]) == 0
+
+
+def test_histories_read_after_a_scan_equal_the_step_by_step_reference(monkeypatch):
+    # The scan reads only the logs of its fits; their histories, read after
+    # the scan returns, are the tuples the step-by-step fit builds.
+    fits, built = [], []
+    batch, params = arid.selection.fit_ar_batch, arid.linear.ARParams
+
+    def recording(series, config):
+        results = batch(series, config)
+        fits.append((series, config, results))
+        return results
+
+    def counting(theta):
+        built.append(theta)
+        return params(theta)
+
+    monkeypatch.setattr(arid.selection, "fit_ar_batch", recording)
+    monkeypatch.setattr(arid.linear, "ARParams", counting)
+    spec = SyntheticSpec(oscillatory_ar5(), 60, 0.01, 1.0, 9)
+    order_scan(spec, [2, 5], FitConfig(order_r=1, rho=0.1, max_iterations=12, convergence_tol=1e-300), num_trials=3)
+    # One estimate per fit, its final one, until a history is read.
+    assert len(built) == 6
+    for series, config, results in fits:
+        for y, result in zip(series, results, strict=True):
+            _, history, estimates, _ = reference_fit_ar(y, config)
+            assert result.loss_history == history
+            for got, want in zip(result.estimate_history, estimates, strict=True):
+                np.testing.assert_array_equal(got.theta, want.theta)

@@ -5,7 +5,8 @@ metrics that target feeds then drop out of the benchmark result. A rename in
 `arid` therefore has to keep the old binding, which this test enforces. A
 hook that can no longer read its call's arguments (such as the file path of
 ``load_csv`` or ``write_csv``) marks its counters broken, and they drop out
-too; traced CLI runs check for that, and that the fit-var and artefact-study
+too; traced CLI runs check for that, that the order-scan op feeds nonzero
+banded-solve and simulation counts, and that the fit-var and artefact-study
 ops feed nonzero iteration counts and NAR step times.
 """
 
@@ -57,7 +58,10 @@ def test_traced_cli_runs_feed_every_per_layer_metric(tmp_path, capsys):
     metrics = tracer.per_op_metrics()
     names = set().union(*metrics.values())
     # A fit that stops reporting its iterations, or a loop that binds the NAR
-    # steps before the tracer wraps them, would zero these spans silently.
+    # steps before the tracer wraps them, would zero these spans silently; so
+    # would an order scan whose banded solve or simulation bypasses the
+    # names the tracer wraps.
+    assert metrics[0]["numerics.banded_solve_calls"] > 0 and metrics[0]["model.simulate_calls"] > 0
     assert metrics[1]["linear.iterations"] > 0
     assert all(metrics[2][name] > 0 for name in ("nar.iterations", "nar.param_step_s", "nar.state_step_s"))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
