@@ -160,6 +160,9 @@ def _fit_config(cfg: ExperimentConfig) -> FitConfig:
 
 
 def _nar_config(cfg: ExperimentConfig) -> NARFitConfig:
+    # Refuse a bad tolerance under the name the user typed, as FitConfig does for the linear fits.
+    if not 0 < cfg.convergence_tol < np.inf:
+        raise ValueError(f"convergence_tol must be positive and finite, got {cfg.convergence_tol}")
     return NARFitConfig(cfg.order, cfg.depth, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol)
 
 

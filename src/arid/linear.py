@@ -7,12 +7,15 @@ Both updates are exact minimizers in their own variables, so with ``lam ==
 0`` the loss can never increase. One driver, :func:`_alternate`, runs the
 loop of the AR, VAR and NAR fits: descent guard, stop rule (``stop_reason``),
 history logs and the :class:`FitResult`; each family brings its two steps.
+The AR smoothing step hands the driver the delay windows of its candidate
+trajectories along with them, and the next refit regresses on those, so each
+trajectory is windowed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -176,35 +179,51 @@ def param_step(y_hat: TimeSeries, order_r: int, lam: float) -> ARParams:
     return ARParams(solve_regularized_ls(gamma, y_plus, lam))
 
 
-def _assemble_bands(thetas: np.ndarray, yo: np.ndarray, rho: float, lam: float, start: int):
-    """Lower bands (B, r + 1, N) and right-hand sides (B, N) of a stack of AR smoothers.
+@lru_cache(maxsize=64)
+def _band_layout(r: int, n: int):
+    """Read-only index arrays of :func:`_assemble_bands` at order r and length n.
 
-    The bands are a view of one (B, N, r + 1) array, so the B systems placed
-    end to end are the column-major (r + 1, B * N) bands LAPACK reads.
+    ``pairs[a, k]`` is a + k; ``held[a, j]`` (with two trailing unit axes)
+    tells whether the residual window of stencil offset a holds value j, over
+    the ``min(n, 2r + 1)`` short columns; ``columns[j]`` is the short column
+    that column j of the bands repeats.
     """
-    (count, r), n = thetas.shape, yo.shape[1]
-    width = r + 1
-    # The stencils [-theta_r ... -theta_1, 1], padded with r zeros.
-    padded = np.zeros((count, width + r))
-    padded[:, :r], padded[:, r] = -thetas[:, ::-1], 1.0
+    width, short = r + 1, min(n, 2 * r + 1)
+    offset, value = np.ogrid[:width, :short]
+    held = ((offset <= value) & (value < offset + short - r))[:, :, None, None]
+    pairs = np.arange(width)[:, None] + np.arange(width)
+    columns = np.arange(n)
+    columns = np.maximum(np.minimum(columns, r), columns - (n - short))
+    for array in (pairs, held, columns):
+        array.flags.writeable = False
+    return pairs, held, columns
+
+
+def _assemble_bands(thetas: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
+    """Lower bands (B, r + 1, n) of a stack of AR smoothers, in a fixed number of NumPy calls.
+
+    The bands are a view of one (B, n, r + 1) array, so the B systems placed
+    end to end are the column-major (r + 1, B * n) bands LAPACK reads.
+    """
+    count, r = thetas.shape
+    pairs, held, columns = _band_layout(r, n)
+    # The stencils [-theta_r ... -theta_1, 1], padded with r zeros, one column per system.
+    padded = np.zeros((2 * r + 1, count))
+    padded[:r], padded[r] = -thetas[:, ::-1].T, 1.0
     # Entry (k, j) sums stencil[a] * stencil[a + k] over increasing a, for
-    # the a whose residual window holds j. Away from both ends every window
-    # does, so the bands are built for a series of at most 2r + 1 values and
-    # their middle column repeated. Entry (k, j) stays zero once j + k passes
-    # N - 1, so systems placed end to end do not couple.
-    short = min(n, 2 * r + 1)
-    products = padded[:, :width, None] * padded[:, np.arange(width)[:, None] + np.arange(width)]
-    columns = np.zeros((count, short, width))
-    for a in range(width):
-        columns[:, a : a + short - r, : width - a] += products[:, a, None, : width - a]
-    columns[:, start:, 0] += rho
-    columns[:, :, 0] += lam
-    repeats = np.ones(short, dtype=np.intp)
-    repeats[r] += n - short
-    columns = np.repeat(columns, repeats, axis=1)
-    rhs = np.zeros((count, n))
-    rhs[:, start:] = rho * yo[:, start:]
-    return columns.transpose(0, 2, 1), rhs
+    # the a whose residual window holds j: the terms of the other a are
+    # zeros, and reducing over the outermost axis from 0.0 adds the terms in
+    # order. Away from both ends every window holds j, so the bands are
+    # built for a series of at most 2r + 1 values and their middle column
+    # repeated. Entry (k, j) stays zero once j + k passes n - 1, so systems
+    # placed end to end do not couple.
+    products = padded[: r + 1, None] * padded[pairs]
+    short = np.add.reduce(np.where(held, products[:, None], 0.0), axis=0, initial=0.0)
+    short[start:, 0] += rho
+    # The diagonal sums squares from 0.0, so it is never -0.0, and adding a zero ridge would change nothing.
+    if lam:
+        short[:, 0] += lam
+    return np.take(short.transpose(2, 0, 1), columns, axis=1).transpose(0, 2, 1)
 
 
 def assemble_ar_smoother(
@@ -232,8 +251,15 @@ def assemble_ar_smoother(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     start = 0 if anchor_all else r - 1
-    bands, rhs = _assemble_bands(theta.theta[None], yo[None], rho, lam, start)
-    return SmootherSystem(BandedSPDMatrix(n, r, bands[0]), rhs[0])
+    bands = _assemble_bands(theta.theta[None], n, rho, lam, start)
+    return SmootherSystem(BandedSPDMatrix(n, r, bands[0]), _measurement_rhs(yo, rho, start))
+
+
+def _measurement_rhs(yo: np.ndarray, rho: float, start: int) -> np.ndarray:
+    """Right-hand side of the AR smoother: rho times the measurements from ``start`` on, zero before."""
+    rhs = np.zeros_like(yo)
+    rhs[..., start:] = rho * yo[..., start:]
+    return rhs
 
 
 # Diagonal shifts, relative to the largest diagonal entry, tried in order when
@@ -320,12 +346,17 @@ def _sumsq(stack: np.ndarray) -> np.ndarray:
     return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
 
 
-def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=None) -> tuple[FitResult, ...]:
+def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=None,
+               windows=None) -> tuple[FitResult, ...]:
     """Alternate ``refit`` and ``smooth`` on the (B, ...) stack ``observed``, one fit per series of ``ys``.
 
-    ``refit(y_hat)`` returns the parameters of the running fits and their
-    dynamics terms on ``y_hat``; ``smooth(params, active)`` the
-    candidate trajectories with their dynamics and measurement terms. With
+    ``refit(y_hat, windows)`` returns the parameters of the running fits and
+    their dynamics terms on ``y_hat``; ``smooth(params, active)`` the
+    candidate trajectories, their delay windows, and their dynamics and
+    measurement terms. ``windows`` are those of ``observed``; the driver
+    holds and drops each fit's windows with its trajectory and hands them to
+    the next ``refit``, so every trajectory is windowed once. Fits that use
+    no windows (VAR, NAR) pass and return None. With
     ``ridge``, a per-fit sum of squares, the fits are descents (AR, VAR):
     guarded, and stopped on the objective or the zero floor. Without it
     (NAR) a fit stops once its trajectory stops changing. A fit that stops
@@ -341,8 +372,8 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     # Starting from y_hat = y, the held trajectory's measurement term is 0.
     active, y_hat, measurement, previous = np.arange(count), observed, np.zeros(count), np.full(count, np.nan)
     for iteration in range(config.max_iterations):
-        params, held_dynamics = refit(y_hat)
-        candidate, dynamics, new_measurement = smooth(params, active)
+        params, held_dynamics = refit(y_hat, windows)
+        candidate, new_windows, dynamics, new_measurement = smooth(params, active)
         _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
         total = dynamics + config.rho * new_measurement
         if ridge is None:
@@ -362,6 +393,8 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
             hold = total + lam * norms[0] > held_total + lam * norms[1]
             if hold.any():
                 candidate[hold] = y_hat[hold]
+                if windows is not None:
+                    new_windows[hold] = windows[hold]
                 dynamics = np.where(hold, held_dynamics, dynamics)
                 new_measurement = np.where(hold, measurement[active], new_measurement)
                 total = np.where(hold, held_total, total)
@@ -378,7 +411,8 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
         elif iteration == len(theta_log):
             theta_log, loss_log = (np.concatenate((log, np.empty_like(log))) for log in (theta_log, loss_log))
         theta_log[iteration, active] = params
-        loss_log[iteration, active] = np.stack((dynamics, new_measurement, total), axis=1)
+        rows = loss_log[iteration]
+        rows[active, 0], rows[active, 1], rows[active, 2] = dynamics, new_measurement, total
 
         # Codes index STOP_REASONS; 0 keeps the fit running until the cap.
         reason = np.where(change == 0, 2, np.where(change <= tol * scale, 3, 0))
@@ -388,10 +422,13 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
         reasons[active], runs[active] = reason, iteration + 1
         if stop.any():
             y_final[active[stop]] = candidate[stop]
-            active, candidate = active[~stop], candidate[~stop]
+            keep = ~stop
+            active, candidate = active[keep], candidate[keep]
+            if new_windows is not None:
+                new_windows = new_windows[keep]
             if not active.size:
                 break
-        y_hat = candidate
+        y_hat, windows = candidate, new_windows
 
     theta_log.flags.writeable = loss_log.flags.writeable = False
     min_eigs = np.min(np.abs(roots(theta_log[runs - 1, np.arange(count)])), axis=1).tolist()
@@ -427,21 +464,22 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     r, rho, lam = config.order_r, config.rho, config.lam
     if yo.shape[1] <= r:
         raise HorizonTooShort(f"need more than order {r} steps, got {yo.shape[1]}")
-    start = 0 if config.anchor_all_values else r - 1
+    n, start = yo.shape[1], 0 if config.anchor_all_values else r - 1
+    rhs = _measurement_rhs(yo, rho, start)
 
-    def refit(y_hat):
-        windows, targets = delay_windows(y_hat, r)
+    def refit(y_hat, windows):
+        targets = y_hat[:, r:]
         thetas = solve_regularized_ls(windows, targets, lam)
         return thetas, _dynamics_term(thetas, windows, targets)
 
     def smooth(thetas, active):
-        yo_active = yo[active]
-        candidate = _solve_stacked(*_assemble_bands(thetas, yo_active, rho, lam, start))
-        err = yo_active[:, start:] - candidate[:, start:]
-        return candidate, _dynamics_term(thetas, *delay_windows(candidate, r)), np.vecdot(err, err)
+        candidate = _solve_stacked(_assemble_bands(thetas, n, rho, lam, start), rhs[active])
+        windows = delay_windows(candidate, r)[0]
+        err = yo[active, start:] - candidate[:, start:]
+        return candidate, windows, _dynamics_term(thetas, windows, candidate[:, r:]), np.vecdot(err, err)
 
     return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, ARParams, companion_eigenvalues,
-                      ridge=lambda v: np.vecdot(v, v))
+                      ridge=lambda v: np.vecdot(v, v), windows=delay_windows(yo, r)[0])
 
 
 def _var_dynamics(A: np.ndarray, x_hat: np.ndarray) -> float:
@@ -489,13 +527,13 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
         raise HorizonTooShort("need at least two steps")
     Q, rhs = (config.rho + config.lam) * np.eye(p), (config.rho * x).reshape(-1)
 
-    def refit(x_hat):
+    def refit(x_hat, windows):
         A = solve_regularized_ls(x_hat[0, :-1], x_hat[0, 1:], config.lam).T
         return A[None], np.array([_var_dynamics(A, x_hat[0])])
 
     def smooth(A, active):
         candidate = _solve_block_smoother(A[0], Q, rhs).reshape(1, n, p)
-        return candidate, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
+        return candidate, None, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
 
     return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,
                       ridge=_sumsq)[0]

@@ -201,7 +201,7 @@ def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
     yo, r = scalar_values(y), config.order_r
     probe, model = SteadyProbe(), None
 
-    def refit(y_hat):
+    def refit(y_hat, windows):
         nonlocal model
         model = nar_param_step(*build_sig_matrices(y_hat[0], r, config.depth_d), config.lam)
         return np.vstack((model.A_sig, model.C_sig))[None], None
@@ -210,7 +210,7 @@ def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
         # params stacks the model that refit has just built.
         states, y_new = nar_state_step(model, y, r, config.rho, config.lam, y, probe)
         err = yo[r - 1:] - states @ model.C_sig
-        return scalar_values(y_new)[None], np.array([_var_dynamics(model.A_sig, states)]), np.array([err @ err])
+        return scalar_values(y_new)[None], None, np.array([_var_dynamics(model.A_sig, states)]), np.array([err @ err])
 
     return _alternate((y,), yo[None], config, config.state_change_tol, refit, smooth, _unpack,
                       lambda params: np.linalg.eigvals(params[:, :-1]))[0]

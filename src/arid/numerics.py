@@ -35,6 +35,9 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     A (B, M, n) stack of designs with (B, M) or (B, M, k) targets solves the
     B problems in one batched factorization; each solution equals the one
     its problem gets alone, and rank deficiency in any of them raises.
+    Matrix targets take their moments from one Gram of the design and the
+    targets side by side, so the solution does not depend on the number of
+    BLAS threads.
     """
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -51,8 +54,18 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     _require_finite("targets", targets)
 
     n = design.shape[2]
-    design_t = np.swapaxes(design, 1, 2)
-    gram = design_t @ design
+    vector = targets.ndim == 2
+    if vector:
+        design_t = np.swapaxes(design, 1, 2)
+        gram, moments = design_t @ design, design_t @ targets[..., None]
+    else:
+        # One Gram of [X | Y], whose blocks are X^T X and X^T Y. NumPy sends a
+        # matrix times its own transpose down BLAS's symmetric product, whose
+        # result does not depend on the thread count; a general X^T Y product
+        # does at some shapes (p >= 48 with OpenBLAS 0.3.31).
+        augmented = np.concatenate((design, targets), axis=2)
+        full = np.swapaxes(augmented, 1, 2) @ augmented
+        gram, moments = full[:, :n, :n], full[:, :n, n:]
     if lam > 0.0:
         gram = gram + lam * np.eye(n)
     try:
@@ -63,8 +76,6 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     if lam == 0.0 and np.any(pivots.min(axis=1) <= np.sqrt(n * np.finfo(float).eps) * pivots.max(axis=1)):
         # Factorization survived but below the float numerical rank: treat as singular.
         raise SingularSystem("normal matrix is numerically rank-deficient at lam == 0")
-    vector = targets.ndim == 2
-    moments = design_t @ (targets[..., None] if vector else targets)
     # LAPACK's triangular solves take one factor at a time.
     solution = np.stack([_potrs(c, rhs, lower=True)[0] for c, rhs in zip(chol, moments)])
     if vector:

@@ -95,6 +95,17 @@ def test_nar_commands_stop_on_the_convergence_tol_they_echo(tmp_path, command):
         assert runs["1e-12"]["results"]["stop_reason"] == "iteration_cap"
 
 
+@pytest.mark.parametrize("command", ["fit-nar", "artefact-study"])
+def test_nar_commands_refuse_a_bad_tolerance_under_the_name_typed(tmp_path, command):
+    args = (command, "--seed", "5", "--order", "4", "--convergence-tol", "0", "--out-dir", str(tmp_path))
+    if command == "artefact-study":
+        args += ("--n-steps", "120", "--t-start", "30", "--t-end", "60")
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "convergence_tol must be positive and finite, got 0.0" in proc.stderr
+    assert "state_change_tol" not in proc.stderr
+
+
 def test_unknown_config_key_exits_with_usage_code(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"no_such_knob": 1}))

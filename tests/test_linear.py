@@ -31,6 +31,7 @@ from arid.model import (
     TimeSeries,
     build_companion,
     delay_embed,
+    delay_windows,
     oscillatory_ar5,
     scalar_values,
     simulate,
@@ -188,6 +189,37 @@ def test_smoother_bands_sum_in_pair_loop_order(order, n_steps):
     expected[0] += 0.3
     system = assemble_ar_smoother(theta, y, 0.3, anchor_all=True)
     np.testing.assert_array_equal(system.normal_matrix.bands, expected)
+
+
+def loop_bands(thetas: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
+    """The AR smoother bands by one pass per stencil offset over columns that start at 0.0."""
+    count, r = thetas.shape
+    width = r + 1
+    padded = np.zeros((count, width + r))
+    padded[:, :r], padded[:, r] = -thetas[:, ::-1], 1.0
+    bands = np.zeros((count, width, n))
+    for a in range(width):
+        for k in range(width - a):
+            bands[:, k, a : a + n - r] += (padded[:, a] * padded[:, a + k])[:, None]
+    bands[:, 0, start:] += rho
+    bands[:, 0] += lam
+    return bands
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_band_builder_equals_per_offset_loop_bit_for_bit(order):
+    rng = np.random.Generator(np.random.Philox(key=order))
+    thetas = rng.normal(scale=0.5, size=(5, order))
+    # Exact zeros, negative zeros and tiny products reach every sign-of-zero case.
+    thetas[1, -1], thetas[2], thetas[3, 0], thetas[4] = 0.0, 0.0, -0.0, 1e-170 * thetas[4]
+    for n in sorted({order + 1, 2 * order, 200}):
+        for start in (0, order - 1):
+            for lam in (0.0, 0.01):
+                bands = _assemble_bands(thetas, n, 0.1, lam, start)
+                expected = loop_bands(thetas, n, 0.1, lam, start)
+                assert bands.shape == expected.shape and bands.tobytes() == expected.tobytes()
+                # Column-major per system, so a stack is LAPACK's band layout without a copy.
+                assert bands.transpose(0, 2, 1).flags.c_contiguous
 
 
 def test_state_step_noise_free_fixed_point():
@@ -408,6 +440,59 @@ def test_batch_members_equal_solo_fits_whatever_their_stop():
     for k in (0, 3, 4):
         assert (batch[k].iterations_run, batch[k].converged) == (config.max_iterations, False)
         assert batch[k].stop_reason == "iteration_cap"
+
+
+def guard_cases():
+    """Series whose fits at order 6, rho 1e-8 hold at iterations 1, 2, 3 and 7, stop at the zero floor, or run to the cap."""
+    exact = noise_free_series(np.array([0.4, -0.3, 0.2, 0.1, -0.05, 0.02]), np.linspace(1.0, -0.5, 6), 40)
+    noise = [np.random.Generator(np.random.Philox(key=seed)).normal(size=40) for seed in range(8)]
+    near_exact = TimeSeries(exact.values[:, 0] + 1e-12 * noise[0])
+    series = [TimeSeries(noise[1]), near_exact, TimeSeries(noise[0]), TimeSeries(noise[4]), exact, TimeSeries(noise[7])]
+    return series, FitConfig(order_r=6, rho=1e-8, max_iterations=8, convergence_tol=1e-300)
+
+
+def test_batch_members_equal_step_by_step_fits_whatever_iteration_the_guard_holds():
+    # A held fit's delay windows are held with its trajectory and feed the
+    # next refit; the reference windows every trajectory afresh.
+    series, config = guard_cases()
+    batch = fit_ar_batch(series, config)
+    for y, result in zip(series, batch, strict=True):
+        y_hat, history, estimates, converged = reference_fit_ar(y, config)
+        np.testing.assert_array_equal(result.y_hat.values, y_hat.values)
+        assert result.loss_history == history
+        for got, want in zip(result.estimate_history, estimates, strict=True):
+            np.testing.assert_array_equal(got.theta, want.theta)
+        assert result.converged == converged
+        assert_same_fit(result, fit_ar(y, config))
+    # The iterations whose held trajectory kept the last measurement term.
+    held = [
+        [k + 2 for k, (before, now) in enumerate(zip(result.loss_history, result.loss_history[1:]))
+         if now.measurement_term == before.measurement_term]
+        for result in batch
+    ]
+    # On iteration 1 the held trajectory is the measurements, whose measurement term is 0.
+    assert batch[1].loss_history[0].measurement_term == 0.0
+    assert [result.iterations_run for result in batch] == [8, 2, 3, 4, 1, 8]
+    assert [result.stop_reason for result in batch] == ["iteration_cap", "stall", "stall", "stall", "zero_floor",
+                                                        "stall"]
+    assert held[2][0] == 2 and held[3][0] == 3 and held[5][0] == 7
+
+
+def test_batch_windows_each_trajectory_once(monkeypatch):
+    import arid.linear
+
+    calls = []
+
+    def counted(values, order_r):
+        calls.append(len(values))
+        return delay_windows(values, order_r)
+
+    monkeypatch.setattr(arid.linear, "delay_windows", counted)
+    series, config = guard_cases()
+    batch = fit_ar_batch(series, config)
+    lockstep = max(result.iterations_run for result in batch)
+    # Once on the measurements, then once per iteration on the fits still running.
+    assert calls == [len(series)] + [sum(result.iterations_run > k for result in batch) for k in range(lockstep)]
 
 
 def test_histories_are_tuples_built_from_read_only_logs():
@@ -640,7 +725,8 @@ def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
     rng = np.random.Generator(np.random.Philox(key=45))
     thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
     series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
-    bands, rhs = _assemble_bands(thetas, series, 0.1, 0.0, 1)
+    bands = _assemble_bands(thetas, 30, 0.1, 0.0, 1)
+    rhs = np.concatenate((np.zeros((3, 1)), 0.1 * series[:, 1:]), axis=1)
     stacked = bands.transpose(1, 0, 2).reshape(3, 90)
     assert np.shares_memory(stacked, bands)
     with pytest.raises(NotPositiveDefinite):

@@ -1,0 +1,49 @@
+"""Fits must not depend on the number of BLAS threads.
+
+The same fixed set of fits runs in two fresh interpreters, one with
+OpenBLAS and OpenMP on 1 thread and one on 2, and every logged parameter,
+loss term and trajectory must hash the same. The thread count of a BLAS
+library is fixed when it loads, so each count needs its own process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+FITS = r"""
+import hashlib, json
+import numpy as np
+from arid.linear import FitConfig, fit_ar_batch, fit_var1
+from arid.model import SyntheticSpec, TimeSeries, oscillatory_ar5
+from arid.nar import NARFitConfig, fit_nar
+
+def digest(result):
+    parts = (result.theta_log, result.loss_log, result.y_hat.values)
+    return hashlib.sha256(b"".join(np.ascontiguousarray(part).tobytes() for part in parts)).hexdigest()
+
+hashes = {}
+for p, n in ((4, 500), (48, 500), (64, 500)):
+    rng = np.random.Generator(np.random.Philox(key=p))
+    x = 0.1 * rng.normal(size=(n, p)).cumsum(axis=0) + rng.normal(size=(n, p))
+    hashes[f"var p={p}"] = digest(fit_var1(TimeSeries(x), FitConfig(1, 0.1, max_iterations=3, convergence_tol=1e-300)))
+spec = SyntheticSpec(oscillatory_ar5(), 200, 0.01, 1.0, 123)
+series = [spec.trajectory(trial)[1] for trial in range(10)]
+for k, result in enumerate(fit_ar_batch(series, FitConfig(5, 0.1, convergence_tol=1e-300, anchor_all_values=True))):
+    hashes[f"scan trial {k}"] = digest(result)
+hashes["nar"] = digest(fit_nar(series[0], NARFitConfig(4, lam=1e-3)))
+print(json.dumps(hashes))
+"""
+
+
+def _hashes(threads: int) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-c", FITS], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_fits_hash_the_same_on_one_and_two_blas_threads():
+    one, two = _hashes(1), _hashes(2)
+    assert len(one) == 3 + 10 + 1
+    assert [name for name in one if one[name] != two[name]] == []

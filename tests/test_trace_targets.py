@@ -6,7 +6,7 @@ metrics that target feeds then drop out of the benchmark result. A rename in
 hook that can no longer read its call's arguments (such as the file path of
 ``load_csv`` or ``write_csv``) marks its counters broken, and they drop out
 too; traced CLI runs check for that, that the order-scan op feeds nonzero
-banded-solve and simulation counts, and that the fit-var and artefact-study
+refit, banded-solve and simulation counts, and that the fit-var and artefact-study
 ops feed nonzero iteration counts and NAR step times.
 """
 
@@ -59,9 +59,11 @@ def test_traced_cli_runs_feed_every_per_layer_metric(tmp_path, capsys):
     names = set().union(*metrics.values())
     # A fit that stops reporting its iterations, or a loop that binds the NAR
     # steps before the tracer wraps them, would zero these spans silently; so
-    # would an order scan whose banded solve or simulation bypasses the
-    # names the tracer wraps.
-    assert metrics[0]["numerics.banded_solve_calls"] > 0 and metrics[0]["model.simulate_calls"] > 0
+    # would an order scan whose refit, banded solve or simulation bypasses
+    # the names the tracer wraps.
+    scan = metrics[0]
+    assert scan["numerics.regularized_ls_calls"] > 0
+    assert scan["numerics.banded_solve_calls"] > 0 and scan["model.simulate_calls"] > 0
     assert metrics[1]["linear.iterations"] > 0
     assert all(metrics[2][name] > 0 for name in ("nar.iterations", "nar.param_step_s", "nar.state_step_s"))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
