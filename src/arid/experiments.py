@@ -87,8 +87,8 @@ class ExperimentConfig:
     theta: tuple[float, ...] | None = None
     orders: tuple[int, ...] | None = None
     channel: int = 1
-    t_start: int = 150
-    t_end: int = 250
+    t_start: int = 75
+    t_end: int = 125
     artefact_std: float = 2.0
     report: str | None = None
 

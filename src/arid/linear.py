@@ -29,8 +29,7 @@ from .numerics import (
     block_smoother_diagonals,
     companion_eigenvalues,
     solve_banded_spd,
-    solve_block_smoother,
-    solve_block_tridiagonal_spd,  # noqa: F401  (perfbench/tracing.py wraps this binding by name)
+    solve_block_tridiagonal_spd,
     solve_regularized_ls,
 )
 
@@ -270,21 +269,16 @@ _RIDGE_BOOSTS = (1e-10, 1e-8, 1e-6)
 def _shift_diagonal(matrix, boost: float):
     """``matrix`` with its diagonal raised by ``boost`` times its largest diagonal-block entry (at least 1).
 
-    ``matrix`` is a :class:`BandedSPDMatrix`, a :class:`BlockTridiagonalSPDMatrix`,
-    or a block smoother ``(A, Q, num_blocks)`` of :func:`solve_block_smoother`,
+    ``matrix`` is a :class:`BandedSPDMatrix` or a :class:`BlockTridiagonalSPDMatrix`,
     whose shift goes into Q.
     """
     if isinstance(matrix, BandedSPDMatrix):
         bands = matrix.bands.copy()
         bands[0] += boost * max(1.0, float(bands[0].max()))
         return BandedSPDMatrix(matrix.dim, matrix.bandwidth, bands)
-    if isinstance(matrix, BlockTridiagonalSPDMatrix):
-        diag = matrix.diagonal_blocks
-        shift = boost * max(1.0, float(diag.max())) * np.eye(matrix.block_dim)
-        return BlockTridiagonalSPDMatrix(diag + shift, matrix.off_diagonal_blocks)
-    A, Q, num_blocks = matrix
+    A, Q, num_blocks = matrix.A, matrix.Q, matrix.num_blocks
     shift = boost * max(1.0, float(block_smoother_diagonals(A, Q, num_blocks).max())) * np.eye(len(Q))
-    return A, Q + shift, num_blocks
+    return BlockTridiagonalSPDMatrix(A, Q + shift, num_blocks)
 
 
 def _solve_smoother(matrix, rhs: np.ndarray, solve) -> np.ndarray:
@@ -306,12 +300,6 @@ def _solve_smoother(matrix, rhs: np.ndarray, solve) -> np.ndarray:
         except NotPositiveDefinite:
             continue
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
-
-
-def _solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray, probe=None) -> np.ndarray:
-    """:func:`solve_block_smoother` through the diagonal-shift ladder; the shifts go into Q."""
-    return _solve_smoother((A, Q, rhs.size // len(Q)), rhs,
-                           lambda system, v: solve_block_smoother(*system[:2], v, probe))
 
 
 def _solve_stacked(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -491,31 +479,22 @@ def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float =
     """Block-tridiagonal normal equations of the VAR(1) state update.
 
     With the identity readout every state is measured, so each diagonal
-    block picks up rho directly; the coupling blocks are -A. ``fit_var1``
-    solves the same system without assembling it, by
-    :func:`solve_block_smoother` with ``Q = (rho + lam) I``; this explicit
-    form is the reference that solver is tested against.
+    block picks up rho (and the ridge) directly: ``Q = (rho + lam) I``, one
+    block per time step, coupling blocks -A.
     """
     n, p = x.shape
-    eye = np.eye(p)
-    ata = A.T @ A
-    diag = np.empty((n, p, p))
-    diag[:] = (rho + lam) * eye
-    diag[1:] += eye
-    diag[:-1] += ata
-    off = np.tile(-A, (n - 1, 1, 1))
-    matrix = BlockTridiagonalSPDMatrix(diag, off)
-    rhs = (rho * x).reshape(-1)
-    return SmootherSystem(matrix, rhs)
+    return SmootherSystem(BlockTridiagonalSPDMatrix(A, (rho + lam) * np.eye(p), n), (rho * x).reshape(-1))
 
 
 def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     """First-order VAR variant of the alternating fit with a full transition matrix.
 
     The readout is the identity, so the smoothing step couples the p
-    channels through a block-tridiagonal system, solved by
-    :func:`solve_block_smoother` (a steady-state Cholesky factor on long
-    series, the whole band factor otherwise); with p == 1 the whole
+    channels through the block-tridiagonal system of
+    :func:`assemble_var_smoother`, solved by
+    :func:`~arid.numerics.solve_block_tridiagonal_spd` (a steady-state
+    Cholesky factor on long series, the whole band factor otherwise) through
+    the diagonal-shift ladder; with p == 1 the whole
     procedure reduces to ``fit_ar`` at order 1. It runs as a stack of one
     in :func:`_alternate`.
     """
@@ -525,14 +504,14 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     n, p = x.shape
     if n < 2:
         raise HorizonTooShort("need at least two steps")
-    Q, rhs = (config.rho + config.lam) * np.eye(p), (config.rho * x).reshape(-1)
 
     def refit(x_hat, windows):
         A = solve_regularized_ls(x_hat[0, :-1], x_hat[0, 1:], config.lam).T
         return A[None], np.array([_var_dynamics(A, x_hat[0])])
 
     def smooth(A, active):
-        candidate = _solve_block_smoother(A[0], Q, rhs).reshape(1, n, p)
+        system = assemble_var_smoother(A[0], x, config.rho, config.lam)
+        candidate = _solve_smoother(system.normal_matrix, system.rhs, solve_block_tridiagonal_spd).reshape(1, n, p)
         return candidate, None, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
 
     return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,

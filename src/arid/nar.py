@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, SmootherSystem, _alternate, _solve_block_smoother, _var_dynamics
+from .linear import FitResult, SmootherSystem, _alternate, _solve_smoother, _var_dynamics
 from .model import TimeSeries, scalar_values
-from .numerics import (
-    BlockTridiagonalSPDMatrix,
-    SteadyProbe,
-    solve_block_tridiagonal_spd,  # noqa: F401  (perfbench/tracing.py wraps this binding by name)
-    solve_regularized_ls,
-)
+from .numerics import BlockTridiagonalSPDMatrix, SteadyProbe, solve_block_tridiagonal_spd, solve_regularized_ls
 from .signature import _signatures_flat, sig_dim
 
 _ALPHABET = 2  # fixed by the two-column path construction
@@ -119,8 +114,13 @@ def nar_param_step(gamma_minus: np.ndarray, gamma_plus: np.ndarray, y_plus: np.n
     return NARModel(w.T, c)
 
 
-def _smoother_terms(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float):
-    """Per-block measurement term Q and right-hand side of the state step, one block per t = r..N."""
+def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> SmootherSystem:
+    """Block-tridiagonal normal equations over the free signature states.
+
+    One block per time step t = r..N. The readout is rank one, so the
+    measurement contributes ``rho * outer(C, C)`` to Q, the ridge ``lam I``;
+    the coupling blocks are -A.
+    """
     yo = scalar_values(y)
     if yo.size <= order_r:
         raise HorizonTooShort(f"need more than order_r = {order_r} steps, got {yo.size}")
@@ -130,28 +130,7 @@ def _smoother_terms(model: NARModel, y: TimeSeries, order_r: int, rho: float, la
         raise ValueError("lam must be nonnegative")
     Q = rho * np.outer(model.C_sig, model.C_sig) + lam * np.eye(model.n_s)
     rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(-1)
-    return Q, rhs
-
-
-def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> SmootherSystem:
-    """Block-tridiagonal normal equations over the free signature states.
-
-    One block per time step t = r..N. The readout is rank one, so the
-    measurement contributes ``rho * outer(C, C)`` per diagonal block; the
-    coupling blocks are -A. :func:`nar_state_step` solves the same system
-    without assembling it, by ``numerics.solve_block_smoother``; this
-    explicit form is the reference that solver is tested against.
-    """
-    Q, rhs = _smoother_terms(model, y, order_r, rho, lam)
-    m_blocks, ns = rhs.size // model.n_s, model.n_s
-    eye = np.eye(ns)
-    diag = np.empty((m_blocks, ns, ns))
-    diag[:] = Q
-    diag[1:] += eye
-    diag[:-1] += model.A_sig.T @ model.A_sig
-    off = np.tile(-model.A_sig, (m_blocks - 1, 1, 1))
-    matrix = BlockTridiagonalSPDMatrix(diag, off)
-    return SmootherSystem(matrix, rhs)
+    return SmootherSystem(BlockTridiagonalSPDMatrix(model.A_sig, Q, yo.size - order_r + 1), rhs)
 
 
 def nar_state_step(
@@ -168,14 +147,15 @@ def nar_state_step(
     Returns the stacked smoothed states (one row per t = r..N) and the
     refreshed trajectory estimate. Values before t = r have no state of
     their own and are carried over from ``y_prev``. ``probe`` is handed to
-    ``numerics.solve_block_smoother``; a fit shares one over its steps.
+    ``numerics.solve_block_tridiagonal_spd``; a fit shares one over its steps.
     """
     prev = scalar_values(y_prev)
     yo = scalar_values(y)
     if prev.size != yo.size:
         raise ValueError("y_prev must have the same length as y")
-    Q, rhs = _smoother_terms(model, y, order_r, rho, lam)
-    states = _solve_block_smoother(model.A_sig, Q, rhs, probe).reshape(-1, model.n_s)
+    system = assemble_nar_smoother(model, y, order_r, rho, lam)
+    states = _solve_smoother(system.normal_matrix, system.rhs,
+                             lambda matrix, v: solve_block_tridiagonal_spd(matrix, v, probe)).reshape(-1, model.n_s)
     refreshed = np.concatenate((prev[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
 

@@ -133,85 +133,43 @@ def solve_banded_spd(matrix: BandedSPDMatrix, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlockTridiagonalSPDMatrix:
-    """Block tridiagonal matrix with symmetric diagonal blocks.
+    """The block-tridiagonal SPD state step shared by the VAR and NAR smoothers.
 
-    ``off_diagonal_blocks[i]`` couples block i+1 to block i (it sits at the
-    (i+1, i) position of the block partition); its transpose is implied at
-    (i, i+1). The fits no longer build it: they call
-    :func:`solve_block_smoother`, and this explicit form with
-    :func:`solve_block_tridiagonal_spd` is the reference it is tested against.
+    Over ``num_blocks`` = m blocks of size b, diagonal block t is
+    ``Q + [t > 0] I + [t < m - 1] A^T A`` and the coupling block below it
+    is -A (its transpose above). Only A, Q and m are stored; the shapes
+    and finiteness of A and Q are checked here, once.
     """
 
-    diagonal_blocks: np.ndarray
-    off_diagonal_blocks: np.ndarray
+    A: np.ndarray
+    Q: np.ndarray
+    num_blocks: int
 
     def __post_init__(self):
-        diag = np.ascontiguousarray(np.asarray(self.diagonal_blocks, dtype=float))
-        off = np.ascontiguousarray(np.asarray(self.off_diagonal_blocks, dtype=float))
-        if diag.ndim != 3 or diag.shape[1] != diag.shape[2]:
-            raise ValueError("diagonal_blocks must be a (M, b, b) stack")
-        m, b = diag.shape[0], diag.shape[1]
-        if m < 1 or b < 1:
-            raise ValueError("need at least one block of positive dimension")
-        if off.shape != (m - 1, b, b):
-            raise ValueError(f"off_diagonal_blocks must have shape {(m - 1, b, b)}")
-        _require_finite("diagonal_blocks", diag)
-        _require_finite("off_diagonal_blocks", off)
-        diag_t = np.transpose(diag, (0, 2, 1))
-        if not np.allclose(diag, diag_t, rtol=1e-10, atol=0.0):
-            raise ValueError("diagonal blocks must be symmetric")
-        object.__setattr__(self, "diagonal_blocks", (diag + diag_t) / 2.0)
-        object.__setattr__(self, "off_diagonal_blocks", off)
-
-    @property
-    def num_blocks(self) -> int:
-        return self.diagonal_blocks.shape[0]
+        A = np.asarray(self.A, dtype=float)
+        Q = np.asarray(self.Q, dtype=float)
+        b = Q.shape[0] if Q.ndim == 2 else 0
+        if b < 1 or Q.shape != (b, b) or A.shape != (b, b):
+            raise ValueError("A and Q must be square blocks of one positive size")
+        if self.num_blocks < 1:
+            raise ValueError("need at least one block")
+        _require_finite("A", A)
+        _require_finite("Q", Q)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "Q", Q)
 
     @property
     def block_dim(self) -> int:
-        return self.diagonal_blocks.shape[1]
+        return self.Q.shape[0]
 
     @property
     def dim(self) -> int:
         return self.num_blocks * self.block_dim
 
-    def lower_bands(self) -> np.ndarray:
-        """The matrix in lower band storage, as :class:`BandedSPDMatrix` holds it.
-
-        Row k is subdiagonal k, for k up to ``min(2b - 1, dim - 1)``. Within
-        block column i it takes entries from diagonal block i while k + c < b
-        (c the column inside the block), then from coupling block i.
-        """
-        m, b = self.num_blocks, self.block_dim
-        width = min(2 * b, self.dim)
-        bands = np.zeros((width, m, b))
-        for k in range(width):
-            if k < b:
-                bands[k, :, : b - k] = np.diagonal(self.diagonal_blocks, -k, axis1=1, axis2=2)
-            bands[k, :-1, max(b - k, 0) : min(b, 2 * b - k)] = np.diagonal(
-                self.off_diagonal_blocks, b - k, axis1=1, axis2=2
-            )
-        return bands.reshape(width, self.dim)
-
-
-def solve_block_tridiagonal_spd(matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
-
-    With b x b blocks the matrix is a band matrix of half-bandwidth 2b - 1;
-    it is packed by :meth:`BlockTridiagonalSPDMatrix.lower_bands` and solved
-    by the same LAPACK routine as :func:`solve_banded_spd`. The reference
-    for :func:`solve_block_smoother`, which the VAR and NAR fits call.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (matrix.dim,):
-        raise ValueError("rhs length must equal num_blocks * block_dim")
-    bands = matrix.lower_bands()
-    return solve_banded_spd(BandedSPDMatrix(matrix.dim, len(bands) - 1, bands), rhs)
-
 
 # Block columns of the smoother factored before the factor is tested for a
 # steady state; shorter systems than 4 * _LEAD_BLOCKS blocks are factored
-# whole. See solve_block_smoother.
+# whole. See solve_block_tridiagonal_spd.
 _LEAD_BLOCKS = 32
 # Largest difference, in units of rounding of the block column's largest
 # entry, at which two consecutive block columns of the factor count as equal.
@@ -219,7 +177,7 @@ _STEADY_ULPS = 4
 
 
 class SteadyProbe:
-    """Whether :func:`solve_block_smoother` still tries the steady path on a run of related systems.
+    """Whether :func:`solve_block_tridiagonal_spd` still tries the steady path on a run of related systems.
 
     One fit hands the same probe to each of its state steps. Once a leading
     factor has failed to settle, the probe is off, and the later systems are
@@ -259,7 +217,7 @@ def _band_columns(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 
 
 def block_smoother_bands(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
-    """The block smoother of :func:`solve_block_smoother` in lower band storage.
+    """The block smoother ``BlockTridiagonalSPDMatrix(A, Q, num_blocks)`` in lower band storage.
 
     Row k is subdiagonal k, for k up to ``min(2b - 1, dim - 1)``, as
     :class:`BandedSPDMatrix` holds it. The band columns are built for the
@@ -317,33 +275,25 @@ def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray 
     return factor.reshape(-1, 2 * b).T
 
 
-def solve_block_smoother(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray, probe: SteadyProbe | None = None) -> np.ndarray:
-    """Solve the block-tridiagonal SPD state step shared by the VAR and NAR smoothers.
+def solve_block_tridiagonal_spd(
+    matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarray, probe: SteadyProbe | None = None
+) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
 
-    The system has m = ``len(rhs) / b`` diagonal blocks
-    ``Q + [t > 0] I + [t < m - 1] A^T A`` and coupling blocks -A, A and Q
-    being b x b. Its bands (half-bandwidth 2b - 1) are built for at most
-    three blocks and the middle block column repeated. From 4 *
-    ``_LEAD_BLOCKS`` blocks on, only the leading blocks are factored; when
-    their factor has reached its steady state (see :func:`_steady_factor`)
-    it is tiled over the rest. Otherwise, and on shorter systems, the whole
-    band matrix is factored. Either way LAPACK ``dpbtrs`` solves with the
-    factor; a nonpositive pivot raises :class:`NotPositiveDefinite`. With a
-    ``probe`` that is off, the leading blocks are not tried; a lead that
-    fails to settle switches it off.
+    The bands (half-bandwidth 2b - 1) are built for at most three blocks
+    and the middle block column repeated. From 4 * ``_LEAD_BLOCKS`` blocks
+    on, only the leading blocks are factored; when their factor has reached
+    its steady state (see :func:`_steady_factor`) it is tiled over the rest.
+    Otherwise, and on shorter systems, the whole band matrix is factored.
+    Either way LAPACK ``dpbtrs`` solves with the factor; a nonpositive pivot
+    raises :class:`NotPositiveDefinite`. With a ``probe`` that is off, the
+    leading blocks are not tried; a lead that fails to settle switches it off.
     """
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    b = Q.shape[0] if Q.ndim == 2 else 0
-    if b < 1 or Q.shape != (b, b) or A.shape != (b, b):
-        raise ValueError("A and Q must be square blocks of one positive size")
-    if rhs.ndim != 1 or rhs.size < b or rhs.size % b:
-        raise ValueError("rhs length must be a positive multiple of the block size")
-    _require_finite("A", A)
-    _require_finite("Q", Q)
+    if rhs.shape != (matrix.dim,):
+        raise ValueError("rhs length must equal num_blocks * block_dim")
     _require_finite("rhs", rhs)
-    num_blocks = rhs.size // b
+    A, Q, num_blocks = matrix.A, matrix.Q, matrix.num_blocks
     steady = num_blocks >= 4 * _LEAD_BLOCKS and (probe is None or probe.on)
     factor = _steady_factor(A, Q, num_blocks) if steady else None
     if factor is None:

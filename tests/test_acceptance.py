@@ -15,6 +15,9 @@ from arid.dataio import inject_artefact
 from arid.experiments import ExperimentConfig, run_experiment
 from arid.linear import (
     FitConfig,
+    _solve_stacked,
+    assemble_ar_smoother,
+    assemble_var_smoother,
     error_metrics,
     evaluate_loss,
     fit_ar,
@@ -35,16 +38,17 @@ from arid.model import (
     simulate,
 )
 from arid.nar import NARFitConfig, fit_nar, nar_predict_one_step
-from arid.numerics import solve_banded_spd, solve_block_tridiagonal_spd
+from arid.numerics import (
+    _LEAD_BLOCKS,
+    BlockTridiagonalSPDMatrix,
+    SteadyProbe,
+    solve_banded_spd,
+    solve_block_tridiagonal_spd,
+)
 from arid.selection import order_scan
 from arid.signature import GeometricPath, embed_to_path, sig_dim, signature
 
-from test_numerics import (
-    dense_from_blocks,
-    pack_lower_bands,
-    random_banded_spd_dense,
-    random_block_tridiagonal_spd,
-)
+from test_numerics import kronecker_smoother, pack_lower_bands, random_banded_spd_dense
 from test_signature import brute_force_signature, chen_product, flatten_words, tensor_power
 
 TRUE_ORDER = 5
@@ -207,35 +211,107 @@ def test_5_both_steps_are_stationary_points(capsys):
             up = evaluate_loss(theta, TimeSeries(smoothed + bump), y, rho, anchor).total
             down = evaluate_loss(theta, TimeSeries(smoothed - bump), y, rho, anchor).total
             worst = max(worst, abs(up - down) / (2 * step) / scale)
+
+    # The VAR state step, on series both below and above the length from
+    # which the block solver may tile a steady-state factor.
+    for instance in range(20):
+        channels = int(rng.integers(1, 5))
+        n_steps = int(rng.integers(30, 61)) if instance % 2 else int(rng.integers(4 * _LEAD_BLOCKS, 161))
+        rho = float(rng.choice([0.01, 0.1, 1.0]))
+        x = rng.normal(size=(n_steps, channels))
+        A = rng.normal(size=(channels, channels))
+        A *= rng.uniform(0.3, 0.95) / float(np.max(np.abs(np.linalg.eigvals(A))))
+
+        def var_loss(states):
+            resid = states[1:] - states[:-1] @ A.T
+            err = x - states
+            return float(np.sum(resid * resid) + rho * np.sum(err * err))
+
+        system = assemble_var_smoother(A, x, rho)
+        smoothed = solve_block_tridiagonal_spd(system.normal_matrix, system.rhs).reshape(x.shape)
+        scale = max(1.0, var_loss(smoothed))
+        for index in np.ndindex(x.shape):
+            step = 1e-6 * max(1.0, abs(smoothed[index]))
+            bump = np.zeros(x.shape)
+            bump[index] = step
+            up, down = var_loss(smoothed + bump), var_loss(smoothed - bump)
+            worst = max(worst, abs(up - down) / (2 * step) / scale)
     elapsed = time.perf_counter() - start
     passed = worst < 1e-4 and elapsed < 60.0
-    emit(capsys, 5, "steps kill the gradient", passed, f"worst relative gradient {worst:.2e}, {elapsed:.1f}s")
+    emit(capsys, 5, "steps kill the gradient", passed,
+         f"worst relative gradient {worst:.2e} over 50 AR and 20 VAR instances, {elapsed:.1f}s")
     assert passed
+
+
+def ar_smoother_dense(theta: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
+    """The AR smoother's normal matrix built from its residual operator, one row per residual."""
+    r = theta.size
+    residuals = np.zeros((n - r, n))
+    for row in range(n - r):
+        residuals[row, row : row + r] = -theta[::-1]
+        residuals[row, row + r] = 1.0
+    return residuals.T @ residuals + np.diag(rho * (np.arange(n) >= start) + lam)
 
 
 def test_6_structured_solvers_match_dense_oracle(capsys):
     rng = np.random.Generator(np.random.Philox(key=606))
     start = time.perf_counter()
-    worst = 0.0
+    worst, long_draws, steady_draws = 0.0, 0, 0
+
+    def compare(solved, dense, rhs):
+        nonlocal worst
+        oracle = np.linalg.solve(dense, rhs)
+        worst = max(worst, float(np.linalg.norm(solved - oracle) / max(np.linalg.norm(oracle), 1e-30)))
+
     for instance in range(100):
         if instance % 2 == 0:
             dim = int(rng.integers(1, 61))
             bandwidth = int(rng.integers(0, min(dim, 7)))
             dense = random_banded_spd_dense(rng, dim, bandwidth)
             rhs = rng.normal(size=dim)
-            solved = solve_banded_spd(pack_lower_bands(dense, bandwidth), rhs)
-        else:
-            num_blocks = int(rng.integers(1, 13))
-            block_dim = int(rng.integers(1, min(5, 60 // num_blocks) + 1))
-            matrix = random_block_tridiagonal_spd(rng, num_blocks, block_dim)
-            dense = dense_from_blocks(matrix)
-            rhs = rng.normal(size=num_blocks * block_dim)
-            solved = solve_block_tridiagonal_spd(matrix, rhs)
-        oracle = np.linalg.solve(dense, rhs)
-        worst = max(worst, float(np.linalg.norm(solved - oracle) / max(np.linalg.norm(oracle), 1e-30)))
+            compare(solve_banded_spd(pack_lower_bands(dense, bandwidth), rhs), dense, rhs)
+            continue
+        # The VAR/NAR smoother (A, Q), Q SPD, on both sides of the length from
+        # which the solver tries the steady-state factor. A weak Q and a
+        # spectral radius near 1 keep some long draws from settling.
+        long = instance % 4 == 3
+        block_dim = int(rng.integers(1, 9))
+        lead = 4 * _LEAD_BLOCKS
+        num_blocks = int(rng.integers(lead, lead + 33)) if long else int(rng.integers(1, lead))
+        A = rng.normal(size=(block_dim, block_dim))
+        A *= rng.uniform(0.3, 0.99) / float(np.max(np.abs(np.linalg.eigvals(A))))
+        lower = rng.normal(size=(block_dim, block_dim))
+        Q = 10.0 ** rng.uniform(-2.0, 0.5) * (lower @ lower.T / block_dim + np.eye(block_dim))
+        rhs = rng.normal(size=num_blocks * block_dim)
+        probe = SteadyProbe()
+        solved = solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(A, Q, num_blocks), rhs, probe)
+        # A long system leaves the probe on only if its leading factor settled and was tiled.
+        long_draws += long
+        steady_draws += long and probe.on
+        compare(solved, kronecker_smoother(A, Q, num_blocks).toarray(), rhs)
+
+    # Stacks of AR smoothers solved as one banded system, every value
+    # anchored as in the order scan. Without the anchor the first r - 1
+    # values hang on a small trailing coefficient alone, and at condition
+    # numbers up to 1e11 the dense oracle is no reference.
+    for _ in range(20):
+        order = int(rng.integers(1, 11))
+        n = int(rng.integers(order + 1, 201))
+        rho, lam = float(rng.choice([0.01, 0.1, 1.0])), float(rng.choice([0.0, 0.01]))
+        thetas = [stable_coefficients(rng, order).theta for _ in range(int(rng.integers(1, 11)))]
+        systems = [
+            assemble_ar_smoother(ARParams(theta), TimeSeries(rng.normal(size=n)), rho, lam, anchor_all=True)
+            for theta in thetas
+        ]
+        rhs = np.stack([system.rhs for system in systems])
+        solved = _solve_stacked(np.stack([system.normal_matrix.bands for system in systems]), rhs)
+        for theta, member, v in zip(thetas, solved, rhs):
+            compare(member, ar_smoother_dense(theta, n, rho, lam, 0), v)
     elapsed = time.perf_counter() - start
-    passed = worst < 1e-10 and elapsed < 30.0
-    emit(capsys, 6, "solvers match dense oracle", passed, f"worst relative error {worst:.2e}, {elapsed:.1f}s")
+    passed = worst < 1e-10 and steady_draws > 0 and elapsed < 30.0
+    emit(capsys, 6, "solvers match dense oracle", passed,
+         f"worst relative error {worst:.2e}, {steady_draws} of {long_draws} long smoother draws on the steady path, "
+         f"{elapsed:.1f}s")
     assert passed
 
 

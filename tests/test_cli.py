@@ -210,6 +210,14 @@ def test_predict_without_report_exits_with_usage_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_artefact_study_runs_with_no_flags(tmp_path):
+    # The default artefact window has to fall inside the default training half.
+    proc = run_cli("artefact-study", "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    config = json.loads(proc.stdout)["config"]
+    assert 1 <= config["t_start"] <= config["t_end"] <= config["n_steps"]
+
+
 def test_artefact_study_refit_beats_first_iteration(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(

@@ -10,7 +10,6 @@ from arid.linear import (
     _RIDGE_BOOSTS,
     FitConfig,
     LossBreakdown,
-    _solve_block_smoother,
     _assemble_bands,
     _solve_smoother,
     _solve_stacked,
@@ -617,7 +616,8 @@ def reference_fit_var1(y: TimeSeries, config: FitConfig):
     x_hat, history, estimates, monitor_prev, converged = x, [], [], None, False
     for _ in range(config.max_iterations):
         A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
-        candidate = _solve_block_smoother(A, (rho + lam) * np.eye(p), (rho * x).reshape(-1)).reshape(x.shape)
+        matrix = BlockTridiagonalSPDMatrix(A, (rho + lam) * np.eye(p), n)
+        candidate = _solve_smoother(matrix, (rho * x).reshape(-1), solve_block_tridiagonal_spd).reshape(x.shape)
         loss, held = loss_of(A, candidate), loss_of(A, x_hat)
         if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
             candidate, loss = x_hat, held
@@ -752,7 +752,7 @@ def test_stacked_smoothers_equal_solo_solves():
     "matrix, solve",
     [
         (BandedSPDMatrix(3, 0, -np.ones((1, 3))), solve_banded_spd),
-        (BlockTridiagonalSPDMatrix(np.stack([-np.eye(2)] * 2), np.zeros((1, 2, 2))), solve_block_tridiagonal_spd),
+        (BlockTridiagonalSPDMatrix(np.zeros((2, 2)), -np.eye(2), 2), solve_block_tridiagonal_spd),
     ],
 )
 def test_ladder_gives_up_on_indefinite_system(matrix, solve):

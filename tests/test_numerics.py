@@ -7,10 +7,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from arid import numerics
 from arid.errors import NonFinite, NotPositiveDefinite, SingularSystem
-from arid.linear import _shift_diagonal, _solve_block_smoother, assemble_var_smoother
+from arid.linear import _shift_diagonal, _solve_smoother, assemble_var_smoother
 from arid.model import ARParams, TimeSeries, build_companion, coefficients_from_roots
 from arid.nar import NARModel, assemble_nar_smoother
 from arid.numerics import (
@@ -19,17 +20,17 @@ from arid.numerics import (
     block_smoother_bands,
     companion_eigenvalues,
     solve_banded_spd,
-    solve_block_smoother,
     solve_block_tridiagonal_spd,
     solve_regularized_ls,
 )
 
 
-def pack_lower_bands(dense: np.ndarray, bandwidth: int) -> BandedSPDMatrix:
+def pack_lower_bands(dense, bandwidth: int) -> BandedSPDMatrix:
+    """The lower bands of a dense array or a SciPy sparse matrix."""
     dim = dense.shape[0]
     bands = np.zeros((bandwidth + 1, dim))
     for k in range(bandwidth + 1):
-        bands[k, : dim - k] = np.diagonal(dense, -k)
+        bands[k, : dim - k] = dense.diagonal(-k)
     return BandedSPDMatrix(dim, bandwidth, bands)
 
 
@@ -39,38 +40,52 @@ def random_banded_spd_dense(rng: np.random.Generator, dim: int, bandwidth: int) 
     return factor @ factor.T + 0.5 * np.eye(dim)
 
 
-def dense_from_blocks(matrix: BlockTridiagonalSPDMatrix) -> np.ndarray:
-    m, b = matrix.num_blocks, matrix.block_dim
-    dense = np.zeros((m * b, m * b))
-    for i in range(m):
-        dense[i * b : (i + 1) * b, i * b : (i + 1) * b] = matrix.diagonal_blocks[i]
-    for i in range(m - 1):
-        block = matrix.off_diagonal_blocks[i]
-        dense[(i + 1) * b : (i + 2) * b, i * b : (i + 1) * b] = block
-        dense[i * b : (i + 1) * b, (i + 1) * b : (i + 2) * b] = block.T
-    return dense
+def kronecker_smoother(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> sp.csr_matrix:
+    """The block smoother built entry by entry from Kronecker products, as a sparse matrix."""
+    b, m = Q.shape[0], num_blocks
+    t = np.arange(m)
+    return (
+        sp.kron(sp.eye(m), Q)
+        + sp.kron(sp.diags((t > 0).astype(float)), np.eye(b))
+        + sp.kron(sp.diags((t < m - 1).astype(float)), A.T @ A)
+        - sp.kron(sp.eye(m, k=-1), A)
+        - sp.kron(sp.eye(m, k=1), A.T)
+    ).tocsr()
 
 
-def random_block_tridiagonal_spd(
-    rng: np.random.Generator, num_blocks: int, block_dim: int
-) -> BlockTridiagonalSPDMatrix:
-    diag = rng.normal(size=(num_blocks, block_dim, block_dim))
-    diag = (diag + np.transpose(diag, (0, 2, 1))) / 2.0
-    off = rng.normal(size=(num_blocks - 1, block_dim, block_dim))
-    raw = BlockTridiagonalSPDMatrix(diag, off)
-    shift = abs(float(np.linalg.eigvalsh(dense_from_blocks(raw)).min())) + 1.0
-    return BlockTridiagonalSPDMatrix(diag + shift * np.eye(block_dim), off)
+def oracle_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Kronecker-built block smoother solved by LU.
+
+    Dense ``np.linalg.solve`` up to dim 2048; above that a sparse LU keeps
+    the oracle within memory.
+    """
+    matrix = kronecker_smoother(A, Q, rhs.size // Q.shape[0])
+    if rhs.size <= 2048:
+        return np.linalg.solve(matrix.toarray(), rhs)
+    return spla.spsolve(matrix.tocsc(), rhs)
 
 
-def factored_block_tridiagonal_spd(
-    rng: np.random.Generator, num_blocks: int, block_dim: int
-) -> BlockTridiagonalSPDMatrix:
-    """``L @ L.T + I`` for a random block lower-bidiagonal ``L``: SPD with no dense eigensolve."""
-    lower = rng.normal(size=(num_blocks, block_dim, block_dim))
-    sub = rng.normal(size=(num_blocks - 1, block_dim, block_dim))
-    diag = lower @ np.transpose(lower, (0, 2, 1)) + np.eye(block_dim)
-    diag[1:] += sub @ np.transpose(sub, (0, 2, 1))
-    return BlockTridiagonalSPDMatrix(diag, sub @ np.transpose(lower[:-1], (0, 2, 1)))
+def smoother_bandwidth(block_dim: int, num_blocks: int) -> int:
+    return min(2 * block_dim - 1, num_blocks * block_dim - 1)
+
+
+def lapack_band_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK ``dpbtrf`` + ``dpbtrs`` on the lower bands packed from the Kronecker-built smoother."""
+    b = Q.shape[0]
+    m = rhs.size // b
+    bands = pack_lower_bands(kronecker_smoother(A, Q, m), smoother_bandwidth(b, m)).bands
+    factor, info = dpbtrf(bands, lower=1)
+    assert info == 0
+    solution, info = dpbtrs(factor, rhs, lower=1)
+    assert info == 0
+    return solution
+
+
+def random_smoother(rng: np.random.Generator, num_blocks: int, block_dim: int) -> BlockTridiagonalSPDMatrix:
+    """A smoother with a random transition A and a random SPD Q, whose least eigenvalue is at least 0.5."""
+    A = rng.normal(size=(block_dim, block_dim))
+    lower = rng.normal(size=(block_dim, block_dim))
+    return BlockTridiagonalSPDMatrix(A, lower @ lower.T + 0.5 * np.eye(block_dim), num_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -264,35 +279,33 @@ def test_band_container_keeps_column_major_bands_without_a_copy():
 
 
 def test_identity_blocks_reproduce_rhs():
-    matrix = BlockTridiagonalSPDMatrix(
-        np.stack([np.eye(2)] * 3), np.zeros((2, 2, 2))
-    )
-    rhs = np.zeros(6)
-    rhs[0] = 1.0
+    # One block is Q alone, whatever A; with no dynamics the blocks decouple
+    # into Q for the first and Q + I for the rest.
+    rng = np.random.Generator(np.random.Philox(key=12))
+    rhs = rng.normal(size=6)
+    one_block = BlockTridiagonalSPDMatrix(rng.normal(size=(6, 6)), np.eye(6), 1)
+    np.testing.assert_allclose(solve_block_tridiagonal_spd(one_block, rhs), rhs, rtol=0, atol=1e-14)
+    decoupled = BlockTridiagonalSPDMatrix(np.zeros((2, 2)), np.eye(2), 3)
     np.testing.assert_allclose(
-        solve_block_tridiagonal_spd(matrix, rhs), rhs, rtol=0, atol=1e-14
+        solve_block_tridiagonal_spd(decoupled, rhs), rhs / [1, 1, 2, 2, 2, 2], rtol=0, atol=1e-14
     )
 
 
 def test_scalar_blocks_match_banded_solver():
     rng = np.random.Generator(np.random.Philox(key=13))
-    dense = random_banded_spd_dense(rng, 30, 1)
+    matrix = random_smoother(rng, 30, 1)
     rhs = rng.normal(size=30)
-    diag = np.diagonal(dense).reshape(30, 1, 1)
-    off = np.diagonal(dense, -1).reshape(29, 1, 1)
-    block_solution = solve_block_tridiagonal_spd(
-        BlockTridiagonalSPDMatrix(diag, off), rhs
-    )
-    banded_solution = solve_banded_spd(pack_lower_bands(dense, 1), rhs)
+    block_solution = solve_block_tridiagonal_spd(matrix, rhs)
+    banded_solution = solve_banded_spd(pack_lower_bands(kronecker_smoother(matrix.A, matrix.Q, 30), 1), rhs)
     np.testing.assert_allclose(block_solution, banded_solution, rtol=1e-12)
 
 
 def test_long_chain_matches_dense_solve():
     rng = np.random.Generator(np.random.Philox(key=14))
-    matrix = random_block_tridiagonal_spd(rng, 50, 4)
+    matrix = random_smoother(rng, 50, 4)
     rhs = rng.normal(size=200)
     solution = solve_block_tridiagonal_spd(matrix, rhs)
-    oracle = np.linalg.solve(dense_from_blocks(matrix), rhs)
+    oracle = np.linalg.solve(kronecker_smoother(matrix.A, matrix.Q, 50).toarray(), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
 
 
@@ -301,32 +314,26 @@ def test_long_chain_matches_dense_solve():
 @pytest.mark.parametrize("num_blocks, block_dim", [(1, 1), (1, 5), (397, 7), (40, 32)])
 def test_block_solve_matches_dense_oracle_at_fixed_shapes(num_blocks, block_dim):
     rng = np.random.Generator(np.random.Philox(key=num_blocks * 100 + block_dim))
-    matrix = factored_block_tridiagonal_spd(rng, num_blocks, block_dim)
+    matrix = random_smoother(rng, num_blocks, block_dim)
     rhs = rng.normal(size=matrix.dim)
     solution = solve_block_tridiagonal_spd(matrix, rhs)
-    oracle = np.linalg.solve(dense_from_blocks(matrix), rhs)
+    oracle = np.linalg.solve(kronecker_smoother(matrix.A, matrix.Q, num_blocks).toarray(), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("num_blocks, block_dim", [(1, 1), (1, 4), (2, 1), (2, 3), (5, 2), (6, 4)])
 def test_lower_bands_round_trip_through_dense(num_blocks, block_dim):
+    # The short systems, where the bands are cut to fewer than 2b rows.
     rng = np.random.Generator(np.random.Philox(key=16))
-    matrix = factored_block_tridiagonal_spd(rng, num_blocks, block_dim)
-    bandwidth = min(2 * block_dim - 1, matrix.dim - 1)
-    expected = pack_lower_bands(dense_from_blocks(matrix), bandwidth).bands
-    np.testing.assert_array_equal(matrix.lower_bands(), expected)
-
-
-def test_asymmetric_diagonal_block_rejected():
-    diag = np.stack([np.array([[1.0, 2.0], [0.0, 1.0]])] * 2)
-    with pytest.raises(ValueError):
-        BlockTridiagonalSPDMatrix(diag, np.zeros((1, 2, 2)))
+    matrix = random_smoother(rng, num_blocks, block_dim)
+    expected = pack_lower_bands(
+        kronecker_smoother(matrix.A, matrix.Q, num_blocks), smoother_bandwidth(block_dim, num_blocks)
+    ).bands
+    np.testing.assert_array_equal(block_smoother_bands(matrix.A, matrix.Q, num_blocks), expected)
 
 
 def test_indefinite_chain_raises():
-    matrix = BlockTridiagonalSPDMatrix(
-        np.stack([-np.eye(2)] * 2), np.zeros((1, 2, 2))
-    )
+    matrix = BlockTridiagonalSPDMatrix(np.zeros((2, 2)), -np.eye(2), 2)
     with pytest.raises(NotPositiveDefinite):
         solve_block_tridiagonal_spd(matrix, np.ones(4))
 
@@ -338,15 +345,15 @@ def test_indefinite_chain_raises():
 )
 def test_block_solve_agrees_with_dense_oracle(seed, num_blocks, block_dim):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    matrix = random_block_tridiagonal_spd(rng, num_blocks, block_dim)
+    matrix = random_smoother(rng, num_blocks, block_dim)
     rhs = rng.normal(size=num_blocks * block_dim)
     solution = solve_block_tridiagonal_spd(matrix, rhs)
-    oracle = np.linalg.solve(dense_from_blocks(matrix), rhs)
+    oracle = np.linalg.solve(kronecker_smoother(matrix.A, matrix.Q, num_blocks).toarray(), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
-# solve_block_smoother
+# The VAR and NAR smoothers
 
 NAR_ORDER = 4
 
@@ -357,10 +364,10 @@ def transition_with_radius(rng: np.random.Generator, block_dim: int, radius: flo
 
 
 def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radius: float = 0.6):
-    """(A, Q, rhs, reference system) of a VAR or NAR state step with ``num_blocks`` blocks.
+    """(A, Q, rhs, assembled system) of a VAR or NAR state step with ``num_blocks`` blocks.
 
-    The reference is the explicitly assembled block-tridiagonal system, or
-    None for a one-block NAR system, which no series can produce.
+    The system comes from ``assemble_var_smoother`` or ``assemble_nar_smoother``,
+    or is None for a one-block NAR system, which no series can produce.
     """
     rng = np.random.default_rng([block_dim, num_blocks, int(1000 * rho)])
     A = transition_with_radius(rng, block_dim, radius)
@@ -380,30 +387,13 @@ def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radi
     return A, Q, system.rhs, system
 
 
-def oracle_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The block smoother built entry by entry from Kronecker products and solved by LU.
-
-    Dense ``np.linalg.solve`` up to dim 2048; above that a sparse LU keeps
-    the oracle within memory.
-    """
-    b = Q.shape[0]
-    m = rhs.size // b
-    t = np.arange(m)
-    matrix = (
-        sp.kron(sp.eye(m), Q)
-        + sp.kron(sp.diags((t > 0).astype(float)), np.eye(b))
-        + sp.kron(sp.diags((t < m - 1).astype(float)), A.T @ A)
-        - sp.kron(sp.eye(m, k=-1), A)
-        - sp.kron(sp.eye(m, k=1), A.T)
-    )
-    if rhs.size <= 2048:
-        return np.linalg.solve(matrix.toarray(), rhs)
-    return spla.spsolve(matrix.tocsc(), rhs)
-
-
 def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float) -> None:
     error = float(np.max(np.abs(actual - expected)))
     assert error <= rtol * float(np.max(np.abs(expected))), f"relative error {error / np.max(np.abs(expected)):.2e}"
+
+
+def smoother_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray, probe=None) -> np.ndarray:
+    return solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(A, Q, rhs.size // Q.shape[0]), rhs, probe)
 
 
 @pytest.mark.parametrize("rho", [3.0, 0.1, 0.01])
@@ -411,12 +401,12 @@ def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float)
 @pytest.mark.parametrize("block_dim", [1, 4, 7, 32])
 @pytest.mark.parametrize("family", ["var", "nar"])
 def test_block_smoother_matches_oracle_and_reference(family, block_dim, num_blocks, rho):
-    A, Q, rhs, reference = smoother_case(family, block_dim, num_blocks, rho)
-    solution = solve_block_smoother(A, Q, rhs)
+    A, Q, rhs, system = smoother_case(family, block_dim, num_blocks, rho)
+    solution = smoother_solve(A, Q, rhs)
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
-    if reference is not None:
-        expected = solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs)
-        assert_close_relative(solution, expected, 1e-13)
+    if system is not None:
+        # The assembler builds the same A and Q.
+        np.testing.assert_array_equal(solve_block_tridiagonal_spd(system.normal_matrix, system.rhs), solution)
 
 
 @pytest.mark.parametrize("family", ["var", "nar"])
@@ -430,24 +420,23 @@ def test_steady_factor_settles_on_long_well_damped_systems(family):
 def test_near_unit_root_takes_full_factor(family):
     # A spectral radius near 1 and a weak measurement term slow the Riccati
     # recursion down so much that the leading blocks do not settle.
-    A, Q, rhs, reference = smoother_case(family, 4, 500, 0.01, radius=0.999)
+    A, Q, rhs, _ = smoother_case(family, 4, 500, 0.01, radius=0.999)
     assert numerics._steady_factor(A, Q, 500) is None
-    solution = solve_block_smoother(A, Q, rhs)
+    solution = smoother_solve(A, Q, rhs)
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
-    expected = solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs)
-    np.testing.assert_array_equal(solution, expected)
+    np.testing.assert_array_equal(solution, lapack_band_solve(A, Q, rhs))
 
 
 def test_short_system_takes_full_factor(monkeypatch):
     # Below 4 * _LEAD_BLOCKS blocks the leading factor is never tried.
-    A, Q, rhs, reference = smoother_case("var", 4, 4 * numerics._LEAD_BLOCKS - 1, 3.0)
+    A, Q, rhs, _ = smoother_case("var", 4, 4 * numerics._LEAD_BLOCKS - 1, 3.0)
 
     def fail(*args):
         raise AssertionError("steady path taken")
 
     monkeypatch.setattr(numerics, "_steady_factor", fail)
-    solution = solve_block_smoother(A, Q, rhs)
-    np.testing.assert_array_equal(solution, solve_block_tridiagonal_spd(reference.normal_matrix, reference.rhs))
+    solution = smoother_solve(A, Q, rhs)
+    np.testing.assert_array_equal(solution, lapack_band_solve(A, Q, rhs))
 
 
 def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
@@ -455,7 +444,7 @@ def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
     # the lead and switches the probe off, the second goes straight to the
     # whole factor, and both give the answer of a solve without a probe.
     A, Q, rhs, _ = smoother_case("var", 4, 500, 0.01, radius=0.999)
-    expected = solve_block_smoother(A, Q, rhs)
+    expected = smoother_solve(A, Q, rhs)
     steady, tries = numerics._steady_factor, []
 
     def counting(*args):
@@ -465,14 +454,14 @@ def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
     monkeypatch.setattr(numerics, "_steady_factor", counting)
     probe = numerics.SteadyProbe()
     for _ in range(2):
-        np.testing.assert_array_equal(solve_block_smoother(A, Q, rhs, probe), expected)
+        np.testing.assert_array_equal(smoother_solve(A, Q, rhs, probe), expected)
     assert len(tries) == 1 and not probe.on
 
 
 def test_probe_stays_on_while_the_lead_settles():
     A, Q, rhs, _ = smoother_case("var", 7, 500, 3.0)
     probe = numerics.SteadyProbe()
-    np.testing.assert_array_equal(solve_block_smoother(A, Q, rhs, probe), solve_block_smoother(A, Q, rhs))
+    np.testing.assert_array_equal(smoother_solve(A, Q, rhs, probe), smoother_solve(A, Q, rhs))
     assert probe.on
 
 
@@ -481,42 +470,55 @@ def test_probe_stays_on_while_the_lead_settles():
     "family, num_blocks", [("var", m) for m in (1, 2, 3, 7, 500)] + [("nar", m) for m in (2, 3, 7, 500)]
 )
 def test_direct_bands_match_assembled_bands(family, num_blocks):
-    A, Q, _, reference = smoother_case(family, 5, num_blocks, 0.1)
-    np.testing.assert_allclose(
-        block_smoother_bands(A, Q, num_blocks), reference.normal_matrix.lower_bands(), rtol=1e-15, atol=0.0
-    )
+    A, Q, _, _ = smoother_case(family, 5, num_blocks, 0.1)
+    expected = pack_lower_bands(kronecker_smoother(A, Q, num_blocks), smoother_bandwidth(5, num_blocks)).bands
+    np.testing.assert_array_equal(block_smoother_bands(A, Q, num_blocks), expected)
 
 
 @pytest.mark.parametrize("num_blocks", [1, 2, 3, 200])
 def test_ladder_shifts_block_smoother_like_assembled_system(num_blocks):
     # With a large A, the largest diagonal-block entry depends on which
     # blocks exist: m = 1 has only Q, and m = 2 has no middle block.
-    A, Q, _, reference = smoother_case("var", 3, num_blocks, 0.1, radius=3.0)
+    b = 3
+    A, Q, _, _ = smoother_case("var", b, num_blocks, 0.1, radius=3.0)
+    dense = kronecker_smoother(A, Q, num_blocks).toarray()
+    t = np.arange(num_blocks)
+    largest = float(dense.reshape(num_blocks, b, num_blocks, b)[t, :, t].max())
     for boost in (1e-10, 1e-8, 1e-6):
-        A_shifted, Q_shifted, m = _shift_diagonal((A, Q, num_blocks), boost)
-        expected = _shift_diagonal(reference.normal_matrix, boost).lower_bands()
-        np.testing.assert_array_equal(A_shifted, A)
-        assert m == num_blocks
-        np.testing.assert_allclose(block_smoother_bands(A, Q_shifted, m), expected, rtol=1e-15, atol=0.0)
+        shifted = _shift_diagonal(BlockTridiagonalSPDMatrix(A, Q, num_blocks), boost)
+        expected = dense + boost * max(1.0, largest) * np.eye(dense.shape[0])
+        np.testing.assert_array_equal(shifted.A, A)
+        assert shifted.num_blocks == num_blocks
+        np.testing.assert_allclose(
+            block_smoother_bands(shifted.A, shifted.Q, num_blocks),
+            pack_lower_bands(expected, smoother_bandwidth(b, num_blocks)).bands,
+            rtol=1e-15,
+            atol=0.0,
+        )
 
 
 @pytest.mark.parametrize("num_blocks", [3, 500])
 def test_indefinite_block_smoother_raises(num_blocks):
     # Both the whole factor and the leading factor of the steady path fail.
     b = 2
+    matrix = BlockTridiagonalSPDMatrix(np.zeros((b, b)), -np.eye(b), num_blocks)
     with pytest.raises(NotPositiveDefinite):
-        solve_block_smoother(np.zeros((b, b)), -np.eye(b), np.ones(num_blocks * b))
+        solve_block_tridiagonal_spd(matrix, np.ones(num_blocks * b))
     with pytest.raises(NotPositiveDefinite):
-        _solve_block_smoother(np.zeros((b, b)), -np.eye(b), np.ones(num_blocks * b))
+        _solve_smoother(matrix, np.ones(num_blocks * b), solve_block_tridiagonal_spd)
 
 
 def test_block_smoother_validates_shapes():
     with pytest.raises(ValueError):
-        solve_block_smoother(np.eye(2), np.eye(3), np.ones(6))
+        BlockTridiagonalSPDMatrix(np.eye(2), np.eye(3), 2)
     with pytest.raises(ValueError):
-        solve_block_smoother(np.eye(2), np.eye(2), np.ones(5))
+        BlockTridiagonalSPDMatrix(np.eye(2), np.eye(2), 0)
+    with pytest.raises(ValueError):
+        solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(np.eye(2), np.eye(2), 3), np.ones(5))
     with pytest.raises(NonFinite):
-        solve_block_smoother(np.eye(2), np.eye(2), np.array([1.0, np.nan]))
+        solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(np.eye(2), np.eye(2), 1), np.array([1.0, np.nan]))
+    with pytest.raises(NonFinite):
+        BlockTridiagonalSPDMatrix(np.full((2, 2), np.inf), np.eye(2), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ hook that can no longer read its call's arguments (such as the file path of
 too; traced CLI runs check for that, that the order-scan op feeds nonzero
 refit, banded-solve and simulation counts, and that the fit-var and artefact-study
 ops feed nonzero iteration counts and NAR step times.
+
+The VAR and NAR fits must also reach the block solver and the VAR
+assembler through the names the tracer wraps: the fit-var op has to report
+block-solve calls and assembly time, and the artefact-study op block-solve
+calls. When the fits called a block solver of another name, these spans
+read 0 on every VAR and NAR run while the names still resolved.
 """
 
 import importlib
@@ -64,7 +70,10 @@ def test_traced_cli_runs_feed_every_per_layer_metric(tmp_path, capsys):
     scan = metrics[0]
     assert scan["numerics.regularized_ls_calls"] > 0
     assert scan["numerics.banded_solve_calls"] > 0 and scan["model.simulate_calls"] > 0
-    assert metrics[1]["linear.iterations"] > 0
+    var = metrics[1]
+    assert var["linear.iterations"] > 0
+    assert var["numerics.block_solve_calls"] > 0 and var["linear.assemble_s"] > 0
+    assert metrics[2]["numerics.block_solve_calls"] > 0
     assert all(metrics[2][name] > 0 for name in ("nar.iterations", "nar.param_step_s", "nar.state_step_s"))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     # run.py adds the trace.* metrics itself, from its own timings.
