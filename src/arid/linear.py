@@ -9,13 +9,14 @@ loop of the AR, VAR and NAR fits: descent guard, stop rule (``stop_reason``),
 history logs and the :class:`FitResult`; each family brings its two steps.
 The AR smoothing step hands the driver the delay windows of its candidate
 trajectories along with them, and the next refit regresses on those, so each
-trajectory is windowed once.
+trajectory is windowed once. ``numerics.smoother_bands`` lays out the AR(r)
+smoothers, with 1 x 1 blocks, and the VAR(1) smoother, with the stencil [-A, I].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,8 +27,8 @@ from .numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
     _require_finite,
-    block_smoother_diagonals,
     companion_eigenvalues,
+    smoother_bands,
     solve_banded_spd,
     solve_block_tridiagonal_spd,
     solve_regularized_ls,
@@ -78,14 +79,6 @@ class LossBreakdown:
     measurement_term: float
     total: float
     normalized: float
-
-
-@dataclass(frozen=True, eq=False)
-class SmootherSystem:
-    """Assembled normal equations of one state update."""
-
-    normal_matrix: BandedSPDMatrix | BlockTridiagonalSPDMatrix
-    rhs: np.ndarray
 
 
 # Why a fit stopped: the cap came first, or the figure it monitors hit the zero floor, stalled or met the tolerance.
@@ -178,51 +171,9 @@ def param_step(y_hat: TimeSeries, order_r: int, lam: float) -> ARParams:
     return ARParams(solve_regularized_ls(gamma, y_plus, lam))
 
 
-@lru_cache(maxsize=64)
-def _band_layout(r: int, n: int):
-    """Read-only index arrays of :func:`_assemble_bands` at order r and length n.
-
-    ``pairs[a, k]`` is a + k; ``held[a, j]`` (with two trailing unit axes)
-    tells whether the residual window of stencil offset a holds value j, over
-    the ``min(n, 2r + 1)`` short columns; ``columns[j]`` is the short column
-    that column j of the bands repeats.
-    """
-    width, short = r + 1, min(n, 2 * r + 1)
-    offset, value = np.ogrid[:width, :short]
-    held = ((offset <= value) & (value < offset + short - r))[:, :, None, None]
-    pairs = np.arange(width)[:, None] + np.arange(width)
-    columns = np.arange(n)
-    columns = np.maximum(np.minimum(columns, r), columns - (n - short))
-    for array in (pairs, held, columns):
-        array.flags.writeable = False
-    return pairs, held, columns
-
-
-def _assemble_bands(thetas: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
-    """Lower bands (B, r + 1, n) of a stack of AR smoothers, in a fixed number of NumPy calls.
-
-    The bands are a view of one (B, n, r + 1) array, so the B systems placed
-    end to end are the column-major (r + 1, B * n) bands LAPACK reads.
-    """
-    count, r = thetas.shape
-    pairs, held, columns = _band_layout(r, n)
-    # The stencils [-theta_r ... -theta_1, 1], padded with r zeros, one column per system.
-    padded = np.zeros((2 * r + 1, count))
-    padded[:r], padded[r] = -thetas[:, ::-1].T, 1.0
-    # Entry (k, j) sums stencil[a] * stencil[a + k] over increasing a, for
-    # the a whose residual window holds j: the terms of the other a are
-    # zeros, and reducing over the outermost axis from 0.0 adds the terms in
-    # order. Away from both ends every window holds j, so the bands are
-    # built for a series of at most 2r + 1 values and their middle column
-    # repeated. Entry (k, j) stays zero once j + k passes n - 1, so systems
-    # placed end to end do not couple.
-    products = padded[: r + 1, None] * padded[pairs]
-    short = np.add.reduce(np.where(held, products[:, None], 0.0), axis=0, initial=0.0)
-    short[start:, 0] += rho
-    # The diagonal sums squares from 0.0, so it is never -0.0, and adding a zero ridge would change nothing.
-    if lam:
-        short[:, 0] += lam
-    return np.take(short.transpose(2, 0, 1), columns, axis=1).transpose(0, 2, 1)
+def _ar_stencils(thetas: np.ndarray) -> np.ndarray:
+    """The stencils [-theta_r ... -theta_1, 1] of a (B, r) stack of AR coefficients, as (B, r + 1, 1, 1) blocks."""
+    return np.concatenate((-thetas[:, ::-1], np.ones((len(thetas), 1))), axis=1)[:, :, None, None]
 
 
 def assemble_ar_smoother(
@@ -231,14 +182,15 @@ def assemble_ar_smoother(
     rho: float,
     lam: float = 0.0,
     anchor_all: bool = False,
-) -> SmootherSystem:
-    """Normal equations of the loss in the N free trajectory values.
+) -> tuple[BandedSPDMatrix, np.ndarray]:
+    """Normal equations ``(matrix, rhs)`` of the loss in the N free trajectory values.
 
     Every dynamics residual touches r+1 consecutive values, so the system is
-    banded with bandwidth r. Measurement terms add rho to the diagonal for
-    t >= r, or everywhere with ``anchor_all``; without it the first r-1
-    values are pinned only through the dynamics terms (and lam), exactly as
-    the loss is written.
+    banded with bandwidth r: :func:`~arid.numerics.smoother_bands` with 1 x 1
+    blocks. Measurement terms add rho to the diagonal for t >= r, or
+    everywhere with ``anchor_all``; without it the first r-1 values are
+    pinned only through the dynamics terms (and lam), exactly as the loss is
+    written.
     """
     yo = scalar_values(y)
     r = theta.order
@@ -250,8 +202,8 @@ def assemble_ar_smoother(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     start = 0 if anchor_all else r - 1
-    bands = _assemble_bands(theta.theta[None], n, rho, lam, start)
-    return SmootherSystem(BandedSPDMatrix(n, r, bands[0]), _measurement_rhs(yo, rho, start))
+    bands = smoother_bands(_ar_stencils(theta.theta[None]), np.full((1, 1), rho), n, start, lam)
+    return BandedSPDMatrix(n, r, bands[0]), _measurement_rhs(yo, rho, start)
 
 
 def _measurement_rhs(yo: np.ndarray, rho: float, start: int) -> np.ndarray:
@@ -267,7 +219,7 @@ _RIDGE_BOOSTS = (1e-10, 1e-8, 1e-6)
 
 
 def _shift_diagonal(matrix, boost: float):
-    """``matrix`` with its diagonal raised by ``boost`` times its largest diagonal-block entry (at least 1).
+    """``matrix`` with its diagonal raised by ``boost`` times its largest diagonal entry (at least 1).
 
     ``matrix`` is a :class:`BandedSPDMatrix` or a :class:`BlockTridiagonalSPDMatrix`,
     whose shift goes into Q.
@@ -277,8 +229,9 @@ def _shift_diagonal(matrix, boost: float):
         bands[0] += boost * max(1.0, float(bands[0].max()))
         return BandedSPDMatrix(matrix.dim, matrix.bandwidth, bands)
     A, Q, num_blocks = matrix.A, matrix.Q, matrix.num_blocks
-    shift = boost * max(1.0, float(block_smoother_diagonals(A, Q, num_blocks).max())) * np.eye(len(Q))
-    return BlockTridiagonalSPDMatrix(A, Q + shift, num_blocks)
+    # The first, a middle and the last block hold every distinct diagonal entry.
+    diagonal = smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, min(num_blocks, 3))[0, 0]
+    return BlockTridiagonalSPDMatrix(A, Q + boost * max(1.0, float(diagonal.max())) * np.eye(len(Q)), num_blocks)
 
 
 def _solve_smoother(matrix, rhs: np.ndarray, solve) -> np.ndarray:
@@ -324,8 +277,7 @@ def state_step(
     anchor_all: bool = False,
 ) -> TimeSeries:
     """Exact trajectory update at fixed coefficients via the banded smoother."""
-    system = assemble_ar_smoother(theta, y, rho, lam, anchor_all)
-    smoothed = _solve_smoother(system.normal_matrix, system.rhs, solve_banded_spd)
+    smoothed = _solve_smoother(*assemble_ar_smoother(theta, y, rho, lam, anchor_all), solve_banded_spd)
     return TimeSeries(smoothed, y.sample_rate_hz, y.channel_names)
 
 
@@ -354,8 +306,9 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     """
     count, lam = len(observed), config.lam
     # Exactly recoverable data drives the loss to rounding level, where the
-    # relative-change test is meaningless; such a fit stops outright.
-    floor = 1e-24 * np.maximum(1.0, _sumsq(observed))
+    # relative-change test is meaningless; such a fit stops outright. The
+    # floor scales with the data, so the fit of 2^j y is 2^j times the fit of y.
+    floor = 1e-24 * _sumsq(observed)
     runs, reasons, y_final = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp), np.empty_like(observed)
     # Starting from y_hat = y, the held trajectory's measurement term is 0.
     active, y_hat, measurement, previous = np.arange(count), observed, np.zeros(count), np.full(count, np.nan)
@@ -453,7 +406,7 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     if yo.shape[1] <= r:
         raise HorizonTooShort(f"need more than order {r} steps, got {yo.shape[1]}")
     n, start = yo.shape[1], 0 if config.anchor_all_values else r - 1
-    rhs = _measurement_rhs(yo, rho, start)
+    rhs, Q = _measurement_rhs(yo, rho, start), np.full((1, 1), rho)
 
     def refit(y_hat, windows):
         targets = y_hat[:, r:]
@@ -461,7 +414,7 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
         return thetas, _dynamics_term(thetas, windows, targets)
 
     def smooth(thetas, active):
-        candidate = _solve_stacked(_assemble_bands(thetas, n, rho, lam, start), rhs[active])
+        candidate = _solve_stacked(smoother_bands(_ar_stencils(thetas), Q, n, start, lam), rhs[active])
         windows = delay_windows(candidate, r)[0]
         err = yo[active, start:] - candidate[:, start:]
         return candidate, windows, _dynamics_term(thetas, windows, candidate[:, r:]), np.vecdot(err, err)
@@ -475,15 +428,15 @@ def _var_dynamics(A: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.sum(resid * resid))
 
 
-def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> SmootherSystem:
-    """Block-tridiagonal normal equations of the VAR(1) state update.
+def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> tuple:
+    """Block-tridiagonal normal equations ``(matrix, rhs)`` of the VAR(1) state update.
 
     With the identity readout every state is measured, so each diagonal
     block picks up rho (and the ridge) directly: ``Q = (rho + lam) I``, one
     block per time step, coupling blocks -A.
     """
     n, p = x.shape
-    return SmootherSystem(BlockTridiagonalSPDMatrix(A, (rho + lam) * np.eye(p), n), (rho * x).reshape(-1))
+    return BlockTridiagonalSPDMatrix(A, (rho + lam) * np.eye(p), n), (rho * x).reshape(-1)
 
 
 def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
@@ -511,7 +464,7 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
 
     def smooth(A, active):
         system = assemble_var_smoother(A[0], x, config.rho, config.lam)
-        candidate = _solve_smoother(system.normal_matrix, system.rhs, solve_block_tridiagonal_spd).reshape(1, n, p)
+        candidate = _solve_smoother(*system, solve_block_tridiagonal_spd).reshape(1, n, p)
         return candidate, None, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
 
     return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,

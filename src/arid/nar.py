@@ -3,10 +3,11 @@
 Windows of the trajectory are lifted to truncated signatures of a
 two-column path (values and their running sum); dynamics and readout are
 then linear in signature space. The linear fits' driver, ``linear._alternate``,
-runs the alternation, with the VAR fit's block smoother as the smoothing
-step over unconstrained signature states and no descent guard. Smoothed
-states are not projected back onto the manifold of true signatures; only
-their readout re-enters the next iteration through the refreshed trajectory.
+runs the alternation, with the VAR fit's block smoother, laid out by
+``numerics.smoother_bands`` with Q = rho c c^T + lam I, as the smoothing step
+over unconstrained signature states and no descent guard. Smoothed states are
+not projected back onto the manifold of true signatures; only their readout
+re-enters the next iteration through the refreshed trajectory.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, SmootherSystem, _alternate, _solve_smoother, _var_dynamics
+from .linear import FitResult, _alternate, _solve_smoother, _var_dynamics
 from .model import TimeSeries, scalar_values
 from .numerics import BlockTridiagonalSPDMatrix, SteadyProbe, solve_block_tridiagonal_spd, solve_regularized_ls
 from .signature import _signatures_flat, sig_dim
@@ -114,8 +115,8 @@ def nar_param_step(gamma_minus: np.ndarray, gamma_plus: np.ndarray, y_plus: np.n
     return NARModel(w.T, c)
 
 
-def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> SmootherSystem:
-    """Block-tridiagonal normal equations over the free signature states.
+def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> tuple:
+    """Block-tridiagonal normal equations ``(matrix, rhs)`` over the free signature states.
 
     One block per time step t = r..N. The readout is rank one, so the
     measurement contributes ``rho * outer(C, C)`` to Q, the ridge ``lam I``;
@@ -130,7 +131,7 @@ def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: flo
         raise ValueError("lam must be nonnegative")
     Q = rho * np.outer(model.C_sig, model.C_sig) + lam * np.eye(model.n_s)
     rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(-1)
-    return SmootherSystem(BlockTridiagonalSPDMatrix(model.A_sig, Q, yo.size - order_r + 1), rhs)
+    return BlockTridiagonalSPDMatrix(model.A_sig, Q, yo.size - order_r + 1), rhs
 
 
 def nar_state_step(
@@ -153,8 +154,7 @@ def nar_state_step(
     yo = scalar_values(y)
     if prev.size != yo.size:
         raise ValueError("y_prev must have the same length as y")
-    system = assemble_nar_smoother(model, y, order_r, rho, lam)
-    states = _solve_smoother(system.normal_matrix, system.rhs,
+    states = _solve_smoother(*assemble_nar_smoother(model, y, order_r, rho, lam),
                              lambda matrix, v: solve_block_tridiagonal_spd(matrix, v, probe)).reshape(-1, model.n_s)
     refreshed = np.concatenate((prev[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)

@@ -1,16 +1,18 @@
 """Structured linear algebra kernels used by the estimators.
 
 Regularized least squares, SPD smoother solves by banded Cholesky, and
-companion-matrix spectra by LAPACK's nonsymmetric eigensolver. The VAR and
-NAR state steps share one block smoother whose bands are built straight
-from its dynamics and measurement blocks; on long systems its Cholesky
-factor is computed for the leading blocks only and its settled block column
-repeated. All routines are pure functions of their inputs.
+companion-matrix spectra by LAPACK's nonsymmetric eigensolver. One band
+builder lays out the smoother of every family from its stencil
+[-A_r ... -A_1, I] and measurement block Q: AR(r) with 1 x 1 blocks, VAR
+and NAR with [-A, I]. On long block systems the Cholesky factor is computed
+for the leading blocks only and its settled block column repeated. All
+routines are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs, dptsv
@@ -131,14 +133,72 @@ def solve_banded_spd(matrix: BandedSPDMatrix, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
+@lru_cache(maxsize=64)
+def _band_layout(r: int, p: int, n: int):
+    """Read-only index arrays of :func:`smoother_bands` for r + 1 stencil blocks of size p over n blocks.
+
+    Slab s of the terms is window offset a = s + r + 1 - short, short =
+    min(n, 2r + 1); each short block column sums ``held`` = short - r slabs.
+    ``gather[s, c, k]`` is the flat index, in the stencil Gram, of the entry
+    a adds to band row k of column c of a block; ``exists`` is false where a
+    or that entry does not exist. ``lower[c, k]`` is the flat index of entry
+    (c + k, c) of a p x p block where ``in_lower``, and block column j
+    repeats short block column ``columns[j]``.
+    """
+    width, short = r + 1, min(n, 2 * r + 1)
+    offset, c = np.arange(width - short, short)[:, None, None], np.arange(p)[:, None]
+    row = offset * p + c + np.arange(min(width, n) * p)
+    exists = (0 <= offset) & (offset <= r) & (row < width * p)
+    gather = np.where(exists, row * width * p + offset * p + c, 0)
+    diagonal = c + np.arange(p)
+    columns = np.maximum(np.minimum(np.arange(n), r), np.arange(n) - (n - short))
+    arrays = gather, exists[..., None], np.minimum(diagonal, p - 1) * p + c, diagonal < p, columns
+    for array in arrays:
+        array.flags.writeable = False
+    return (*arrays, short - r)
+
+
+def smoother_bands(stencils: np.ndarray, Q: np.ndarray, num_blocks: int, start: int = 0, lam: float = 0.0):
+    """Lower bands (B, rows, num_blocks * p) of a stack of smoothers, rows = min(r + 1, num_blocks) * p.
+
+    ``stencils`` is a (B, r + 1, p, p) stack [S_0 ... S_r] = [-A_r ... -A_1, I].
+    System i is the normal matrix of the sum of ||S_0 x_t + ... + S_r x_(t+r)||^2
+    over its windows, plus x_t^T Q x_t for every block t >= ``start`` and
+    ``lam`` ||x||^2: block (j + k, j) sums S_(a+k)^T S_a over increasing a,
+    from 0.0, over the windows that hold block j; then Q goes onto the
+    diagonal blocks, then ``lam`` onto the diagonal. ``num_blocks`` >= r; the
+    bands are built for at most 2r + 1 blocks and the middle column repeated.
+    Row k is subdiagonal k, as :class:`BandedSPDMatrix` holds it; only the
+    lower triangle is built. Each system is column-major, with zeros past its
+    last row, so the systems end to end are the column-major bands LAPACK reads.
+    """
+    count, width, p = stencils.shape[:3]
+    gather, exists, lower, in_lower, columns, held = _band_layout(width - 1, p, num_blocks)
+    # Block (u, v) of the Gram of the stencil row [S_0 ... S_r] is S_u^T S_v.
+    row = stencils.transpose(0, 2, 1, 3).reshape(count, p, width * p)
+    gram = np.matmul(row.transpose(0, 2, 1), row)
+    terms = np.where(exists, gram.reshape(count, -1).T[gather], 0.0)
+    # windows[i, j] is slab j + i, a view; reducing over the outermost axis
+    # from 0.0 adds the terms of each block column in increasing a.
+    shape = (held, len(terms) - held + 1) + terms.shape[1:]
+    windows = np.ndarray(shape, float, terms, 0, (terms.strides[0],) + terms.strides)
+    bands = np.add.reduce(windows, axis=0, initial=0.0)
+    bands[start:, :, :p] += np.where(in_lower, Q.reshape(-1)[lower], 0.0)[..., None]
+    # The diagonal sums squares from 0.0, so it is never -0.0, and adding a zero ridge would change nothing.
+    if lam:
+        bands[:, :, 0] += lam
+    return np.take(bands.transpose(3, 0, 1, 2), columns, axis=1).reshape(count, num_blocks * p, -1).transpose(0, 2, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class BlockTridiagonalSPDMatrix:
     """The block-tridiagonal SPD state step shared by the VAR and NAR smoothers.
 
     Over ``num_blocks`` = m blocks of size b, diagonal block t is
-    ``Q + [t > 0] I + [t < m - 1] A^T A`` and the coupling block below it
-    is -A (its transpose above). Only A, Q and m are stored; the shapes
-    and finiteness of A and Q are checked here, once.
+    ``[t < m - 1] A^T A + [t > 0] I + Q`` and the coupling block below it
+    is -A (its transpose above): the smoother of the stencil [-A, I], the
+    residual x_(t+1) - A x_t, in :func:`smoother_bands`. Only A, Q and m are
+    stored; the shapes and finiteness of A and Q are checked here, once.
     """
 
     A: np.ndarray
@@ -188,54 +248,6 @@ class SteadyProbe:
         self.on = True
 
 
-def block_smoother_diagonals(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
-    """The distinct diagonal blocks of the block smoother over ``num_blocks`` blocks.
-
-    Block t is ``Q + [t > 0] I + [t < m - 1] A^T A``. These are the first
-    min(m, 3) of them; every block between the first and the last equals
-    the middle one.
-    """
-    diag = np.empty((min(num_blocks, 3),) + Q.shape)
-    diag[:] = Q
-    diag[1:] += np.eye(Q.shape[0])
-    diag[:-1] += A.T @ A
-    return diag
-
-
-def _band_columns(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """Lower band storage of block columns: (n, b, 2b) from n diagonal and n coupling blocks.
-
-    Row c of slab i is matrix column c of block column i from its diagonal
-    entry down: diagonal block i, then coupling block i, then zeros.
-    """
-    count, b = diag.shape[:2]
-    stacked = np.zeros((count, 3 * b, b))
-    stacked[:, :b] = diag
-    stacked[:, b : 2 * b] = coupling
-    c = np.arange(b)[:, None]
-    return stacked[:, c + np.arange(2 * b), c]
-
-
-def block_smoother_bands(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
-    """The block smoother ``BlockTridiagonalSPDMatrix(A, Q, num_blocks)`` in lower band storage.
-
-    Row k is subdiagonal k, for k up to ``min(2b - 1, dim - 1)``, as
-    :class:`BandedSPDMatrix` holds it. The band columns are built for the
-    first, a middle and the last block, and the middle block column repeated.
-    Only the lower triangle is built, so the bands are symmetric by
-    construction. The array is column-major, the layout LAPACK factors in
-    place.
-    """
-    diag = block_smoother_diagonals(A, Q, num_blocks)
-    coupling = np.empty_like(diag)
-    coupling[:] = -A
-    coupling[-1] = 0.0
-    index = np.minimum(np.arange(num_blocks), 1)
-    index[-1] = len(diag) - 1
-    b = Q.shape[0]
-    return _band_columns(diag, coupling)[index].reshape(-1, 2 * b)[:, : min(2 * b, num_blocks * b)].T
-
-
 def _banded_cholesky(bands: np.ndarray) -> np.ndarray:
     """LAPACK lower band Cholesky factor of ``bands``, computed in place."""
     factor, info = dpbtrf(bands, lower=1, overwrite_ab=1)
@@ -257,8 +269,8 @@ def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray 
     """
     lead_blocks, b = _LEAD_BLOCKS, Q.shape[0]
     # The leading K + 1 block columns are the same in every longer system.
-    lead = _banded_cholesky(block_smoother_bands(A, Q, lead_blocks + 2)[:, : (lead_blocks + 1) * b])
-    lead = lead.T.reshape(lead_blocks + 1, b, 2 * b)
+    bands = smoother_bands(np.stack((-A, np.eye(b)))[None], Q, lead_blocks + 2)[0]
+    lead = _banded_cholesky(bands[:, : (lead_blocks + 1) * b]).T.reshape(lead_blocks + 1, b, 2 * b)
     steady = lead[lead_blocks - 1]
     if np.abs(steady - lead[lead_blocks - 2]).max() > _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
         return None
@@ -271,7 +283,10 @@ def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray 
     factor = np.empty((num_blocks, b, 2 * b))
     factor[:lead_blocks] = lead[:lead_blocks]
     factor[lead_blocks:-1] = steady
-    factor[-1] = _band_columns(last[None], np.zeros_like(last[None]))[0]
+    # The last block column holds only its diagonal block, laid out as smoother_bands lays out Q.
+    _, _, lower, in_lower, _, _ = _band_layout(1, b, lead_blocks + 2)
+    factor[-1, :, :b] = np.where(in_lower, last.reshape(-1)[lower], 0.0)
+    factor[-1, :, b:] = 0.0
     return factor.reshape(-1, 2 * b).T
 
 
@@ -280,14 +295,14 @@ def solve_block_tridiagonal_spd(
 ) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
 
-    The bands (half-bandwidth 2b - 1) are built for at most three blocks
-    and the middle block column repeated. From 4 * ``_LEAD_BLOCKS`` blocks
-    on, only the leading blocks are factored; when their factor has reached
-    its steady state (see :func:`_steady_factor`) it is tiled over the rest.
-    Otherwise, and on shorter systems, the whole band matrix is factored.
-    Either way LAPACK ``dpbtrs`` solves with the factor; a nonpositive pivot
-    raises :class:`NotPositiveDefinite`. With a ``probe`` that is off, the
-    leading blocks are not tried; a lead that fails to settle switches it off.
+    The bands (half-bandwidth 2b - 1) come from :func:`smoother_bands`. From
+    4 * ``_LEAD_BLOCKS`` blocks on, only the leading blocks are factored;
+    when their factor has reached its steady state (see
+    :func:`_steady_factor`) it is tiled over the rest. Otherwise, and on
+    shorter systems, the whole band matrix is factored. Either way LAPACK
+    ``dpbtrs`` solves with the factor; a nonpositive pivot raises
+    :class:`NotPositiveDefinite`. With a ``probe`` that is off, the leading
+    blocks are not tried; a lead that fails to settle switches it off.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.dim,):
@@ -299,7 +314,7 @@ def solve_block_tridiagonal_spd(
     if factor is None:
         if steady and probe is not None:
             probe.on = False
-        factor = _banded_cholesky(block_smoother_bands(A, Q, num_blocks))
+        factor = _banded_cholesky(smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)[0])
     solution, _ = dpbtrs(factor, rhs, lower=1)
     return solution
 

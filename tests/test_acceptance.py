@@ -227,8 +227,7 @@ def test_5_both_steps_are_stationary_points(capsys):
             err = x - states
             return float(np.sum(resid * resid) + rho * np.sum(err * err))
 
-        system = assemble_var_smoother(A, x, rho)
-        smoothed = solve_block_tridiagonal_spd(system.normal_matrix, system.rhs).reshape(x.shape)
+        smoothed = solve_block_tridiagonal_spd(*assemble_var_smoother(A, x, rho)).reshape(x.shape)
         scale = max(1.0, var_loss(smoothed))
         for index in np.ndindex(x.shape):
             step = 1e-6 * max(1.0, abs(smoothed[index]))
@@ -303,8 +302,8 @@ def test_6_structured_solvers_match_dense_oracle(capsys):
             assemble_ar_smoother(ARParams(theta), TimeSeries(rng.normal(size=n)), rho, lam, anchor_all=True)
             for theta in thetas
         ]
-        rhs = np.stack([system.rhs for system in systems])
-        solved = _solve_stacked(np.stack([system.normal_matrix.bands for system in systems]), rhs)
+        rhs = np.stack([v for _, v in systems])
+        solved = _solve_stacked(np.stack([matrix.bands for matrix, _ in systems]), rhs)
         for theta, member, v in zip(thetas, solved, rhs):
             compare(member, ar_smoother_dense(theta, n, rho, lam, 0), v)
     elapsed = time.perf_counter() - start

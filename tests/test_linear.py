@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arid import numerics
 from arid.errors import NotPositiveDefinite, SingularSystem, ZeroNormReference
 from arid.linear import (
     _RIDGE_BOOSTS,
     FitConfig,
     LossBreakdown,
-    _assemble_bands,
+    _ar_stencils,
     _solve_smoother,
     _solve_stacked,
     assemble_ar_smoother,
+    assemble_var_smoother,
     error_metrics,
     evaluate_loss,
     fit_ar,
@@ -38,6 +40,7 @@ from arid.model import (
 from arid.numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
+    smoother_bands,
     solve_banded_spd,
     solve_block_tridiagonal_spd,
     solve_regularized_ls,
@@ -186,36 +189,58 @@ def test_smoother_bands_sum_in_pair_loop_order(order, n_steps):
         for b in range(a, order + 1):
             expected[b - a, a : a + n_steps - order] += stencil[a] * stencil[b]
     expected[0] += 0.3
-    system = assemble_ar_smoother(theta, y, 0.3, anchor_all=True)
-    np.testing.assert_array_equal(system.normal_matrix.bands, expected)
+    matrix, _ = assemble_ar_smoother(theta, y, 0.3, anchor_all=True)
+    np.testing.assert_array_equal(matrix.bands, expected)
 
 
-def loop_bands(thetas: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
-    """The AR smoother bands by one pass per stencil offset over columns that start at 0.0."""
-    count, r = thetas.shape
-    width = r + 1
-    padded = np.zeros((count, width + r))
-    padded[:, :r], padded[:, r] = -thetas[:, ::-1], 1.0
-    bands = np.zeros((count, width, n))
+def loop_bands(stencils: np.ndarray, Q: np.ndarray, n: int, start: int, lam: float) -> np.ndarray:
+    """Smoother bands by one pass per stencil offset over block columns that start at 0.0.
+
+    ``stencils`` is a (B, r + 1, p, p) stack [S_0 ... S_r]. Block (j + k, j)
+    gets the p x p product S_(a+k)^T S_a of every window offset a that holds
+    block j, in increasing a; then Q goes onto the diagonal blocks from
+    ``start`` on and lam onto the diagonal. Band row q of column j p + c is
+    entry (j p + c + q, j p + c).
+    """
+    count, width, p = stencils.shape[:3]
+    r = width - 1
+    blocks = np.zeros((count, width, n, p, p))  # blocks[:, k, j] is block (j + k, j)
     for a in range(width):
         for k in range(width - a):
-            bands[:, k, a : a + n - r] += (padded[:, a] * padded[:, a + k])[:, None]
-    bands[:, 0, start:] += rho
-    bands[:, 0] += lam
+            blocks[:, k, a : a + n - r] += (stencils[:, a + k].transpose(0, 2, 1) @ stencils[:, a])[:, None]
+    blocks[:, 0, start:] += Q
+    blocks[:, 0, :, np.arange(p), np.arange(p)] += lam
+    rows = min(width, n) * p
+    bands = np.zeros((count, rows, n * p))
+    for c in range(p):
+        for q in range(rows):
+            k, i = divmod(c + q, p)
+            if k < width:
+                bands[:, q, c::p] = blocks[:, k, :, i, c]
     return bands
 
 
-@pytest.mark.parametrize("order", range(1, 11))
-def test_band_builder_equals_per_offset_loop_bit_for_bit(order):
-    rng = np.random.Generator(np.random.Philox(key=order))
-    thetas = rng.normal(scale=0.5, size=(5, order))
+# AR(r) stencils up to order 10, and the first-order block stencils of VAR
+# and NAR at the block sizes of the tests and the benchmark.
+@pytest.mark.parametrize(
+    "order, block_dim",
+    [pytest.param(order, 1, id=str(order)) for order in range(1, 11)]
+    + [pytest.param(1, block_dim, id=f"1-p{block_dim}") for block_dim in (4, 7, 32)],
+)
+def test_band_builder_equals_per_offset_loop_bit_for_bit(order, block_dim):
+    rng = np.random.Generator(np.random.Philox(key=100 * block_dim + order))
+    stencils = np.empty((5, order + 1, block_dim, block_dim))
+    stencils[:, :order] = rng.normal(scale=0.5, size=(5, order, block_dim, block_dim))
+    stencils[:, order] = np.eye(block_dim)
     # Exact zeros, negative zeros and tiny products reach every sign-of-zero case.
-    thetas[1, -1], thetas[2], thetas[3, 0], thetas[4] = 0.0, 0.0, -0.0, 1e-170 * thetas[4]
-    for n in sorted({order + 1, 2 * order, 200}):
-        for start in (0, order - 1):
+    stencils[1, 0], stencils[2, :order], stencils[3, order - 1] = 0.0, 0.0, -0.0
+    stencils[4, :order] *= 1e-170
+    Q = rng.normal(size=(block_dim, block_dim))
+    for n in sorted({order, order + 1, 2 * order, 2 * order + 2, 200 // block_dim}):
+        for start in sorted({0, order - 1}):
             for lam in (0.0, 0.01):
-                bands = _assemble_bands(thetas, n, 0.1, lam, start)
-                expected = loop_bands(thetas, n, 0.1, lam, start)
+                bands = smoother_bands(stencils, Q, n, start, lam)
+                expected = loop_bands(stencils, Q, n, start, lam)
                 assert bands.shape == expected.shape and bands.tobytes() == expected.tobytes()
                 # Column-major per system, so a stack is LAPACK's band layout without a copy.
                 assert bands.transpose(0, 2, 1).flags.c_contiguous
@@ -576,6 +601,46 @@ def test_alternation_never_increases_loss(seed):
 # VAR(1) fit
 
 
+@pytest.mark.parametrize("n_steps", [2, 3, 40, 127])
+def test_var_with_one_channel_factors_the_ar1_bands(monkeypatch, n_steps):
+    # At lam == 0 the one-channel VAR smoother and the anchored AR(1)
+    # smoother are one system: the block solver factors the AR(1) bands,
+    # byte for byte. Below 128 blocks it builds them for the whole system.
+    rng = np.random.Generator(np.random.Philox(key=n_steps))
+    y = rng.normal(size=n_steps)
+    built = []
+
+    def recording(*args):
+        bands = smoother_bands(*args)
+        built.append(bands.copy())
+        return bands
+
+    monkeypatch.setattr(numerics, "smoother_bands", recording)
+    solve_block_tridiagonal_spd(*assemble_var_smoother(np.array([[0.7]]), y[:, None], 0.3))
+    ar_matrix, _ = assemble_ar_smoother(ARParams(np.array([0.7])), TimeSeries(y), 0.3, anchor_all=True)
+    assert len(built) == 1 and built[0][0].tobytes() == ar_matrix.bands.tobytes()
+
+
+@pytest.mark.parametrize("power", [-60, -42, -20, 40, 300])
+def test_fits_scale_with_the_data_by_powers_of_two(power):
+    # Scaling by 2^j is exact, and at lam == 0 both steps of a fit are
+    # homogeneous in the data: the fit of 2^j y is 2^j times the fit of y,
+    # bit for bit, with the same iterations and stop reason. A zero floor
+    # that does not scale with the data stops the small fits early.
+    spec = SyntheticSpec(oscillatory_ar5(), n_steps=200, transition_std=0.01, measurement_std=1.0, base_seed=0)
+    _, y = spec.trajectory(0)
+    ar_config = FitConfig(5, rho=0.1, max_iterations=100, convergence_tol=1e-300, anchor_all_values=True)
+    rng = np.random.Generator(np.random.Philox(key=47))
+    x = rng.normal(size=(500, 4))
+    var_config = FitConfig(1, rho=3.0, max_iterations=50)
+    for fit, series, config in ((fit_ar, scalar_values(y), ar_config), (fit_var1, x, var_config)):
+        plain, scaled = fit(TimeSeries(series), config), fit(TimeSeries(np.ldexp(series, power)), config)
+        assert (scaled.iterations_run, scaled.stop_reason) == (plain.iterations_run, plain.stop_reason)
+        np.testing.assert_array_equal(scaled.theta_log, plain.theta_log)
+        np.testing.assert_array_equal(scaled.y_hat.values, np.ldexp(plain.y_hat.values, power))
+        np.testing.assert_array_equal(scaled.loss_log, np.ldexp(plain.loss_log, 2 * power))
+
+
 def test_var_requires_first_order_config():
     y = TimeSeries(np.ones((10, 2)))
     with pytest.raises(ValueError):
@@ -693,10 +758,10 @@ def test_ladder_rescues_singular_ar_smoother():
     # term too: its row of the normal matrix is zero.
     theta = ARParams(np.array([0.5, 0.0]))
     y = TimeSeries(np.sin(np.arange(30.0)))
-    system = assemble_ar_smoother(theta, y, 0.1)
+    matrix, rhs = assemble_ar_smoother(theta, y, 0.1)
     with pytest.raises(NotPositiveDefinite):
-        solve_banded_spd(system.normal_matrix, system.rhs)
-    solution = _solve_smoother(system.normal_matrix, system.rhs, solve_banded_spd)
+        solve_banded_spd(matrix, rhs)
+    solution = _solve_smoother(matrix, rhs, solve_banded_spd)
     assert np.all(np.isfinite(solution))
     np.testing.assert_array_equal(scalar_values(state_step(theta, y, 0.1)), solution)
 
@@ -709,8 +774,8 @@ def test_ladder_runs_per_system_inside_a_stack():
     thetas = [np.array([0.3, -0.2]), np.array([0.5, 0.0]), np.array([-0.4, 0.1])]
     series = [TimeSeries(rng.normal(size=30)), TimeSeries(np.sin(np.arange(30.0))), TimeSeries(rng.normal(size=30))]
     systems = [assemble_ar_smoother(ARParams(theta), y, 0.1) for theta, y in zip(thetas, series)]
-    bands = np.stack([system.normal_matrix.bands for system in systems])
-    rhs = np.stack([system.rhs for system in systems])
+    bands = np.stack([matrix.bands for matrix, _ in systems])
+    rhs = np.stack([v for _, v in systems])
     with pytest.raises(NotPositiveDefinite):
         solve_banded_spd(BandedSPDMatrix(90, 2, np.concatenate(bands, axis=1)), rhs.ravel())
     solutions = _solve_stacked(bands, rhs)
@@ -720,12 +785,12 @@ def test_ladder_runs_per_system_inside_a_stack():
 
 
 def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
-    # The same systems straight from _assemble_bands, whose column-major
+    # The same systems straight from the band builder, whose column-major
     # bands the stacked solve hands to LAPACK without a copy.
     rng = np.random.Generator(np.random.Philox(key=45))
     thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
     series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
-    bands = _assemble_bands(thetas, 30, 0.1, 0.0, 1)
+    bands = smoother_bands(_ar_stencils(thetas), np.full((1, 1), 0.1), 30, 1)
     rhs = np.concatenate((np.zeros((3, 1)), 0.1 * series[:, 1:]), axis=1)
     stacked = bands.transpose(1, 0, 2).reshape(3, 90)
     assert np.shares_memory(stacked, bands)
@@ -741,11 +806,9 @@ def test_stacked_smoothers_equal_solo_solves():
     thetas = [rng.normal(scale=0.3, size=4) for _ in range(3)]
     series = [TimeSeries(rng.normal(size=50)) for _ in range(3)]
     systems = [assemble_ar_smoother(ARParams(theta), y, 0.2, anchor_all=True) for theta, y in zip(thetas, series)]
-    solutions = _solve_stacked(
-        np.stack([system.normal_matrix.bands for system in systems]), np.stack([system.rhs for system in systems])
-    )
+    solutions = _solve_stacked(np.stack([matrix.bands for matrix, _ in systems]), np.stack([v for _, v in systems]))
     for solution, system in zip(solutions, systems):
-        np.testing.assert_array_equal(solution, solve_banded_spd(system.normal_matrix, system.rhs))
+        np.testing.assert_array_equal(solution, solve_banded_spd(*system))
 
 
 @pytest.mark.parametrize(

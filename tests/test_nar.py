@@ -300,9 +300,9 @@ def test_singular_signature_smoother_goes_down_the_shift_ladder():
     readout[0] = 1.0
     model = NARModel(np.zeros((N_S, N_S)), readout)
     y = TimeSeries(np.sin(np.arange(40.0)))
-    system = assemble_nar_smoother(model, y, 4, 0.1, 0.0)
+    matrix, rhs = assemble_nar_smoother(model, y, 4, 0.1, 0.0)
     with pytest.raises(NotPositiveDefinite):
-        solve_block_tridiagonal_spd(system.normal_matrix, system.rhs)
+        solve_block_tridiagonal_spd(matrix, rhs)
     states, refreshed = nar_state_step(model, y, 4, 0.1, 0.0, y)
     assert np.all(np.isfinite(states))
     assert np.all(np.isfinite(scalar_values(refreshed)))

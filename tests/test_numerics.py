@@ -17,8 +17,8 @@ from arid.nar import NARModel, assemble_nar_smoother
 from arid.numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
-    block_smoother_bands,
     companion_eigenvalues,
+    smoother_bands,
     solve_banded_spd,
     solve_block_tridiagonal_spd,
     solve_regularized_ls,
@@ -41,16 +41,25 @@ def random_banded_spd_dense(rng: np.random.Generator, dim: int, bandwidth: int) 
 
 
 def kronecker_smoother(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> sp.csr_matrix:
-    """The block smoother built entry by entry from Kronecker products, as a sparse matrix."""
+    """The block smoother built entry by entry from Kronecker products, as a sparse matrix.
+
+    Its diagonal blocks add A^T A, then I, then Q, the order in which the
+    band builder sums them.
+    """
     b, m = Q.shape[0], num_blocks
     t = np.arange(m)
     return (
-        sp.kron(sp.eye(m), Q)
+        sp.kron(sp.diags((t < m - 1).astype(float)), A.T @ A)
         + sp.kron(sp.diags((t > 0).astype(float)), np.eye(b))
-        + sp.kron(sp.diags((t < m - 1).astype(float)), A.T @ A)
+        + sp.kron(sp.eye(m), Q)
         - sp.kron(sp.eye(m, k=-1), A)
         - sp.kron(sp.eye(m, k=1), A.T)
     ).tocsr()
+
+
+def block_bands(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
+    """The bands of ``BlockTridiagonalSPDMatrix(A, Q, num_blocks)``, as its solver builds them."""
+    return smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)[0]
 
 
 def oracle_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -329,7 +338,7 @@ def test_lower_bands_round_trip_through_dense(num_blocks, block_dim):
     expected = pack_lower_bands(
         kronecker_smoother(matrix.A, matrix.Q, num_blocks), smoother_bandwidth(block_dim, num_blocks)
     ).bands
-    np.testing.assert_array_equal(block_smoother_bands(matrix.A, matrix.Q, num_blocks), expected)
+    np.testing.assert_array_equal(block_bands(matrix.A, matrix.Q, num_blocks), expected)
 
 
 def test_indefinite_chain_raises():
@@ -366,14 +375,14 @@ def transition_with_radius(rng: np.random.Generator, block_dim: int, radius: flo
 def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radius: float = 0.6):
     """(A, Q, rhs, assembled system) of a VAR or NAR state step with ``num_blocks`` blocks.
 
-    The system comes from ``assemble_var_smoother`` or ``assemble_nar_smoother``,
-    or is None for a one-block NAR system, which no series can produce.
+    The (matrix, rhs) pair comes from ``assemble_var_smoother`` or
+    ``assemble_nar_smoother``, or is None for a one-block NAR system, which no series can produce.
     """
     rng = np.random.default_rng([block_dim, num_blocks, int(1000 * rho)])
     A = transition_with_radius(rng, block_dim, radius)
     if family == "var":
         system = assemble_var_smoother(A, rng.normal(size=(num_blocks, block_dim)), rho)
-        return A, rho * np.eye(block_dim), system.rhs, system
+        return A, rho * np.eye(block_dim), system[1], system
     # A unit readout and a ridge of 0.1 keep the condition number of the NAR
     # system below about 100, so 1e-13 bounds the solver, not the problem.
     lam = 0.1
@@ -384,7 +393,7 @@ def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radi
         return A, Q, rng.normal(size=block_dim), None
     y = TimeSeries(rng.normal(size=num_blocks + NAR_ORDER - 1))
     system = assemble_nar_smoother(NARModel(A, readout), y, NAR_ORDER, rho, lam)
-    return A, Q, system.rhs, system
+    return A, Q, system[1], system
 
 
 def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float) -> None:
@@ -406,7 +415,7 @@ def test_block_smoother_matches_oracle_and_reference(family, block_dim, num_bloc
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
     if system is not None:
         # The assembler builds the same A and Q.
-        np.testing.assert_array_equal(solve_block_tridiagonal_spd(system.normal_matrix, system.rhs), solution)
+        np.testing.assert_array_equal(solve_block_tridiagonal_spd(*system), solution)
 
 
 @pytest.mark.parametrize("family", ["var", "nar"])
@@ -472,7 +481,7 @@ def test_probe_stays_on_while_the_lead_settles():
 def test_direct_bands_match_assembled_bands(family, num_blocks):
     A, Q, _, _ = smoother_case(family, 5, num_blocks, 0.1)
     expected = pack_lower_bands(kronecker_smoother(A, Q, num_blocks), smoother_bandwidth(5, num_blocks)).bands
-    np.testing.assert_array_equal(block_smoother_bands(A, Q, num_blocks), expected)
+    np.testing.assert_array_equal(block_bands(A, Q, num_blocks), expected)
 
 
 @pytest.mark.parametrize("num_blocks", [1, 2, 3, 200])
@@ -490,7 +499,7 @@ def test_ladder_shifts_block_smoother_like_assembled_system(num_blocks):
         np.testing.assert_array_equal(shifted.A, A)
         assert shifted.num_blocks == num_blocks
         np.testing.assert_allclose(
-            block_smoother_bands(shifted.A, shifted.Q, num_blocks),
+            block_bands(shifted.A, shifted.Q, num_blocks),
             pack_lower_bands(expected, smoother_bandwidth(b, num_blocks)).bands,
             rtol=1e-15,
             atol=0.0,
