@@ -99,6 +99,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, tuple(value))
+        for name in ("channels", "orders"):
+            if getattr(self, name) == ():
+                raise ValueError(f"{name} is an empty list; name at least one")
         if self.convergence_tol is None:
             nar = self.command in _NAR_COMMANDS
             self.convergence_tol = NARFitConfig.state_change_tol if nar else FitConfig.convergence_tol

@@ -7,10 +7,12 @@ Both updates are exact minimizers in their own variables, so with ``lam ==
 0`` the loss can never increase. One driver, :func:`_alternate`, runs the
 loop of the AR, VAR and NAR fits: descent guard, stop rule (``stop_reason``),
 history logs and the :class:`FitResult`; each family brings its two steps.
-The AR smoothing step hands the driver the delay windows of its candidate
-trajectories along with them, and the next refit regresses on those, so each
-trajectory is windowed once. ``numerics.smoother_bands`` lays out the AR(r)
-smoothers, with 1 x 1 blocks, and the VAR(1) smoother, with the stencil [-A, I].
+It keeps every per-fit state on a stack of the running fits only, from
+which a fit's row goes when it stops. The AR smoothing step hands the
+driver the delay windows of its candidate trajectories along with them, and
+the next refit regresses on those, so each trajectory is windowed once.
+``numerics.smoother_bands`` lays out the AR(r) smoothers, with 1 x 1
+blocks, and the VAR(1) smoother, with the stencil [-A, I].
 """
 
 from __future__ import annotations
@@ -173,7 +175,9 @@ def param_step(y_hat: TimeSeries, order_r: int, lam: float) -> ARParams:
 
 def _ar_stencils(thetas: np.ndarray) -> np.ndarray:
     """The stencils [-theta_r ... -theta_1, 1] of a (B, r) stack of AR coefficients, as (B, r + 1, 1, 1) blocks."""
-    return np.concatenate((-thetas[:, ::-1], np.ones((len(thetas), 1))), axis=1)[:, :, None, None]
+    stencils = np.ones((len(thetas), thetas.shape[1] + 1, 1, 1))
+    np.negative(thetas[:, ::-1], out=stencils[:, :-1, 0, 0])
+    return stencils
 
 
 def assemble_ar_smoother(
@@ -299,16 +303,23 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     no windows (VAR, NAR) pass and return None. With
     ``ridge``, a per-fit sum of squares, the fits are descents (AR, VAR):
     guarded, and stopped on the objective or the zero floor. Without it
-    (NAR) a fit stops once its trajectory stops changing. A fit that stops
-    leaves the stack, so result i equals the fit of ``ys[i]`` alone bit for
-    bit. ``estimate`` maps a logged parameter row to the estimate, and
-    ``roots`` a stack of rows to the eigenvalues of their dynamics.
+    (NAR) a fit stops once its trajectory stops changing. The per-fit state
+    (trajectory, windows, last measurement term, last monitored figure, zero
+    floor) is kept for the running fits only, row k for ``active[k]``; a fit
+    that stops leaves every such stack, so result i equals the fit of
+    ``ys[i]`` alone bit for bit. ``estimate`` maps a logged parameter row to
+    the estimate, and ``roots`` a stack of rows to the eigenvalues of their
+    dynamics.
     """
-    count, lam = len(observed), config.lam
+    count, rho, lam = len(observed), config.rho, config.lam
     # Exactly recoverable data drives the loss to rounding level, where the
-    # relative-change test is meaningless; such a fit stops outright. The
-    # floor scales with the data, so the fit of 2^j y is 2^j times the fit of y.
-    floor = 1e-24 * _sumsq(observed)
+    # relative-change test is meaningless; such a fit stops outright. The floor
+    # is 1e-24 times the sum of squares, taken over each series scaled by its
+    # largest magnitude: it overflows for no finite series whose floor is
+    # finite, and 2^j y gets 4^j times the floor of y.
+    peak = np.max(np.abs(observed), axis=tuple(range(1, observed.ndim)), keepdims=True)
+    peak = np.maximum(peak, np.finfo(float).tiny)
+    floor = 1e-24 * peak.ravel() * peak.ravel() * _sumsq(observed / peak)
     runs, reasons, y_final = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp), np.empty_like(observed)
     # Starting from y_hat = y, the held trajectory's measurement term is 0.
     active, y_hat, measurement, previous = np.arange(count), observed, np.zeros(count), np.full(count, np.nan)
@@ -316,11 +327,11 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
         params, held_dynamics = refit(y_hat, windows)
         candidate, new_windows, dynamics, new_measurement = smooth(params, active)
         _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
-        total = dynamics + config.rho * new_measurement
+        total = dynamics + rho * new_measurement
         if ridge is None:
             step = candidate - y_hat
             change = np.sqrt(np.vecdot(step, step))
-            scale = np.maximum(np.sqrt(np.vecdot(y_hat, y_hat)), 1e-300)
+            scale, floored = np.maximum(np.sqrt(np.vecdot(y_hat, y_hat)), 1e-300), False
         else:
             # The exact state update cannot raise its own objective (the loss
             # plus the state ridge), but a smoother system that is singular
@@ -329,21 +340,21 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
             # Holding the previous trajectory keeps every accepted step a
             # descent step. The held loss pairs the new parameters with the
             # old trajectory, whose measurement term is the last iteration's.
-            held_total = held_dynamics + config.rho * measurement[active]
-            norms = (ridge(candidate), ridge(y_hat)) if lam else (0.0, 0.0)
-            hold = total + lam * norms[0] > held_total + lam * norms[1]
+            # At lam == 0 the ridge terms would add zeros to nonnegative sums, which changes nothing.
+            held_total = held_dynamics + rho * measurement
+            norms = (ridge(candidate), ridge(y_hat)) if lam else None
+            hold = total + lam * norms[0] > held_total + lam * norms[1] if lam else total > held_total
             if hold.any():
                 candidate[hold] = y_hat[hold]
                 if windows is not None:
                     new_windows[hold] = windows[hold]
                 dynamics = np.where(hold, held_dynamics, dynamics)
-                new_measurement = np.where(hold, measurement[active], new_measurement)
+                new_measurement = np.where(hold, measurement, new_measurement)
                 total = np.where(hold, held_total, total)
-            measurement[active] = new_measurement
-            # At lam == 0 the ridge terms add a zero, which leaves the nonnegative total as it is.
+            measurement = new_measurement
             monitor = total + lam * (ridge(params) + np.where(hold, norms[1], norms[0])) if lam else total
-            scale = previous[active]
-            change, previous[active] = np.abs(scale - monitor), monitor
+            scale, previous, floored = previous, monitor, monitor <= floor
+            change = np.abs(scale - monitor)
         if iteration == 0:
             # Row k of fit i holds its parameters and loss terms, unwritten past runs[i]. The logs
             # double when full, since the cap can lie far beyond the iterations a fit runs.
@@ -352,19 +363,19 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
         elif iteration == len(theta_log):
             theta_log, loss_log = (np.concatenate((log, np.empty_like(log))) for log in (theta_log, loss_log))
         theta_log[iteration, active] = params
-        rows = loss_log[iteration]
-        rows[active, 0], rows[active, 1], rows[active, 2] = dynamics, new_measurement, total
+        loss_log[iteration, active] = np.array((dynamics, new_measurement, total)).T
 
-        # Codes index STOP_REASONS; 0 keeps the fit running until the cap.
-        reason = np.where(change == 0, 2, np.where(change <= tol * scale, 3, 0))
-        if ridge is not None:
-            reason[monitor <= floor[active]] = 1
-        stop = (reason > 0) | (iteration == config.max_iterations - 1)
-        reasons[active], runs[active] = reason, iteration + 1
-        if stop.any():
-            y_final[active[stop]] = candidate[stop]
-            keep = ~stop
-            active, candidate = active[keep], candidate[keep]
+        # A stall, change == 0, meets the tolerance too. Codes index STOP_REASONS;
+        # 0, the cap, stops every fit still running on the last iteration.
+        met = (change <= tol * scale) | floored
+        last = iteration == config.max_iterations - 1
+        if last or met.any():
+            reason = np.where(floored, 1, np.where(change == 0, 2, np.where(met, 3, 0)))
+            stop = met | last
+            done, keep = active[stop], ~stop
+            runs[done], reasons[done], y_final[done] = iteration + 1, reason[stop], candidate[stop]
+            active, candidate, measurement, previous, floor = (
+                state[keep] for state in (active, candidate, measurement, previous, floor))
             if new_windows is not None:
                 new_windows = new_windows[keep]
             if not active.size:

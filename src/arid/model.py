@@ -269,9 +269,13 @@ def delay_embed(y: TimeSeries, order_r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def delay_windows(values: np.ndarray, order_r: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`delay_embed` of each row of an unchecked (..., N) array: contiguous windows, target views."""
-    taps = np.arange(order_r - 1, values.shape[-1] - 1)[:, None] - np.arange(order_r)
-    # Unlike fancy indexing, np.take returns C-contiguous windows, which batched products need to round as one series.
-    return np.take(values, taps, axis=-1), values[..., order_r:]
+    values = np.ascontiguousarray(values, dtype=float)
+    step = values.strides[-1]
+    # Window t, a view, starts at value t + r - 1 and steps back; its copy is C-contiguous, which
+    # batched products need to round each series as they round it alone.
+    windows = np.ndarray((*values.shape[:-1], values.shape[-1] - order_r, order_r), float, values,
+                         (order_r - 1) * step, (*values.strides[:-1], step, -step))
+    return windows.copy(), values[..., order_r:]
 
 
 def predict_one_step(params: ARParams, embedding: np.ndarray) -> float:

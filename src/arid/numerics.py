@@ -74,12 +74,15 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("normal matrix is not positive definite") from exc
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
-    if lam == 0.0 and np.any(pivots.min(axis=1) <= np.sqrt(n * np.finfo(float).eps) * pivots.max(axis=1)):
+    # Every (n + 1)-th entry of each factor: a strided view of its diagonal.
+    pivots = chol.reshape(len(chol), -1)[:, :: n + 1]
+    if lam == 0.0 and (pivots.min(axis=1) <= np.sqrt(n * np.finfo(float).eps) * pivots.max(axis=1)).any():
         # Factorization survived but below the float numerical rank: treat as singular.
         raise SingularSystem("normal matrix is numerically rank-deficient at lam == 0")
     # LAPACK's triangular solves take one factor at a time.
-    solution = np.stack([_potrs(c, rhs, lower=True)[0] for c, rhs in zip(chol, moments)])
+    solution = np.empty(moments.shape)
+    for i, c in enumerate(chol):
+        solution[i] = _potrs(c, moments[i], lower=True)[0]
     if vector:
         solution = solution[..., 0]
     return solution[0] if single else solution
@@ -142,8 +145,8 @@ def _band_layout(r: int, p: int, n: int):
     ``gather[s, c, k]`` is the flat index, in the stencil Gram, of the entry
     a adds to band row k of column c of a block; ``exists`` is false where a
     or that entry does not exist. ``lower[c, k]`` is the flat index of entry
-    (c + k, c) of a p x p block where ``in_lower``, and block column j
-    repeats short block column ``columns[j]``.
+    (c + k, c) of a p x p block where ``in_lower``; short block column c
+    stands for ``repeats[c]`` block columns, the middle one, r, for n - 2r.
     """
     width, short = r + 1, min(n, 2 * r + 1)
     offset, c = np.arange(width - short, short)[:, None, None], np.arange(p)[:, None]
@@ -151,8 +154,9 @@ def _band_layout(r: int, p: int, n: int):
     exists = (0 <= offset) & (offset <= r) & (row < width * p)
     gather = np.where(exists, row * width * p + offset * p + c, 0)
     diagonal = c + np.arange(p)
-    columns = np.maximum(np.minimum(np.arange(n), r), np.arange(n) - (n - short))
-    arrays = gather, exists[..., None], np.minimum(diagonal, p - 1) * p + c, diagonal < p, columns
+    repeats = np.ones(short, dtype=np.intp)
+    repeats[min(r, short - 1)] += n - short
+    arrays = gather, exists[..., None], np.minimum(diagonal, p - 1) * p + c, diagonal < p, repeats
     for array in arrays:
         array.flags.writeable = False
     return (*arrays, short - r)
@@ -173,7 +177,7 @@ def smoother_bands(stencils: np.ndarray, Q: np.ndarray, num_blocks: int, start: 
     last row, so the systems end to end are the column-major bands LAPACK reads.
     """
     count, width, p = stencils.shape[:3]
-    gather, exists, lower, in_lower, columns, held = _band_layout(width - 1, p, num_blocks)
+    gather, exists, lower, in_lower, repeats, held = _band_layout(width - 1, p, num_blocks)
     # Block (u, v) of the Gram of the stencil row [S_0 ... S_r] is S_u^T S_v.
     row = stencils.transpose(0, 2, 1, 3).reshape(count, p, width * p)
     gram = np.matmul(row.transpose(0, 2, 1), row)
@@ -187,7 +191,8 @@ def smoother_bands(stencils: np.ndarray, Q: np.ndarray, num_blocks: int, start: 
     # The diagonal sums squares from 0.0, so it is never -0.0, and adding a zero ridge would change nothing.
     if lam:
         bands[:, :, 0] += lam
-    return np.take(bands.transpose(3, 0, 1, 2), columns, axis=1).reshape(count, num_blocks * p, -1).transpose(0, 2, 1)
+    # One output of the head block columns, the middle one repeated, and the tail.
+    return np.repeat(bands.transpose(3, 0, 1, 2), repeats, axis=1).reshape(count, num_blocks * p, -1).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)

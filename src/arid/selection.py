@@ -69,6 +69,9 @@ def order_scan(source, r_values, config: FitConfig, num_trials: int = 1) -> Orde
     r_values = [int(r) for r in r_values]
     if not r_values:
         raise ValueError("need at least one candidate order")
+    for i, r in enumerate(r_values):
+        if r in r_values[:i]:
+            raise ValueError(f"candidate order {r} is repeated")
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     if isinstance(source, TimeSeries) and num_trials != 1:

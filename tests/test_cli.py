@@ -162,6 +162,28 @@ def test_order_scan_accepts_comma_separated_orders(tmp_path):
     assert [entry["order_r"] for entry in report["results"]["per_order"]] == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("order-scan", "--orders", "2,2"), "order 2 is repeated"),
+        (("order-scan", "--orders", ","), "orders is an empty list"),
+        (("fit-var", "--channels", ","), "channels is an empty list"),
+    ],
+)
+def test_empty_or_repeated_list_exits_with_usage_code(tmp_path, args, named):
+    proc = run_cli(*args, "--n-steps", "40", "--iterations", "2", "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert named in proc.stderr
+
+
+def test_empty_orders_in_config_file_exit_with_usage_code(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"orders": []}))
+    proc = run_cli("order-scan", "--config", str(config_path), "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert "orders is an empty list" in proc.stderr
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_convergence_study_needs_one_or_more_trials(tmp_path, trials):
     proc = run_cli("convergence-study", "--trials", trials, "--n-steps", "40", "--out-dir", str(tmp_path / "run"))

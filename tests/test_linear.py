@@ -379,7 +379,9 @@ def test_ridge_monitor_non_increasing():
 def reference_fit_ar(y: TimeSeries, config: FitConfig):
     """One series, one step at a time: refit, smooth, two loss evaluations, guard, stop rule."""
     yo = scalar_values(y)
-    floor = 1e-24 * max(1.0, float(np.sum(yo * yo)))
+    # 1e-24 times the sum of squares, summed over the series scaled by its largest magnitude.
+    scale = float(np.max(np.abs(yo))) or 1.0
+    floor = 1e-24 * scale * scale * float(np.sum((yo / scale) ** 2))
     anchor, lam = config.anchor_all_values, config.lam
     y_hat, history, estimates, monitor_prev, converged = y, [], [], None, False
     for _ in range(config.max_iterations):
@@ -500,6 +502,31 @@ def test_batch_members_equal_step_by_step_fits_whatever_iteration_the_guard_hold
     assert [result.stop_reason for result in batch] == ["iteration_cap", "stall", "stall", "stall", "zero_floor",
                                                         "stall"]
     assert held[2][0] == 2 and held[3][0] == 3 and held[5][0] == 7
+
+
+def test_batch_members_equal_solo_fits_when_they_stop_on_tolerance_under_a_ridge():
+    # At lam > 0 the guard and the monitor carry the ridge terms. These fits
+    # stop on the tolerance at iterations 4, 5 and 6, and one of them has its
+    # last trajectory held by the guard.
+    exact = noise_free_series(np.array([0.4, -0.3, 0.2, 0.1, -0.05, 0.02]), np.linspace(1.0, -0.5, 6), 40)
+    noise = [np.random.Generator(np.random.Philox(key=seed)).normal(size=40) for seed in range(8)]
+    series = [TimeSeries(values) for values in noise] + [exact, TimeSeries(exact.values[:, 0] + 1e-12 * noise[0])]
+    config = FitConfig(order_r=6, rho=3e-8, lam=3e-5, max_iterations=40, convergence_tol=1e-8)
+    batch = fit_ar_batch(series, config)
+    for y, result in zip(series, batch, strict=True):
+        assert_same_fit(result, fit_ar(y, config))
+        y_hat, history, estimates, converged = reference_fit_ar(y, config)
+        np.testing.assert_array_equal(result.y_hat.values, y_hat.values)
+        assert result.loss_history == history
+        for got, want in zip(result.estimate_history, estimates, strict=True):
+            np.testing.assert_array_equal(got.theta, want.theta)
+        assert result.converged == converged
+    assert {result.stop_reason for result in batch} == {"tolerance"}
+    assert sorted({result.iterations_run for result in batch}) == [4, 5, 6]
+    held = [result for result in batch
+            if any(now.measurement_term == before.measurement_term
+                   for before, now in zip(result.loss_history, result.loss_history[1:]))]
+    assert held
 
 
 def test_batch_windows_each_trajectory_once(monkeypatch):
@@ -639,6 +666,29 @@ def test_fits_scale_with_the_data_by_powers_of_two(power):
         np.testing.assert_array_equal(scaled.theta_log, plain.theta_log)
         np.testing.assert_array_equal(scaled.y_hat.values, np.ldexp(plain.y_hat.values, power))
         np.testing.assert_array_equal(scaled.loss_log, np.ldexp(plain.loss_log, 2 * power))
+
+
+# In the VAR fit the Y^T Y block of the refit's Gram of [X | Y], which the
+# refit does not read, overflows, and so do the dynamics of the raw data,
+# which the guard of iteration 1 then never holds.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("family", ["ar", "var"])
+def test_zero_floor_is_finite_when_the_sum_of_squares_overflows(family):
+    # Every value, and every Gram the refit factors, is finite, but the sum
+    # of squares of the data is not: a floor taken from it is inf, and every
+    # fit would stop on it at iteration 1.
+    if family == "ar":
+        values = 1e153 * np.random.default_rng(0).normal(size=50)
+        values[-1] = 1.3e154
+        result = fit_ar(TimeSeries(values), FitConfig(2, 0.1, max_iterations=50))
+    else:
+        values = 0.5e153 * np.random.default_rng(1).normal(size=(200, 2))
+        values[-1] = [1.2e154, 0.0]
+        result = fit_var1(TimeSeries(values), FitConfig(1, 3.0, max_iterations=50))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(values * values))
+    assert result.iterations_run > 1 and result.stop_reason != "zero_floor"
+    assert np.isfinite(result.loss_log).all()
 
 
 def test_var_requires_first_order_config():

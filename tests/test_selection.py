@@ -5,6 +5,7 @@ import pytest
 from test_linear import reference_fit_ar
 
 import arid.linear
+import arid.numerics
 import arid.selection
 from arid.cli import main
 from arid.linear import FitConfig, fit_ar
@@ -146,3 +147,40 @@ def test_histories_read_after_a_scan_equal_the_step_by_step_reference(monkeypatc
             assert result.loss_history == history
             for got, want in zip(result.estimate_history, estimates, strict=True):
                 np.testing.assert_array_equal(got.theta, want.theta)
+
+
+def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
+    # One batched refit, one band build, one stacked banded solve and one
+    # windowing per lockstep iteration, through the names the benchmark's
+    # tracer wraps; LAPACK's triangular solve once per running fit.
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("solve_regularized_ls", "smoother_bands", "solve_banded_spd", "delay_windows"):
+        count(arid.linear, name)
+    count(arid.numerics, "_potrs")
+    batches, batch = [], arid.selection.fit_ar_batch
+
+    def recording(series, config):
+        batches.append(batch(series, config))
+        return batches[-1]
+
+    monkeypatch.setattr(arid.selection, "fit_ar_batch", recording)
+    spec = SyntheticSpec(oscillatory_ar5(), 60, 0.01, 1.0, 5)
+    order_scan(spec, [1, 3, 6], FitConfig(order_r=1, rho=0.1, max_iterations=30, convergence_tol=1e-4), num_trials=4)
+    runs = [[result.iterations_run for result in results] for results in batches]
+    lockstep = sum(max(counts) for counts in runs)
+    # Fits stop at different iterations, so a loop over all fits would show.
+    assert sum(map(sum, runs)) < sum(len(counts) * max(counts) for counts in runs)
+    assert calls["solve_regularized_ls"] == calls["smoother_bands"] == calls["solve_banded_spd"] == lockstep
+    # Once on the measurements of each order, then once per iteration.
+    assert calls["delay_windows"] == lockstep + len(batches)
+    assert calls["_potrs"] == sum(map(sum, runs))
