@@ -28,6 +28,7 @@ from .linear import (
     error_metrics,
     evaluate_loss,
     fit_ar,
+    fit_ar_batch,
     fit_var1,
     param_step,
     state_step,
@@ -40,7 +41,7 @@ from .model import (
     TimeSeries,
     build_companion,
     coefficients_from_roots,
-    delay_embed,
+    delay_windows,
     oscillatory_ar5,
     predict_one_step,
     simulate,
@@ -83,11 +84,12 @@ __all__ = [
     "build_companion",
     "coefficients_from_roots",
     "companion_eigenvalues",
-    "delay_embed",
+    "delay_windows",
     "embed_to_path",
     "error_metrics",
     "evaluate_loss",
     "fit_ar",
+    "fit_ar_batch",
     "fit_nar",
     "fit_var1",
     "lower_median",

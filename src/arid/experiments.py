@@ -99,7 +99,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, tuple(value))
-        for name in ("channels", "orders"):
+        for name in ("channels", "orders", "theta"):
             if getattr(self, name) == ():
                 raise ValueError(f"{name} is an empty list; name at least one")
         if self.convergence_tol is None:

@@ -8,9 +8,11 @@ Both updates are exact minimizers in their own variables, so with ``lam ==
 loop of the AR, VAR and NAR fits: descent guard, stop rule (``stop_reason``),
 history logs and the :class:`FitResult`; each family brings its two steps.
 It keeps every per-fit state on a stack of the running fits only, from
-which a fit's row goes when it stops. The AR smoothing step hands the
-driver the delay windows of its candidate trajectories along with them, and
-the next refit regresses on those, so each trajectory is windowed once.
+which a fit's row goes when it stops. The AR steps :func:`param_step`,
+:func:`state_step` and :func:`evaluate_loss` take a (B, ...) stack, one
+series being a stack of one; :func:`fit_ar_batch` calls them by module name.
+The smoothing step returns the delay windows of its candidates, which the
+next refit regresses on, so each trajectory is windowed once.
 ``numerics.smoother_bands`` lays out the AR(r) smoothers, with 1 x 1
 blocks, and the VAR(1) smoother, with the stencil [-A, I].
 """
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HorizonTooShort, NotPositiveDefinite, ZeroNormReference
-from .model import ARParams, TimeSeries, delay_embed, delay_windows, scalar_values
+from .model import ARParams, TimeSeries, delay_windows, scalar_values
 from .numerics import (
     BandedSPDMatrix,
     BlockTridiagonalSPDMatrix,
@@ -138,39 +140,22 @@ def _dynamics_term(thetas: np.ndarray, windows: np.ndarray, targets: np.ndarray)
     return np.vecdot(resid, resid)
 
 
-def evaluate_loss(
-    theta: ARParams,
-    y_hat: TimeSeries,
-    y: TimeSeries,
-    rho: float,
-    anchor_all: bool = False,
-) -> LossBreakdown:
-    """Joint dynamics/measurement loss of a candidate trajectory.
+def evaluate_loss(thetas: np.ndarray, windows: np.ndarray, y_hat: np.ndarray, observed: np.ndarray,
+                  start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dynamics and measurement terms of each member of a (B, N) stack of trajectories, windowed as ``windows``.
 
-    Dynamics residuals run over every transition with a full delay window
-    (t = r..N-1, one-based); measurement residuals cover t = r..N, or every
-    sample with ``anchor_all``. The normalized figure divides the total by N.
+    Dynamics residuals run over every transition with a full delay window;
+    measurement residuals against ``observed`` over the values from ``start``
+    on (r - 1, or 0 to anchor every sample). The objective is dynamics + rho * measurement.
     """
-    yh = scalar_values(y_hat)
-    yo = scalar_values(y)
-    if yh.size != yo.size:
-        raise ValueError("y_hat and y must have the same length")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    r = theta.order
-    gamma, y_plus = delay_embed(y_hat, r)
-    dynamics = float(_dynamics_term(theta.theta[None], gamma[None], y_plus[None])[0])
-    start = 0 if anchor_all else r - 1
-    err = yo[start:] - yh[start:]
-    measurement = float(np.vecdot(err, err))
-    total = dynamics + rho * measurement
-    return LossBreakdown(dynamics, measurement, total, total / yh.size)
+    err = observed[:, start:] - y_hat[:, start:]
+    return _dynamics_term(thetas, windows, y_hat[:, thetas.shape[1]:]), np.vecdot(err, err)
 
 
-def param_step(y_hat: TimeSeries, order_r: int, lam: float) -> ARParams:
-    """Exact coefficient update at fixed states: a regularized LS regression."""
-    gamma, y_plus = delay_embed(y_hat, order_r)
-    return ARParams(solve_regularized_ls(gamma, y_plus, lam))
+def param_step(windows: np.ndarray, targets: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coefficient update at fixed states: the (B, r) ridge regressions and their dynamics terms."""
+    thetas = solve_regularized_ls(windows, targets, lam)
+    return thetas, _dynamics_term(thetas, windows, targets)
 
 
 def _ar_stencils(thetas: np.ndarray) -> np.ndarray:
@@ -180,34 +165,16 @@ def _ar_stencils(thetas: np.ndarray) -> np.ndarray:
     return stencils
 
 
-def assemble_ar_smoother(
-    theta: ARParams,
-    y: TimeSeries,
-    rho: float,
-    lam: float = 0.0,
-    anchor_all: bool = False,
-) -> tuple[BandedSPDMatrix, np.ndarray]:
-    """Normal equations ``(matrix, rhs)`` of the loss in the N free trajectory values.
+def assemble_ar_smoother(thetas: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
+    """The (B, r + 1, n) lower bands of the trajectory normal matrices of a (B, r) coefficient stack.
 
-    Every dynamics residual touches r+1 consecutive values, so the system is
+    Every dynamics residual touches r+1 consecutive values, so each system is
     banded with bandwidth r: :func:`~arid.numerics.smoother_bands` with 1 x 1
-    blocks. Measurement terms add rho to the diagonal for t >= r, or
-    everywhere with ``anchor_all``; without it the first r-1 values are
-    pinned only through the dynamics terms (and lam), exactly as the loss is
-    written.
+    blocks. Measurement terms add rho to the diagonal from ``start`` on, and
+    the ridge lam everywhere; unanchored, the first r-1 values are pinned
+    only through the dynamics terms (and lam), exactly as the loss is written.
     """
-    yo = scalar_values(y)
-    r = theta.order
-    n = yo.size
-    if n <= r:
-        raise HorizonTooShort(f"need more than order {r} steps, got {n}")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    start = 0 if anchor_all else r - 1
-    bands = smoother_bands(_ar_stencils(theta.theta[None]), np.full((1, 1), rho), n, start, lam)
-    return BandedSPDMatrix(n, r, bands[0]), _measurement_rhs(yo, rho, start)
+    return smoother_bands(_ar_stencils(thetas), np.full((1, 1), rho), n, start, lam)
 
 
 def _measurement_rhs(yo: np.ndarray, rho: float, start: int) -> np.ndarray:
@@ -273,16 +240,13 @@ def _solve_stacked(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.stack([_solve_smoother(matrix, v, solve_banded_spd) for matrix, v in zip(alone, rhs)])
 
 
-def state_step(
-    theta: ARParams,
-    y: TimeSeries,
-    rho: float,
-    lam: float = 0.0,
-    anchor_all: bool = False,
-) -> TimeSeries:
-    """Exact trajectory update at fixed coefficients via the banded smoother."""
-    smoothed = _solve_smoother(*assemble_ar_smoother(theta, y, rho, lam, anchor_all), solve_banded_spd)
-    return TimeSeries(smoothed, y.sample_rate_hz, y.channel_names)
+def state_step(thetas: np.ndarray, rhs: np.ndarray, rho: float, lam: float, start: int) -> tuple[np.ndarray, ...]:
+    """Exact trajectory update at fixed coefficients: the (B, N) smoothed trajectories and their delay windows.
+
+    ``rhs`` is :func:`_measurement_rhs` of the measurements; the B smoothers are solved as one banded system.
+    """
+    candidate = _solve_stacked(assemble_ar_smoother(thetas, rhs.shape[1], rho, lam, start), rhs)
+    return candidate, delay_windows(candidate, thetas.shape[1])[0]
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:
@@ -405,9 +369,10 @@ def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:
 def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     """:func:`fit_ar` of several equally long series, run in lockstep by :func:`_alternate`.
 
-    Each iteration refits every active series in one batched factorization
-    and smooths them all in one banded solve, their systems placed end to
-    end, so result i equals ``fit_ar(ys[i], config)`` bit for bit.
+    Each iteration runs :func:`param_step` (one batched factorization),
+    :func:`state_step` (one banded solve, the systems end to end) and
+    :func:`evaluate_loss` once on the running fits; result i equals
+    ``fit_ar(ys[i], config)`` bit for bit.
     """
     ys = tuple(ys)
     if not ys or len({y.n_steps for y in ys}) != 1:
@@ -416,19 +381,15 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     r, rho, lam = config.order_r, config.rho, config.lam
     if yo.shape[1] <= r:
         raise HorizonTooShort(f"need more than order {r} steps, got {yo.shape[1]}")
-    n, start = yo.shape[1], 0 if config.anchor_all_values else r - 1
-    rhs, Q = _measurement_rhs(yo, rho, start), np.full((1, 1), rho)
+    start = 0 if config.anchor_all_values else r - 1
+    rhs = _measurement_rhs(yo, rho, start)
 
     def refit(y_hat, windows):
-        targets = y_hat[:, r:]
-        thetas = solve_regularized_ls(windows, targets, lam)
-        return thetas, _dynamics_term(thetas, windows, targets)
+        return param_step(windows, y_hat[:, r:], lam)
 
     def smooth(thetas, active):
-        candidate = _solve_stacked(smoother_bands(_ar_stencils(thetas), Q, n, start, lam), rhs[active])
-        windows = delay_windows(candidate, r)[0]
-        err = yo[active, start:] - candidate[:, start:]
-        return candidate, windows, _dynamics_term(thetas, windows, candidate[:, r:]), np.vecdot(err, err)
+        candidate, windows = state_step(thetas, rhs[active], rho, lam, start)
+        return candidate, windows, *evaluate_loss(thetas, windows, candidate, yo[active], start)
 
     return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, ARParams, companion_eigenvalues,
                       ridge=lambda v: np.vecdot(v, v), windows=delay_windows(yo, r)[0])

@@ -251,24 +251,11 @@ def simulate(model: LinearSSModel, x1: np.ndarray, n_steps: int, noise: NoiseSpe
     return states, TimeSeries(measured)
 
 
-def delay_embed(y: TimeSeries, order_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay-embedding design matrix and one-step targets of a scalar series.
-
-    Row j holds the window (y_t, y_{t-1}, ..., y_{t-r+1}) for t = r + j
-    (zero-based j), and the matching target is y_{t+1}; rows are newest
-    value first.
-    """
-    vals = scalar_values(y)
-    if order_r < 1:
-        raise ValueError("order_r must be >= 1")
-    if vals.size <= order_r:
-        raise HorizonTooShort(f"need more than order_r = {order_r} steps, got {vals.size}")
-    gamma, y_plus = delay_windows(vals, order_r)
-    return gamma, y_plus.copy()
-
-
 def delay_windows(values: np.ndarray, order_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`delay_embed` of each row of an unchecked (..., N) array: contiguous windows, target views."""
+    """Delay windows of each row of an unchecked (..., N) array, newest value first, and their one-step targets.
+
+    Window j of a row y is (y[j + r - 1], ..., y[j]), a contiguous copy; its target y[j + r], a view.
+    """
     values = np.ascontiguousarray(values, dtype=float)
     step = values.strides[-1]
     # Window t, a view, starts at value t + r - 1 and steps back; its copy is C-contiguous, which

@@ -15,8 +15,7 @@ from arid.dataio import inject_artefact
 from arid.experiments import ExperimentConfig, run_experiment
 from arid.linear import (
     FitConfig,
-    _solve_stacked,
-    assemble_ar_smoother,
+    _measurement_rhs,
     assemble_var_smoother,
     error_metrics,
     evaluate_loss,
@@ -32,6 +31,7 @@ from arid.model import (
     TimeSeries,
     build_companion,
     coefficients_from_roots,
+    delay_windows,
     oscillatory_ar5,
     scalar_values,
     signature_aligned_ar5,
@@ -182,34 +182,36 @@ def test_5_both_steps_are_stationary_points(capsys):
     rng = np.random.Generator(np.random.Philox(key=505))
     start = time.perf_counter()
     worst = 0.0
+    # The AR steps that fit_ar_batch calls, on stacks of one, against the
+    # objective as it scores it: every value anchored on odd instances.
     for instance in range(50):
         order = int(rng.integers(1, 6))
         n_steps = int(rng.integers(30, 61))
         rho = float(rng.choice([0.01, 0.1, 1.0]))
-        anchor = bool(instance % 2)
-        y = TimeSeries(rng.normal(size=n_steps))
-        y_hat = TimeSeries(rng.normal(size=n_steps))
+        first = 0 if instance % 2 else order - 1
+        y = rng.normal(size=(1, n_steps))
+        y_hat = rng.normal(size=(1, n_steps))
 
-        theta = param_step(y_hat, order, 0.0)
-        reference = evaluate_loss(theta, y_hat, y, rho, anchor).total
-        scale = max(1.0, reference)
+        def ar_loss(thetas, trajectory):
+            dynamics, measurement = evaluate_loss(thetas, delay_windows(trajectory, order)[0], trajectory, y, first)
+            return float(dynamics[0] + rho * measurement[0])
+
+        thetas, _ = param_step(*delay_windows(y_hat, order), 0.0)
+        scale = max(1.0, ar_loss(thetas, y_hat))
         for j in range(order):
-            step = 1e-6 * max(1.0, abs(theta.theta[j]))
-            bump = np.zeros(order)
-            bump[j] = step
-            up = evaluate_loss(ARParams(theta.theta + bump), y_hat, y, rho, anchor).total
-            down = evaluate_loss(ARParams(theta.theta - bump), y_hat, y, rho, anchor).total
+            step = 1e-6 * max(1.0, abs(thetas[0, j]))
+            bump = np.zeros((1, order))
+            bump[0, j] = step
+            up, down = ar_loss(thetas + bump, y_hat), ar_loss(thetas - bump, y_hat)
             worst = max(worst, abs(up - down) / (2 * step) / scale)
 
-        smoothed = scalar_values(state_step(theta, y, rho, 0.0, anchor))
-        reference = evaluate_loss(theta, TimeSeries(smoothed), y, rho, anchor).total
-        scale = max(1.0, reference)
+        smoothed, _ = state_step(thetas, _measurement_rhs(y, rho, first), rho, 0.0, first)
+        scale = max(1.0, ar_loss(thetas, smoothed))
         for j in range(n_steps):
-            step = 1e-6 * max(1.0, abs(smoothed[j]))
-            bump = np.zeros(n_steps)
-            bump[j] = step
-            up = evaluate_loss(theta, TimeSeries(smoothed + bump), y, rho, anchor).total
-            down = evaluate_loss(theta, TimeSeries(smoothed - bump), y, rho, anchor).total
+            step = 1e-6 * max(1.0, abs(smoothed[0, j]))
+            bump = np.zeros((1, n_steps))
+            bump[0, j] = step
+            up, down = ar_loss(thetas, smoothed + bump), ar_loss(thetas, smoothed - bump)
             worst = max(worst, abs(up - down) / (2 * step) / scale)
 
     # The VAR state step, on series both below and above the length from
@@ -297,13 +299,9 @@ def test_6_structured_solvers_match_dense_oracle(capsys):
         order = int(rng.integers(1, 11))
         n = int(rng.integers(order + 1, 201))
         rho, lam = float(rng.choice([0.01, 0.1, 1.0])), float(rng.choice([0.0, 0.01]))
-        thetas = [stable_coefficients(rng, order).theta for _ in range(int(rng.integers(1, 11)))]
-        systems = [
-            assemble_ar_smoother(ARParams(theta), TimeSeries(rng.normal(size=n)), rho, lam, anchor_all=True)
-            for theta in thetas
-        ]
-        rhs = np.stack([v for _, v in systems])
-        solved = _solve_stacked(np.stack([matrix.bands for matrix, _ in systems]), rhs)
+        thetas = np.array([stable_coefficients(rng, order).theta for _ in range(int(rng.integers(1, 11)))])
+        rhs = _measurement_rhs(rng.normal(size=(len(thetas), n)), rho, 0)
+        solved, _ = state_step(thetas, rhs, rho, lam, 0)
         for theta, member, v in zip(thetas, solved, rhs):
             compare(member, ar_smoother_dense(theta, n, rho, lam, 0), v)
     elapsed = time.perf_counter() - start

@@ -168,6 +168,8 @@ def test_order_scan_accepts_comma_separated_orders(tmp_path):
         (("order-scan", "--orders", "2,2"), "order 2 is repeated"),
         (("order-scan", "--orders", ","), "orders is an empty list"),
         (("fit-var", "--channels", ","), "channels is an empty list"),
+        (("simulate", "--theta", ","), "theta is an empty list"),
+        (("fit-ar", "--theta", ","), "theta is an empty list"),
     ],
 )
 def test_empty_or_repeated_list_exits_with_usage_code(tmp_path, args, named):

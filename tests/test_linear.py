@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arid import numerics
-from arid.errors import NotPositiveDefinite, SingularSystem, ZeroNormReference
+from arid.errors import HorizonTooShort, NotPositiveDefinite, SingularSystem, ZeroNormReference
 from arid.linear import (
     _RIDGE_BOOSTS,
     FitConfig,
     LossBreakdown,
-    _ar_stencils,
+    _measurement_rhs,
     _solve_smoother,
     _solve_stacked,
     assemble_ar_smoother,
@@ -31,7 +31,6 @@ from arid.model import (
     SyntheticSpec,
     TimeSeries,
     build_companion,
-    delay_embed,
     delay_windows,
     oscillatory_ar5,
     scalar_values,
@@ -53,6 +52,22 @@ def noise_free_series(theta: np.ndarray, x1: np.ndarray, n_steps: int) -> TimeSe
     return measured
 
 
+def loss_of(theta: np.ndarray, y_hat: np.ndarray, y: np.ndarray, rho: float, anchor_all: bool = False) -> LossBreakdown:
+    """The objective of one trajectory by ``evaluate_loss`` on a stack of one, totalled as a fit logs it."""
+    r = theta.size
+    dynamics, measurement = evaluate_loss(theta[None], delay_windows(y_hat[None], r)[0], y_hat[None], y[None],
+                                          0 if anchor_all else r - 1)
+    total = dynamics[0] + rho * measurement[0]
+    return LossBreakdown(float(dynamics[0]), float(measurement[0]), float(total), float(total) / y_hat.size)
+
+
+def smooth(theta: np.ndarray, y, rho: float, lam: float = 0.0, anchor_all: bool = False) -> np.ndarray:
+    """One trajectory smoothed by ``state_step`` on a stack of one."""
+    start = 0 if anchor_all else theta.size - 1
+    rhs = _measurement_rhs(np.asarray(y, dtype=float)[None], rho, start)
+    return state_step(theta[None], rhs, rho, lam, start)[0][0]
+
+
 def total_with_ridge(
     theta: np.ndarray,
     y_hat: np.ndarray,
@@ -61,8 +76,7 @@ def total_with_ridge(
     lam: float,
     anchor_all: bool,
 ) -> float:
-    loss = evaluate_loss(ARParams(theta), TimeSeries(y_hat), y, rho, anchor_all)
-    total = loss.total
+    total = loss_of(theta, y_hat, scalar_values(y), rho, anchor_all).total
     if lam > 0:
         total += lam * float(theta @ theta + y_hat @ y_hat)
     return total
@@ -92,45 +106,33 @@ def dense_smoother_solution(
 
 
 def test_loss_hand_computed_breakdown():
-    loss = evaluate_loss(
-        ARParams(np.array([1.0])),
-        TimeSeries(np.array([1.0, 2.0, 2.5])),
-        TimeSeries(np.array([1.0, 2.0, 3.0])),
-        rho=2.0,
-    )
+    loss = loss_of(np.array([1.0]), np.array([1.0, 2.0, 2.5]), np.array([1.0, 2.0, 3.0]), rho=2.0)
     assert loss.dynamics_term == pytest.approx(1.25, abs=1e-14)
     assert loss.measurement_term == pytest.approx(0.25, abs=1e-14)
     assert loss.total == pytest.approx(1.75, abs=1e-14)
     assert loss.normalized == pytest.approx(1.75 / 3.0, abs=1e-14)
 
 
-def test_doubling_rho_doubles_measurement_share():
-    theta = ARParams(np.array([0.7, -0.2]))
-    y_hat = TimeSeries(np.array([1.0, 0.5, 0.3, 0.4, 0.1]))
-    y = TimeSeries(np.array([1.2, 0.4, 0.5, 0.2, 0.0]))
-    low = evaluate_loss(theta, y_hat, y, rho=0.5)
-    high = evaluate_loss(theta, y_hat, y, rho=1.0)
-    assert high.total - high.dynamics_term == pytest.approx(
-        2.0 * (low.total - low.dynamics_term), rel=1e-14
-    )
-
-
 def test_anchoring_adds_leading_measurement_residuals():
-    theta = ARParams(np.array([1.0, 0.0]))
-    y_hat = TimeSeries(np.array([0.0, 2.0, 3.0, 4.0]))
-    y = TimeSeries(np.array([1.0, 2.0, 3.0, 4.0]))
-    plain = evaluate_loss(theta, y_hat, y, rho=0.5, anchor_all=False)
-    anchored = evaluate_loss(theta, y_hat, y, rho=0.5, anchor_all=True)
+    theta = np.array([1.0, 0.0])
+    y_hat = np.array([0.0, 2.0, 3.0, 4.0])
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    plain = loss_of(theta, y_hat, y, rho=0.5, anchor_all=False)
+    anchored = loss_of(theta, y_hat, y, rho=0.5, anchor_all=True)
     assert plain.measurement_term == pytest.approx(0.0, abs=1e-14)
     assert anchored.measurement_term == pytest.approx(1.0, abs=1e-14)
     assert anchored.total - plain.total == pytest.approx(0.5, abs=1e-14)
 
 
-def test_loss_requires_positive_rho():
-    theta = ARParams(np.array([1.0]))
-    series = TimeSeries(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        evaluate_loss(theta, series, series, rho=0.0)
+def test_loss_terms_of_a_stack_are_those_of_its_members():
+    rng = np.random.Generator(np.random.Philox(key=30))
+    thetas, y_hat, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 20)), rng.normal(size=(4, 20))
+    for start in (0, 2):
+        dynamics, measurement = evaluate_loss(thetas, delay_windows(y_hat, 3)[0], y_hat, y, start)
+        for k in range(4):
+            resid = [y_hat[k, t] - sum(thetas[k, j] * y_hat[k, t - 1 - j] for j in range(3)) for t in range(3, 20)]
+            assert dynamics[k] == pytest.approx(float(np.dot(resid, resid)), rel=1e-12)
+            assert measurement[k] == pytest.approx(float(np.sum((y[k, start:] - y_hat[k, start:]) ** 2)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -138,37 +140,41 @@ def test_loss_requires_positive_rho():
 
 
 def test_constant_series_fits_unit_coefficient():
-    theta = param_step(TimeSeries(np.array([3.0, 3.0, 3.0, 3.0])), 1, 0.0)
-    np.testing.assert_allclose(theta.theta, [1.0], rtol=0, atol=1e-12)
+    thetas, dynamics = param_step(*delay_windows(np.full((1, 4), 3.0), 1), 0.0)
+    np.testing.assert_allclose(thetas, [[1.0]], rtol=0, atol=1e-12)
+    assert dynamics[0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_param_step_is_least_squares_on_embedding():
+    # Each member of a stack is the regression of its own windows, and its dynamics term the residual of that fit.
     rng = np.random.Generator(np.random.Philox(key=31))
-    y = TimeSeries(rng.normal(size=40))
-    theta = param_step(y, 3, 0.05)
-    gamma, y_plus = delay_embed(y, 3)
-    oracle = solve_regularized_ls(gamma, y_plus, 0.05)
-    np.testing.assert_array_equal(theta.theta, oracle)
+    windows, targets = delay_windows(rng.normal(size=(3, 40)), 3)
+    thetas, dynamics = param_step(windows, targets, 0.05)
+    for k in range(3):
+        oracle = solve_regularized_ls(windows[k], targets[k], 0.05)
+        np.testing.assert_array_equal(thetas[k], oracle)
+        resid = targets[k] - windows[k] @ oracle
+        assert dynamics[k] == pytest.approx(float(resid @ resid), rel=1e-12)
 
 
 def test_param_step_recovers_noise_free_coefficients():
     theta_true = np.array([0.4, -0.3, 0.2])
     y = noise_free_series(theta_true, np.array([1.0, 0.5, -0.5]), 60)
-    theta = param_step(y, 3, 0.0)
-    np.testing.assert_allclose(theta.theta, theta_true, rtol=0, atol=1e-10)
+    thetas, _ = param_step(*delay_windows(y.values.T, 3), 0.0)
+    np.testing.assert_allclose(thetas[0], theta_true, rtol=0, atol=1e-10)
 
 
 def test_param_step_gradient_vanishes_at_solution():
     rng = np.random.Generator(np.random.Philox(key=32))
     y = TimeSeries(rng.normal(size=50))
-    theta = param_step(y, 4, 0.0)
     yh = scalar_values(y)
+    theta = param_step(*delay_windows(yh[None], 4), 0.0)[0][0]
     step = 1e-6
     for k in range(4):
         bump = np.zeros(4)
         bump[k] = step
-        up = total_with_ridge(theta.theta + bump, yh, y, 1.0, 0.0, False)
-        down = total_with_ridge(theta.theta - bump, yh, y, 1.0, 0.0, False)
+        up = total_with_ridge(theta + bump, yh, y, 1.0, 0.0, False)
+        down = total_with_ridge(theta - bump, yh, y, 1.0, 0.0, False)
         gradient = (up - down) / (2 * step)
         assert abs(gradient) <= 1e-4 * max(1.0, up)
 
@@ -181,16 +187,14 @@ def test_param_step_gradient_vanishes_at_solution():
 def test_smoother_bands_sum_in_pair_loop_order(order, n_steps):
     # Reference: every (a, b) stencil pair added to its band in turn.
     rng = np.random.Generator(np.random.Philox(key=order * 100 + n_steps))
-    theta = ARParams(rng.normal(size=order))
-    y = TimeSeries(rng.normal(size=n_steps))
-    stencil = np.concatenate((-theta.theta[::-1], [1.0]))
+    theta = rng.normal(size=order)
+    stencil = np.concatenate((-theta[::-1], [1.0]))
     expected = np.zeros((order + 1, n_steps))
     for a in range(order + 1):
         for b in range(a, order + 1):
             expected[b - a, a : a + n_steps - order] += stencil[a] * stencil[b]
     expected[0] += 0.3
-    matrix, _ = assemble_ar_smoother(theta, y, 0.3, anchor_all=True)
-    np.testing.assert_array_equal(matrix.bands, expected)
+    np.testing.assert_array_equal(assemble_ar_smoother(theta[None], n_steps, 0.3, 0.0, 0)[0], expected)
 
 
 def loop_bands(stencils: np.ndarray, Q: np.ndarray, n: int, start: int, lam: float) -> np.ndarray:
@@ -249,18 +253,16 @@ def test_band_builder_equals_per_offset_loop_bit_for_bit(order, block_dim):
 def test_state_step_noise_free_fixed_point():
     theta_true = np.array([0.4, -0.3, 0.2])
     y = noise_free_series(theta_true, np.array([1.0, 0.5, -0.5]), 50)
-    smoothed = state_step(ARParams(theta_true), y, rho=0.1)
-    np.testing.assert_allclose(
-        scalar_values(smoothed), scalar_values(y), rtol=0, atol=1e-9
-    )
+    smoothed = smooth(theta_true, scalar_values(y), rho=0.1)
+    np.testing.assert_allclose(smoothed, scalar_values(y), rtol=0, atol=1e-9)
 
 
 def test_state_step_with_huge_rho_returns_measurements():
     rng = np.random.Generator(np.random.Philox(key=33))
     y = TimeSeries(rng.normal(size=40))
-    smoothed = state_step(ARParams(np.array([0.5, 0.2])), y, rho=1e8)
     yo = scalar_values(y)
-    relative = np.abs(scalar_values(smoothed)[1:] - yo[1:]) / np.maximum(np.abs(yo[1:]), 1e-3)
+    smoothed = smooth(np.array([0.5, 0.2]), yo, rho=1e8)
+    relative = np.abs(smoothed[1:] - yo[1:]) / np.maximum(np.abs(yo[1:]), 1e-3)
     assert float(relative.max()) < 1e-3
 
 
@@ -270,16 +272,16 @@ def test_state_step_matches_dense_normal_equations(anchor_all, lam):
     rng = np.random.Generator(np.random.Philox(key=34))
     theta = np.array([0.4, -0.3, 0.2])
     y = TimeSeries(rng.normal(size=30))
-    smoothed = state_step(ARParams(theta), y, 0.25, lam, anchor_all)
+    smoothed = smooth(theta, scalar_values(y), 0.25, lam, anchor_all)
     oracle = dense_smoother_solution(theta, y, 0.25, lam, anchor_all)
-    np.testing.assert_allclose(scalar_values(smoothed), oracle, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(smoothed, oracle, rtol=1e-10, atol=1e-12)
 
 
 def test_state_step_gradient_vanishes_at_solution():
     rng = np.random.Generator(np.random.Philox(key=35))
     theta = np.array([0.6, -0.1])
     y = TimeSeries(rng.normal(size=25))
-    smoothed = scalar_values(state_step(ARParams(theta), y, rho=0.5))
+    smoothed = smooth(theta, scalar_values(y), rho=0.5)
     step = 1e-6
     worst = 0.0
     for k in range(25):
@@ -296,13 +298,12 @@ def test_state_step_survives_unpinned_leading_value():
     # With zero coefficients and the literal measurement range the first
     # trajectory value appears in no residual at all, so the normal matrix
     # is exactly singular and the diagonal-shift retry has to engage.
-    y = TimeSeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    smoothed = state_step(ARParams(np.array([0.0, 0.0])), y, rho=1.0)
-    assert np.all(np.isfinite(scalar_values(smoothed)))
+    smoothed = smooth(np.array([0.0, 0.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0]), rho=1.0)
+    assert np.all(np.isfinite(smoothed))
     # Minimizer by hand: index 1 carries only its measurement residual and
     # indices >= 2 balance the zero-pull of the dynamics term against the
     # measurement pull, giving y * rho / (1 + rho).
-    np.testing.assert_allclose(scalar_values(smoothed)[1:], [2.0, 1.5, 2.0, 2.5], rtol=1e-6)
+    np.testing.assert_allclose(smoothed[1:], [2.0, 1.5, 2.0, 2.5], rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,7 @@ def test_first_estimate_is_classical_least_squares():
     rng = np.random.Generator(np.random.Philox(key=36))
     y = TimeSeries(rng.normal(size=80))
     result = fit_ar(y, FitConfig(order_r=4, rho=0.1, max_iterations=5))
-    gamma, y_plus = delay_embed(y, 4)
+    gamma, y_plus = delay_windows(scalar_values(y), 4)
     baseline = solve_regularized_ls(gamma, y_plus, 0.0)
     np.testing.assert_array_equal(result.estimate_history[0].theta, baseline)
 
@@ -377,28 +378,28 @@ def test_ridge_monitor_non_increasing():
 
 
 def reference_fit_ar(y: TimeSeries, config: FitConfig):
-    """One series, one step at a time: refit, smooth, two loss evaluations, guard, stop rule."""
+    """One series as a stack of one, one step at a time: refit, smooth, two loss evaluations, guard, stop rule."""
     yo = scalar_values(y)
     # 1e-24 times the sum of squares, summed over the series scaled by its largest magnitude.
     scale = float(np.max(np.abs(yo))) or 1.0
     floor = 1e-24 * scale * scale * float(np.sum((yo / scale) ** 2))
-    anchor, lam = config.anchor_all_values, config.lam
-    y_hat, history, estimates, monitor_prev, converged = y, [], [], None, False
+    anchor, lam, r, rho = config.anchor_all_values, config.lam, config.order_r, config.rho
+    start = 0 if anchor else r - 1
+    rhs = _measurement_rhs(yo[None], rho, start)
+    y_hat, history, estimates, monitor_prev, converged = yo, [], [], None, False
     for _ in range(config.max_iterations):
-        theta = param_step(y_hat, config.order_r, lam)
-        candidate = state_step(theta, y, config.rho, lam, anchor)
-        loss = evaluate_loss(theta, candidate, y, config.rho, anchor)
-        held = evaluate_loss(theta, y_hat, y, config.rho, anchor)
-        new_values, old_values = scalar_values(candidate), scalar_values(y_hat)
-        if loss.total + lam * float(new_values @ new_values) > held.total + lam * float(old_values @ old_values):
+        theta = param_step(*delay_windows(y_hat[None], r), lam)[0][0]
+        candidate = state_step(theta[None], rhs, rho, lam, start)[0][0]
+        loss = loss_of(theta, candidate, yo, rho, anchor)
+        held = loss_of(theta, y_hat, yo, rho, anchor)
+        if loss.total + lam * float(candidate @ candidate) > held.total + lam * float(y_hat @ y_hat):
             candidate, loss = y_hat, held
         y_hat = candidate
         history.append(loss)
-        estimates.append(theta)
+        estimates.append(ARParams(theta))
         monitor = loss.total
         if lam > 0:
-            yh = scalar_values(y_hat)
-            monitor += lam * float(theta.theta @ theta.theta + yh @ yh)
+            monitor += lam * float(theta @ theta + y_hat @ y_hat)
         if monitor <= floor:
             converged = True
             break
@@ -406,7 +407,7 @@ def reference_fit_ar(y: TimeSeries, config: FitConfig):
             converged = True
             break
         monitor_prev = monitor
-    return y_hat, tuple(history), tuple(estimates), converged
+    return TimeSeries(y_hat), tuple(history), tuple(estimates), converged
 
 
 def assert_same_fit(result, expected):
@@ -604,6 +605,16 @@ def test_singular_refit_of_one_member_fails_the_batch():
         fit_ar_batch(series, FitConfig(order_r=2, rho=0.1, max_iterations=5))
 
 
+def test_ar_fits_need_more_than_order_samples():
+    for order, n_steps in ((1, 1), (3, 2), (3, 3)):
+        y = TimeSeries(np.arange(1.0, n_steps + 1))
+        config = FitConfig(order_r=order, rho=0.1)
+        with pytest.raises(HorizonTooShort):
+            fit_ar(y, config)
+        with pytest.raises(HorizonTooShort):
+            fit_ar_batch([y, y], config)
+
+
 def test_batch_needs_equally_long_series():
     config = FitConfig(order_r=1, rho=0.1)
     with pytest.raises(ValueError):
@@ -644,8 +655,8 @@ def test_var_with_one_channel_factors_the_ar1_bands(monkeypatch, n_steps):
 
     monkeypatch.setattr(numerics, "smoother_bands", recording)
     solve_block_tridiagonal_spd(*assemble_var_smoother(np.array([[0.7]]), y[:, None], 0.3))
-    ar_matrix, _ = assemble_ar_smoother(ARParams(np.array([0.7])), TimeSeries(y), 0.3, anchor_all=True)
-    assert len(built) == 1 and built[0][0].tobytes() == ar_matrix.bands.tobytes()
+    ar_bands = assemble_ar_smoother(np.array([[0.7]]), n_steps, 0.3, 0.0, 0)
+    assert len(built) == 1 and built[0][0].tobytes() == ar_bands[0].tobytes()
 
 
 @pytest.mark.parametrize("power", [-60, -42, -20, 40, 300])
@@ -689,6 +700,11 @@ def test_zero_floor_is_finite_when_the_sum_of_squares_overflows(family):
         assert not np.isfinite(np.sum(values * values))
     assert result.iterations_run > 1 and result.stop_reason != "zero_floor"
     assert np.isfinite(result.loss_log).all()
+
+
+def test_var_fit_needs_two_samples():
+    with pytest.raises(HorizonTooShort):
+        fit_var1(TimeSeries(np.ones((1, 3))), FitConfig(order_r=1, rho=0.1))
 
 
 def test_var_requires_first_order_config():
@@ -806,14 +822,14 @@ def test_ladder_rescues_singular_ar_smoother():
     # A zero trailing coefficient leaves y_hat[1] out of every dynamics
     # residual, and without anchor_all or a ridge out of the measurement
     # term too: its row of the normal matrix is zero.
-    theta = ARParams(np.array([0.5, 0.0]))
-    y = TimeSeries(np.sin(np.arange(30.0)))
-    matrix, rhs = assemble_ar_smoother(theta, y, 0.1)
+    theta, y = np.array([0.5, 0.0]), np.sin(np.arange(30.0))
+    matrix = BandedSPDMatrix(30, 2, assemble_ar_smoother(theta[None], 30, 0.1, 0.0, 1)[0])
+    rhs = _measurement_rhs(y, 0.1, 1)
     with pytest.raises(NotPositiveDefinite):
         solve_banded_spd(matrix, rhs)
     solution = _solve_smoother(matrix, rhs, solve_banded_spd)
     assert np.all(np.isfinite(solution))
-    np.testing.assert_array_equal(scalar_values(state_step(theta, y, 0.1)), solution)
+    np.testing.assert_array_equal(smooth(theta, y, 0.1), solution)
 
 
 def test_ladder_runs_per_system_inside_a_stack():
@@ -821,17 +837,15 @@ def test_ladder_runs_per_system_inside_a_stack():
     # the stacked solve fails, and every system must then come back as it
     # does alone, the singular one shifted by its own diagonal only.
     rng = np.random.Generator(np.random.Philox(key=45))
-    thetas = [np.array([0.3, -0.2]), np.array([0.5, 0.0]), np.array([-0.4, 0.1])]
-    series = [TimeSeries(rng.normal(size=30)), TimeSeries(np.sin(np.arange(30.0))), TimeSeries(rng.normal(size=30))]
-    systems = [assemble_ar_smoother(ARParams(theta), y, 0.1) for theta, y in zip(thetas, series)]
-    bands = np.stack([matrix.bands for matrix, _ in systems])
-    rhs = np.stack([v for _, v in systems])
+    thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
+    series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
+    bands, rhs = assemble_ar_smoother(thetas, 30, 0.1, 0.0, 1), _measurement_rhs(series, 0.1, 1)
     with pytest.raises(NotPositiveDefinite):
         solve_banded_spd(BandedSPDMatrix(90, 2, np.concatenate(bands, axis=1)), rhs.ravel())
     solutions = _solve_stacked(bands, rhs)
     assert np.all(np.isfinite(solutions))
-    for solution, theta, y in zip(solutions, thetas, series):
-        np.testing.assert_array_equal(solution, scalar_values(state_step(ARParams(theta), y, 0.1)))
+    for solution, system, v in zip(solutions, bands, rhs, strict=True):
+        np.testing.assert_array_equal(solution, _solve_smoother(BandedSPDMatrix(30, 2, system), v, solve_banded_spd))
 
 
 def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
@@ -840,7 +854,7 @@ def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
     rng = np.random.Generator(np.random.Philox(key=45))
     thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
     series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
-    bands = smoother_bands(_ar_stencils(thetas), np.full((1, 1), 0.1), 30, 1)
+    bands = assemble_ar_smoother(thetas, 30, 0.1, 0.0, 1)
     rhs = np.concatenate((np.zeros((3, 1)), 0.1 * series[:, 1:]), axis=1)
     stacked = bands.transpose(1, 0, 2).reshape(3, 90)
     assert np.shares_memory(stacked, bands)
@@ -848,17 +862,15 @@ def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
         solve_banded_spd(BandedSPDMatrix(90, 2, stacked), rhs.ravel())
     solutions = _solve_stacked(bands, rhs)
     for solution, theta, y in zip(solutions, thetas, series, strict=True):
-        np.testing.assert_array_equal(solution, scalar_values(state_step(ARParams(theta), TimeSeries(y), 0.1)))
+        np.testing.assert_array_equal(solution, smooth(theta, y, 0.1))
 
 
 def test_stacked_smoothers_equal_solo_solves():
     rng = np.random.Generator(np.random.Philox(key=46))
-    thetas = [rng.normal(scale=0.3, size=4) for _ in range(3)]
-    series = [TimeSeries(rng.normal(size=50)) for _ in range(3)]
-    systems = [assemble_ar_smoother(ARParams(theta), y, 0.2, anchor_all=True) for theta, y in zip(thetas, series)]
-    solutions = _solve_stacked(np.stack([matrix.bands for matrix, _ in systems]), np.stack([v for _, v in systems]))
-    for solution, system in zip(solutions, systems):
-        np.testing.assert_array_equal(solution, solve_banded_spd(*system))
+    thetas, series = rng.normal(scale=0.3, size=(3, 4)), rng.normal(size=(3, 50))
+    bands, rhs = assemble_ar_smoother(thetas, 50, 0.2, 0.0, 0), _measurement_rhs(series, 0.2, 0)
+    for solution, system, v in zip(_solve_stacked(bands, rhs), bands, rhs, strict=True):
+        np.testing.assert_array_equal(solution, solve_banded_spd(BandedSPDMatrix(50, 4, system), v))
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from arid.model import (
     TimeSeries,
     build_companion,
     coefficients_from_roots,
-    delay_embed,
+    delay_windows,
     oscillatory_ar5,
     predict_one_step,
     scalar_values,
@@ -270,20 +270,24 @@ def test_simulation_equals_the_per_step_draws_bit_for_bit(structure, n_steps):
 
 
 def test_delay_embedding_windows_are_newest_first():
-    gamma, y_plus = delay_embed(TimeSeries(np.array([1.0, 2.0, 3.0, 4.0])), 2)
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    gamma, y_plus = delay_windows(values, 2)
     np.testing.assert_array_equal(gamma, [[2.0, 1.0], [3.0, 2.0]])
     np.testing.assert_array_equal(y_plus, [3.0, 4.0])
-
-
-def test_delay_embedding_needs_more_than_order_samples():
-    with pytest.raises(HorizonTooShort):
-        delay_embed(TimeSeries(np.array([5.0])), 1)
+    # The targets are a view of the values; the windows a C-contiguous copy.
+    assert np.shares_memory(y_plus, values) and not np.shares_memory(gamma, values)
+    assert gamma.flags.c_contiguous
 
 
 def test_delay_embedding_shapes():
-    gamma, y_plus = delay_embed(TimeSeries(np.arange(10.0)), 3)
-    assert gamma.shape == (7, 3)
-    assert y_plus.shape == (7,)
+    values = np.arange(20.0).reshape(2, 10)
+    gamma, y_plus = delay_windows(values, 3)
+    assert gamma.shape == (2, 7, 3)
+    assert y_plus.shape == (2, 7)
+    for row, windows, targets in zip(values, gamma, y_plus, strict=True):
+        alone = delay_windows(row, 3)
+        np.testing.assert_array_equal(windows, alone[0])
+        np.testing.assert_array_equal(targets, alone[1])
 
 
 def test_predict_identity_coefficient_echoes_input():

@@ -150,9 +150,10 @@ def test_histories_read_after_a_scan_equal_the_step_by_step_reference(monkeypatc
 
 
 def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
-    # One batched refit, one band build, one stacked banded solve and one
-    # windowing per lockstep iteration, through the names the benchmark's
-    # tracer wraps; LAPACK's triangular solve once per running fit.
+    # One call of each AR step, one batched refit, one band build, one
+    # stacked banded solve and one windowing per lockstep iteration, through
+    # the names the benchmark's tracer wraps; LAPACK's triangular solve once
+    # per running fit.
     calls = {}
 
     def count(module, name):
@@ -164,7 +165,8 @@ def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("solve_regularized_ls", "smoother_bands", "solve_banded_spd", "delay_windows"):
+    for name in ("param_step", "state_step", "evaluate_loss", "assemble_ar_smoother", "solve_regularized_ls",
+                 "smoother_bands", "solve_banded_spd", "delay_windows"):
         count(arid.linear, name)
     count(arid.numerics, "_potrs")
     batches, batch = [], arid.selection.fit_ar_batch
@@ -180,7 +182,9 @@ def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
     lockstep = sum(max(counts) for counts in runs)
     # Fits stop at different iterations, so a loop over all fits would show.
     assert sum(map(sum, runs)) < sum(len(counts) * max(counts) for counts in runs)
-    assert calls["solve_regularized_ls"] == calls["smoother_bands"] == calls["solve_banded_spd"] == lockstep
+    steps = ("param_step", "state_step", "evaluate_loss", "assemble_ar_smoother", "solve_regularized_ls",
+             "smoother_bands", "solve_banded_spd")
+    assert [calls[name] for name in steps] == [lockstep] * len(steps)
     # Once on the measurements of each order, then once per iteration.
     assert calls["delay_windows"] == lockstep + len(batches)
     assert calls["_potrs"] == sum(map(sum, runs))

@@ -6,8 +6,9 @@ metrics that target feeds then drop out of the benchmark result. A rename in
 hook that can no longer read its call's arguments (such as the file path of
 ``load_csv`` or ``write_csv``) marks its counters broken, and they drop out
 too; traced CLI runs check for that, that the order-scan op feeds nonzero
-refit, banded-solve and simulation counts, and that the fit-var and artefact-study
-ops feed nonzero iteration counts and NAR step times.
+AR step, assembly, refit, banded-solve and simulation counts, and that the
+fit-var and artefact-study ops feed nonzero iteration counts and NAR step
+times.
 
 The VAR and NAR fits must also reach the block solver and the VAR
 assembler through the names the tracer wraps: the fit-var op has to report
@@ -70,6 +71,8 @@ def test_traced_cli_runs_feed_every_per_layer_metric(tmp_path, capsys):
     scan = metrics[0]
     assert scan["numerics.regularized_ls_calls"] > 0
     assert scan["numerics.banded_solve_calls"] > 0 and scan["model.simulate_calls"] > 0
+    assert all(scan[name] > 0 for name in ("linear.param_step_calls", "linear.state_step_calls",
+                                           "linear.evaluate_loss_calls", "linear.assemble_s"))
     var = metrics[1]
     assert var["linear.iterations"] > 0
     assert var["numerics.block_solve_calls"] > 0 and var["linear.assemble_s"] > 0
