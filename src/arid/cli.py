@@ -21,103 +21,45 @@ from .errors import (
     RaggedRows,
     SingularSystem,
 )
-from .experiments import COMMANDS, ExperimentConfig, run_experiment
+from .experiments import KEYS, ExperimentConfig, run_experiment
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with configuration values; flags override it")
-    p.add_argument("--out-dir", dest="out_dir", help="directory for outputs and report.json")
-    p.add_argument("--seed", type=int, help="base seed for all random draws")
-    p.add_argument("--rho", type=float, help="measurement fidelity weight")
-    p.add_argument("--lambda", dest="lam", type=float, help="ridge regularization weight")
-    p.add_argument("--order", type=int, help="autoregressive window length")
-    p.add_argument("--depth", type=int, help="signature truncation depth")
-    p.add_argument("--iterations", type=int, help="alternation iteration cap")
-    p.add_argument("--trials", type=int, help="number of independent trials")
-    p.add_argument("--convergence-tol", dest="convergence_tol", type=float,
-                   help="relative change that stops the alternation: of the objective, "
-                        "or of the trajectory for fit-nar and artefact-study")
-    p.add_argument("--anchor-all", dest="anchor_all", action="store_const", const=True,
-                   help="measurement term on every sample (default for experiments)")
-    p.add_argument("--no-anchor-all", dest="anchor_all", action="store_const", const=False,
-                   help="literal objective: no measurement term on the first r-1 samples")
-
-
-def _add_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="CSV file with one column per channel")
-    p.add_argument("--has-header", dest="has_header", action="store_const", const=True,
-                   help="treat the first CSV row as channel names")
-    p.add_argument("--sample-rate-hz", dest="sample_rate_hz", type=float)
-    p.add_argument("--channels", type=_int_list, help="1-based channel selection, e.g. 1,3")
-    p.add_argument("--limit-steps", dest="limit_steps", type=int,
-                   help="keep only the first so many time steps")
-    p.add_argument("--first-difference", dest="first_difference", action="store_const",
-                   const=True, help="difference the series before fitting")
-
-
-def _add_synthetic(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-steps", dest="n_steps", type=int, help="length of each simulated series")
-    p.add_argument("--transition-std", dest="transition_std", type=float)
-    p.add_argument("--measurement-std", dest="measurement_std", type=float)
-    p.add_argument("--theta", type=_float_list,
-                   help="autoregressive coefficients for the simulator, newest lag first")
+_BLURBS = {
+    "simulate": "generate a noisy synthetic series",
+    "fit-ar": "fit a scalar autoregressive model with denoising",
+    "fit-var": "fit a first-order vector autoregressive model",
+    "fit-nar": "fit a signature-based nonlinear autoregressive model",
+    "order-scan": "sweep window lengths and report fit quality",
+    "convergence-study": "repeat fits across trials with known truth",
+    "artefact-study": "inject an artefact, denoise, check forecasts",
+    "predict": "one-step forecasts from a previously fitted model",
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
+    """The command-line parser, built once per process: parsing leaves it unchanged.
+
+    Each subcommand has ``--config`` and one flag per key of its row in
+    ``KEYS``; flags leave unset keys at None, so a config file can set them.
+    """
     parser = argparse.ArgumentParser(
         prog="arid",
         description="identify autoregressive dynamics from noisy time series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a noisy synthetic series")
-    _add_common(p)
-    _add_synthetic(p)
-
-    for name, blurb in (
-        ("fit-ar", "fit a scalar autoregressive model with denoising"),
-        ("fit-var", "fit a first-order vector autoregressive model"),
-        ("fit-nar", "fit a signature-based nonlinear autoregressive model"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        _add_common(p)
-        _add_input(p)
-        _add_synthetic(p)
-
-    p = sub.add_parser("order-scan", help="sweep window lengths and report fit quality")
-    _add_common(p)
-    _add_input(p)
-    _add_synthetic(p)
-    p.add_argument("--orders", type=_int_list, help="window lengths to scan, e.g. 1,2,3,4,5")
-
-    p = sub.add_parser("convergence-study", help="repeat fits across trials with known truth")
-    _add_common(p)
-    _add_synthetic(p)
-
-    p = sub.add_parser("artefact-study", help="inject an artefact, denoise, check forecasts")
-    _add_common(p)
-    _add_input(p)
-    _add_synthetic(p)
-    p.add_argument("--channel", type=int, help="1-based channel receiving the artefact")
-    p.add_argument("--t-start", dest="t_start", type=int, help="1-based first corrupted step")
-    p.add_argument("--t-end", dest="t_end", type=int, help="1-based last corrupted step")
-    p.add_argument("--artefact-std", dest="artefact_std", type=float)
-
-    p = sub.add_parser("predict", help="one-step forecasts from a previously fitted model")
-    _add_common(p)
-    _add_input(p)
-    p.add_argument("--report", help="report.json of the run that fitted the model")
-
+    for command, blurb in _BLURBS.items():
+        # No abbreviations: --channel must not pass for --channels where only the latter is read.
+        p = sub.add_parser(command, help=blurb, allow_abbrev=False)
+        p.add_argument("--config", help="JSON file with configuration values; flags override it")
+        for key, spec in KEYS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if spec.type is not bool:
+                p.add_argument(flag, dest=key, type=spec.type, help=spec.help)
+            elif spec.default:
+                p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, help=spec.help)
+            else:
+                p.add_argument(flag, dest=key, action="store_const", const=True, help=spec.help)
     return parser
 
 

@@ -126,8 +126,8 @@ def inject_artefact(y: TimeSeries, channel: int, t_start: int, t_end: int, std: 
         raise IndexOutOfRange(f"channel {channel} outside 1..{y.n_channels}")
     if not 1 <= t_start <= t_end <= y.n_steps:
         raise IndexOutOfRange(f"window [{t_start}, {t_end}] outside 1..{y.n_steps}")
-    if std < 0:
-        raise ValueError("std must be nonnegative")
+    if not 0 <= std < np.inf:
+        raise ValueError(f"std must be nonnegative and finite, got {std}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     values = y.values.copy()
     values[t_start - 1:t_end, channel - 1] = std * rng.standard_normal(t_end - t_start + 1)

@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -39,91 +40,139 @@ SCHEMA_VERSION = 1
 # Offset keeping artefact noise streams disjoint from trial simulation streams.
 _ARTEFACT_SEED_OFFSET = 2**32
 
-COMMANDS = (
-    "simulate",
-    "fit-ar",
-    "fit-var",
-    "fit-nar",
-    "order-scan",
-    "convergence-study",
-    "artefact-study",
-    "predict",
-)
 
-# Commands that fit NAR models; their convergence_tol is the trajectory-change tolerance.
-_NAR_COMMANDS = ("fit-nar", "artefact-study")
-
-# Configuration file keys use "lambda"; the dataclass field avoids the keyword.
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {"lam": "lambda"}
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat bag of experiment settings; unused fields are ignored by commands."""
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
 
-    command: str
-    input: str | None = None
-    has_header: bool = False
-    sample_rate_hz: float | None = None
-    channels: tuple[int, ...] | None = None
-    limit_steps: int | None = None
-    first_difference: bool = False
-    out_dir: str = "runs/latest"
-    seed: int = 0
-    trials: int = 1
-    order: int = 5
-    depth: int = 2
-    rho: float = 0.1
-    lam: float = 0.0
-    iterations: int = 100
-    # Unset, it takes the fitting family's default: FitConfig's objective
-    # tolerance, or NARFitConfig's trajectory-change tolerance for NAR runs.
-    convergence_tol: float | None = None
-    anchor_all: bool = True
-    n_steps: int = 200
-    transition_std: float = 0.01
-    measurement_std: float = 1.0
-    theta: tuple[float, ...] | None = None
-    orders: tuple[int, ...] | None = None
-    channel: int = 1
-    t_start: int = 75
-    t_end: int = 125
-    artefact_std: float = 2.0
-    report: str | None = None
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        for name in ("channels", "orders", "theta"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, tuple(value))
-        for name in ("channels", "orders", "theta"):
-            if getattr(self, name) == ():
-                raise ValueError(f"{name} is an empty list; name at least one")
-        if self.convergence_tol is None:
-            nar = self.command in _NAR_COMMANDS
-            self.convergence_tol = NARFitConfig.state_change_tol if nar else FitConfig.convergence_tol
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: the type its flag parses, its ``--help`` text and its value when unset.
+
+    A ``bool`` key is a switch: ``--name`` sets it, and ``--no-name`` clears
+    one that defaults to True.
+    """
+
+    type: Callable
+    help: str
+    default: object = None
+
+
+def _alternation(family: type) -> dict[str, Key]:
+    """The alternation's keys; ridge, iteration cap and tolerance default to the fitting family's."""
+    nar = family is NARFitConfig
+    return {
+        "rho": Key(float, "measurement fidelity weight", 0.1),
+        "lambda": Key(float, "ridge regularization weight", family.lam),
+        "iterations": Key(int, "alternation iteration cap", family.max_iterations),
+        "convergence_tol": Key(
+            float,
+            f"relative change of the {'trajectory' if nar else 'objective'} that stops the alternation",
+            family.state_change_tol if nar else family.convergence_tol,
+        ),
+    }
+
+
+_OUT = {"out_dir": Key(str, "directory for outputs and report.json", "runs/latest")}
+_INPUT = {
+    "input": Key(str, "CSV file with one column per channel"),
+    "has_header": Key(bool, "treat the first CSV row as channel names", False),
+    "sample_rate_hz": Key(float, "sample rate echoed into reports and outputs"),
+    "channels": Key(_int_list, "1-based channel selection, e.g. 1,3"),
+    "limit_steps": Key(int, "keep only the first so many time steps"),
+    "first_difference": Key(bool, "difference the series before fitting", False),
+}
+_SIMULATION = {
+    "seed": Key(int, "base seed for all random draws", 0),
+    "n_steps": Key(int, "length of each simulated series", 200),
+    "transition_std": Key(float, "standard deviation of the simulated transition noise", 0.01),
+    "measurement_std": Key(float, "standard deviation of the simulated measurement noise", 1.0),
+}
+_SYNTHETIC = {**_SIMULATION, "theta": Key(_float_list, "autoregressive coefficients for the simulator, newest lag first")}
+_ORDER = {"order": Key(int, "autoregressive window length", 5)}
+_AR_FIT = {
+    **_ORDER,
+    **_alternation(FitConfig),
+    "anchor_all": Key(bool, "measurement term on every sample; --no-anchor-all keeps the literal "
+                            "objective, with none on the first r-1 samples", True),
+}
+_NAR_FIT = {**_ORDER, "depth": Key(int, "signature truncation depth", NARFitConfig.depth_d), **_alternation(NARFitConfig)}
+_TRIALS = {"trials": Key(int, "number of independent trials", 1)}
+
+# Each command's row: the keys it reads, and nothing else. Its parser has one
+# flag per key, and its config files and report echo hold only these keys.
+KEYS: dict[str, dict[str, Key]] = {
+    "simulate": {**_OUT, **_SYNTHETIC},
+    "fit-ar": {**_OUT, **_INPUT, **_SYNTHETIC, **_AR_FIT},
+    "fit-var": {**_OUT, **_INPUT, **_SIMULATION, **_alternation(FitConfig)},
+    "fit-nar": {**_OUT, **_INPUT, **_SYNTHETIC, **_NAR_FIT},
+    "order-scan": {
+        **_OUT, **_INPUT, **_SYNTHETIC, **_AR_FIT, **_TRIALS,
+        # The one key of any row that changes no result: each candidate of
+        # orders replaces order, which is only checked (>= 1) first. Both scan
+        # presets set it, the benchmark's among them, so it goes when that
+        # preset drops it.
+        "order": dataclasses.replace(_ORDER["order"], help="only checked (>= 1): each of --orders replaces it"),
+        "orders": Key(_int_list, "window lengths to scan, e.g. 1,2,3,4,5; unset, 1 to 10"),
+    },
+    "convergence-study": {**_OUT, **_SYNTHETIC, **_AR_FIT, **_TRIALS},
+    "artefact-study": {
+        **_OUT, **_INPUT, **_SYNTHETIC, **_NAR_FIT,
+        "channel": Key(int, "1-based channel receiving the artefact", 1),
+        "t_start": Key(int, "1-based first corrupted step", 75),
+        "t_end": Key(int, "1-based last corrupted step", 125),
+        "artefact_std": Key(float, "standard deviation of the artefact noise", 2.0),
+    },
+    "predict": {**_OUT, **_INPUT, "report": Key(str, "report.json of the run that fitted the model")},
+}
+
+
+def _row(command: str) -> dict[str, Key]:
+    if command not in KEYS:
+        raise ValueError(f"unknown command {command!r}")
+    return KEYS[command]
+
+
+def _attribute(key: str) -> str:
+    """A key's attribute name on ExperimentConfig: ``lambda`` is a Python keyword, so it is ``lam``."""
+    return "lam" if key == "lambda" else key
+
+
+class ExperimentConfig(SimpleNamespace):
+    """The settings of one command: every key of its row in KEYS, given or at its default."""
+
+    def __init__(self, command: str, **values):
+        row = {_attribute(key): spec for key, spec in _row(command).items()}
+        settings = {name: spec.default for name, spec in row.items()}
+        for name, value in values.items():
+            if name not in row:
+                raise ValueError(f"{command} reads no configuration key {name!r}")
+            if value is not None and row[name].type in (_int_list, _float_list):
+                value = tuple(value)
+                if not value:
+                    raise ValueError(f"{name} is an empty list; name at least one")
+            settings[name] = value
+        super().__init__(command=command, **settings)
 
     @classmethod
     def from_mapping(cls, command: str, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)} - {"command"}
-        kwargs = {}
-        for key, value in data.items():
-            name = _KEY_TO_FIELD.get(key, key)
-            if name not in known:
-                raise ValueError(f"unknown configuration key {key!r}")
-            kwargs[name] = value
-        return cls(command=command, **kwargs)
+        """Settings from configuration keys, as config files and reports spell them."""
+        row = _row(command)
+        for key in data:
+            if key not in row:
+                raise ValueError(f"{command} reads no configuration key {key!r}")
+        return cls(command, **{_attribute(key): value for key, value in data.items()})
 
     def to_mapping(self) -> dict:
+        """The keys of this command's row and their values, as ``from_mapping`` reads them back."""
         out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[_FIELD_TO_KEY.get(f.name, f.name)] = value
+        for key in KEYS[self.command]:
+            value = getattr(self, _attribute(key))
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -292,8 +341,8 @@ def _run_fit_var(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         noise = NoiseSpec(cfg.transition_std, cfg.measurement_std, cfg.seed)
         states, y = simulate(model, np.zeros(A_true.shape[0]), cfg.n_steps, noise)
         truth = (A_true, states)
-    config = FitConfig(1, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol)
-    result = fit_var1(y, config)  # r = 1: every value carries a measurement term already
+    # r = 1: every value carries a measurement term already, so there is no anchor_all to read.
+    result = fit_var1(y, FitConfig(1, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol))
     results, outputs = _fit_report(result, out)
     A_first = result.estimate_history[0]
     A_final = result.theta_hat
@@ -346,8 +395,6 @@ def _run_order_scan(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_convergence_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    if cfg.input:
-        raise ValueError("convergence-study needs synthetic data with known ground truth")
     if cfg.trials < 1:
         raise ValueError(f"convergence-study needs trials >= 1, got {cfg.trials}")
     spec = _synthetic_spec(cfg)

@@ -133,8 +133,9 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.transition_std < 0 or self.measurement_std < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        for name in ("transition_std", "measurement_std"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -1,14 +1,16 @@
-"""End-to-end tests of the command-line interface via subprocess."""
+"""End-to-end tests of the command-line interface, via subprocess and in process."""
 
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from arid.cli import build_parser
+from arid.cli import build_parser, main
 from arid.dataio import write_csv
+from arid.experiments import KEYS
 from arid.model import TimeSeries
 
 
@@ -42,7 +44,7 @@ def test_simulate_prints_report_and_writes_files(tmp_path):
 
 def test_flags_override_config_file(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"n_steps": 40, "seed": 1, "lambda": 0.5}))
+    config_path.write_text(json.dumps({"n_steps": 40, "seed": 1, "transition_std": 0.5}))
     out = tmp_path / "run"
     proc = run_cli(
         "simulate", "--config", str(config_path), "--n-steps", "60", "--out-dir", str(out)
@@ -51,7 +53,7 @@ def test_flags_override_config_file(tmp_path):
     report = json.loads(proc.stdout)
     assert report["config"]["n_steps"] == 60
     assert report["config"]["seed"] == 1
-    assert report["config"]["lambda"] == 0.5
+    assert report["config"]["transition_std"] == 0.5
 
 
 def test_invalid_parameter_exits_with_usage_code(tmp_path):
@@ -64,10 +66,13 @@ def test_invalid_parameter_exits_with_usage_code(tmp_path):
     "command, flag, value",
     [("fit-ar", "--lambda", "nan"), ("fit-ar", "--lambda", "inf"), ("fit-ar", "--rho", "inf"),
      ("fit-var", "--rho", "nan"), ("fit-nar", "--lambda", "nan"), ("fit-nar", "--rho", "inf"),
-     ("fit-ar", "--convergence-tol", "inf"), ("fit-nar", "--convergence-tol", "inf")],
+     ("fit-ar", "--convergence-tol", "inf"), ("fit-nar", "--convergence-tol", "inf"),
+     ("fit-ar", "--transition-std", "nan"), ("fit-var", "--measurement-std", "inf"),
+     ("artefact-study", "--artefact-std", "nan")],
 )
 def test_non_finite_config_value_exits_with_usage_code(tmp_path, command, flag, value):
-    proc = run_cli(command, flag, value, "--out-dir", str(tmp_path), "--n-steps", "40", "--iterations", "2")
+    window = ("--t-start", "5", "--t-end", "10") if command == "artefact-study" else ()
+    proc = run_cli(command, flag, value, *window, "--out-dir", str(tmp_path), "--n-steps", "40", "--iterations", "2")
     assert proc.returncode == 2
     assert "must be" in proc.stderr and "Warning" not in proc.stderr
 
@@ -173,7 +178,7 @@ def test_order_scan_accepts_comma_separated_orders(tmp_path):
     ],
 )
 def test_empty_or_repeated_list_exits_with_usage_code(tmp_path, args, named):
-    proc = run_cli(*args, "--n-steps", "40", "--iterations", "2", "--out-dir", str(tmp_path / "run"))
+    proc = run_cli(*args, "--n-steps", "40", "--out-dir", str(tmp_path / "run"))
     assert proc.returncode == 2
     assert named in proc.stderr
 
@@ -274,3 +279,81 @@ def test_artefact_study_refit_beats_first_iteration(tmp_path):
     assert results["prediction_improved"] is True
     assert results["mse_final_iteration"] < results["mse_first_iteration"]
     assert results["rmse_denoised_window"] < results["rmse_raw_window"]
+
+
+# ---------------------------------------------------------------------------
+# one row of keys per command: its flags, its config-file keys and its echo
+
+ALL_KEYS = set().union(*KEYS.values())
+SWITCHES = {key for row in KEYS.values() for key, spec in row.items() if spec.type is bool}
+
+
+def _flags(keys) -> set[str]:
+    flags = {"--" + key.replace("_", "-") for key in keys}
+    return flags | ({"--no-anchor-all"} if "anchor_all" in keys else set())
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_help_lists_exactly_the_keys_of_the_row(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | _flags(KEYS[command])
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_every_flag_the_command_does_not_read_exits_with_usage_code(command, capsys):
+    unread = ALL_KEYS - set(KEYS[command])
+    assert unread
+    for key in sorted(unread):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, *(() if key in SWITCHES else ("1",))])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_every_config_key_the_command_does_not_read_exits_with_usage_code(command, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    for key in sorted(ALL_KEYS - set(KEYS[command])):
+        config_path.write_text(json.dumps({key: 1}))
+        assert main([command, "--config", str(config_path), "--out-dir", str(tmp_path / "run")]) == 2
+        assert f"{command} reads no configuration key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# Each command's small run; predict reads the fit-ar run's report.
+SMALL_RUNS = {
+    "simulate": ["--n-steps", "40"],
+    "fit-ar": ["--n-steps", "60", "--iterations", "3", "--seed", "2"],
+    "fit-var": ["--n-steps", "60", "--iterations", "3"],
+    "fit-nar": ["--n-steps", "60", "--iterations", "3", "--order", "4"],
+    "order-scan": ["--orders", "1,2", "--trials", "2", "--n-steps", "60", "--iterations", "3"],
+    "convergence-study": ["--trials", "2", "--n-steps", "60", "--iterations", "3"],
+    "artefact-study": ["--n-steps", "60", "--t-start", "20", "--t-end", "35", "--iterations", "2"],
+    "predict": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_a_reports_config_reruns_to_the_same_outputs(command, tmp_path, capsys):
+    argv = [command, *SMALL_RUNS[command]]
+    if command == "predict":
+        assert main(["fit-ar", *SMALL_RUNS["fit-ar"], "--out-dir", str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+        context = tmp_path / "context.csv"
+        write_csv(TimeSeries(np.sin(np.arange(30.0))), context)
+        argv += ["--report", str(tmp_path / "fit" / "report.json"), "--input", str(context)]
+    assert main([*argv, "--out-dir", str(tmp_path / "first")]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert "command" not in first["config"] and set(first["config"]) == set(KEYS[command])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(first["config"]))
+    assert main([command, "--config", str(config_path), "--out-dir", str(tmp_path / "again")]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert again["results"] == first["results"]
+    assert {**again["config"], "out_dir": None} == {**first["config"], "out_dir": None}
+    for name in first["outputs"].values():
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()

@@ -1,16 +1,20 @@
-"""The study presets in configs/ load as configurations of their command and run through the CLI."""
+"""The study presets in configs/ load as configurations of their command and run through the CLI;
+the benchmark presets in perfbench/configs/ parse with the arguments its workloads give them."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from arid.cli import main
+from arid.cli import build_parser, config_from_args, main
 from arid.dataio import write_csv
 from arid.experiments import ExperimentConfig
 from arid.model import TimeSeries
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH = CONFIGS.parent / "perfbench"
 
 # preset -> (command, flags that keep the run small)
 PRESETS = {
@@ -44,7 +48,9 @@ def test_preset_runs_through_the_cli_into_its_out_dir(name, tmp_path, monkeypatc
     report = json.loads(capsys.readouterr().out)
     out = tmp_path / _preset(name)["out_dir"]
     assert json.loads((out / "report.json").read_text())["results"] == report["results"]
-    assert report["config"]["trials"] == (2 if "--trials" in small else 1)
+    assert {flag: report["config"][flag[2:]] for flag in small[::2]} == {
+        flag: int(value) for flag, value in zip(small[::2], small[1::2])
+    }
     for file_name in report["outputs"].values():
         assert (out / file_name).is_file()
 
@@ -61,3 +67,27 @@ def test_var_demo_preset_takes_a_recording(tmp_path, capsys):
     assert "e_norm_theta" not in report["results"]
     assert len(report["results"]["model"]["A"]) == 3
     assert (report["results"]["converged"], report["results"]["stop_reason"]) == (False, "iteration_cap")
+
+
+def _load_workloads():
+    # Read-only import of the benchmark's workload table; its dataclasses need the module registered.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads().WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_preset_parses_for_its_workload_command(name, tmp_path):
+    # The arguments of a benchmark op and its warm-up: a preset key or a flag
+    # the command does not read would make every op of the workload exit 2.
+    workload = WORKLOADS[name]
+    assert workload.config_path == BENCH / "configs" / f"{name}.json"
+    extra, _ = workload.prepare(0, tmp_path)
+    argv = [workload.command, "--config", str(workload.config_path), "--out-dir", str(tmp_path / "out"), *extra]
+    for flags in ((), workload.warmup_flags):
+        assert config_from_args(build_parser().parse_args([*argv, *flags])).command == workload.command

@@ -333,6 +333,12 @@ def test_zero_std_zeroes_the_window():
     np.testing.assert_array_equal(injected.values[:, 1], np.ones(10))
 
 
+@pytest.mark.parametrize("std", [-1.0, np.nan, np.inf])
+def test_negative_or_non_finite_artefact_std_rejected(std):
+    with pytest.raises(ValueError, match="std must be nonnegative and finite"):
+        inject_artefact(TimeSeries(np.ones((10, 1))), 1, 3, 6, std, seed=0)
+
+
 def test_window_bounds_validated():
     y = TimeSeries(np.ones((10, 1)))
     with pytest.raises(IndexOutOfRange):

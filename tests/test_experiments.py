@@ -1,13 +1,17 @@
 """Tests for experiment configuration, orchestration, and report output."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from arid.experiments import ExperimentConfig, run_experiment
-from arid.model import TimeSeries
+from arid import experiments
+from arid.experiments import KEYS, ExperimentConfig, run_experiment
+from arid.linear import FitConfig
+from arid.model import SyntheticSpec, TimeSeries, oscillatory_ar5
 from arid.dataio import write_csv
+from arid.nar import NARFitConfig, fit_nar
 
 # ---------------------------------------------------------------------------
 # configuration mapping
@@ -75,7 +79,7 @@ def test_report_json_schema(tmp_path):
     assert stored["schema_version"] == 1
     assert stored["command"] == "simulate"
     assert stored["config"]["n_steps"] == 30
-    assert "lambda" in stored["config"]
+    assert "transition_std" in stored["config"]
 
 
 def test_fit_ar_synthetic_reports_ground_truth_errors(tmp_path):
@@ -253,3 +257,56 @@ def test_convergence_study_below_the_true_order_traces_padded_errors(tmp_path):
     # The last traced estimate is the final one, whose error trials.csv reports.
     for t in range(2):
         assert traces[traces[:, 0] == t][-1, 2] == trials[t, 1]
+
+
+# ---------------------------------------------------------------------------
+# defaults and keys of each command's row
+
+
+@pytest.mark.parametrize("command, family", [("fit-ar", FitConfig), ("fit-var", FitConfig), ("order-scan", FitConfig),
+                                             ("convergence-study", FitConfig), ("fit-nar", NARFitConfig),
+                                             ("artefact-study", NARFitConfig)])
+def test_unset_ridge_cap_and_tolerance_are_the_fitting_familys(command, family):
+    cfg = ExperimentConfig(command)
+    tol = family.state_change_tol if family is NARFitConfig else family.convergence_tol
+    assert (cfg.lam, cfg.iterations, cfg.convergence_tol) == (family.lam, family.max_iterations, tol)
+
+
+def test_flagless_nar_fit_is_the_nar_fit_config_fit(tmp_path):
+    report = run_experiment(ExperimentConfig("fit-nar", out_dir=str(tmp_path), n_steps=80))
+    _, y = SyntheticSpec(oscillatory_ar5(), 80, 0.01, 1.0, 0).trajectory(0)
+    direct = fit_nar(y, NARFitConfig(order_r=5))
+    assert report.results["iterations_run"] == direct.iterations_run <= NARFitConfig.max_iterations
+    assert report.results["final_loss"] == dataclasses.asdict(direct.loss_history[-1])
+
+
+def _series_csv(path, n_channels: int = 1):
+    rng = np.random.Generator(np.random.Philox(key=93))
+    write_csv(TimeSeries(rng.normal(size=(120, n_channels))), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_every_key_of_a_row_is_read_by_its_command(command, tmp_path):
+    # Each runner, on simulated data and (where it takes one) on a recording,
+    # must between them read every key of its row.
+    small = {"n_steps": 60, "iterations": 2, "trials": 2, "orders": (1, 2), "t_start": 10, "t_end": 20}
+    runs = [{}]
+    if "input" in KEYS[command]:
+        runs.append({"input": _series_csv(tmp_path / "series.csv", 2 if command == "fit-var" else 1), "trials": 1})
+    if command == "predict":
+        run_experiment(ExperimentConfig("fit-ar", out_dir=str(tmp_path / "fit"), n_steps=60, iterations=2))
+        runs = [{"input": runs[1]["input"], "report": str(tmp_path / "fit" / "report.json")}]
+    read = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    for k, values in enumerate(runs):
+        kwargs = {name: value for name, value in {**small, **values}.items() if name in KEYS[command]}
+        cfg = Recording(command, **kwargs)
+        (tmp_path / f"run{k}").mkdir()
+        experiments._RUNNERS[command](cfg, tmp_path / f"run{k}")
+    assert {"lambda" if name == "lam" else name for name in read} >= set(KEYS[command]) - {"out_dir"}

@@ -832,14 +832,19 @@ def test_ladder_rescues_singular_ar_smoother():
     np.testing.assert_array_equal(smooth(theta, y, 0.1), solution)
 
 
-def test_ladder_runs_per_system_inside_a_stack():
-    # The singular system of the test above, stacked between regular ones:
-    # the stacked solve fails, and every system must then come back as it
-    # does alone, the singular one shifted by its own diagonal only.
+def _singular_stack():
+    # The singular system of the test above, stacked between regular ones.
     rng = np.random.Generator(np.random.Philox(key=45))
     thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
     series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
     bands, rhs = assemble_ar_smoother(thetas, 30, 0.1, 0.0, 1), _measurement_rhs(series, 0.1, 1)
+    return thetas, series, bands, rhs
+
+
+def test_ladder_runs_per_system_inside_a_stack():
+    # The stacked solve fails, and every system must then come back as it
+    # does alone, the singular one shifted by its own diagonal only.
+    _, _, bands, rhs = _singular_stack()
     with pytest.raises(NotPositiveDefinite):
         solve_banded_spd(BandedSPDMatrix(90, 2, np.concatenate(bands, axis=1)), rhs.ravel())
     solutions = _solve_stacked(bands, rhs)
@@ -849,13 +854,9 @@ def test_ladder_runs_per_system_inside_a_stack():
 
 
 def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
-    # The same systems straight from the band builder, whose column-major
-    # bands the stacked solve hands to LAPACK without a copy.
-    rng = np.random.Generator(np.random.Philox(key=45))
-    thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
-    series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
-    bands = assemble_ar_smoother(thetas, 30, 0.1, 0.0, 1)
-    rhs = np.concatenate((np.zeros((3, 1)), 0.1 * series[:, 1:]), axis=1)
+    # The band builder's column-major bands reach LAPACK as one system
+    # without a copy; that solve fails, and each member gets its solo fit.
+    thetas, series, bands, rhs = _singular_stack()
     stacked = bands.transpose(1, 0, 2).reshape(3, 90)
     assert np.shares_memory(stacked, bands)
     with pytest.raises(NotPositiveDefinite):

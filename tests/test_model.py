@@ -205,6 +205,14 @@ def test_negative_noise_levels_rejected():
         NoiseSpec(-0.1, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "levels, name", [((np.nan, 1.0), "transition_std"), ((0.1, np.inf), "measurement_std"), ((0.1, np.nan), "measurement_std")]
+)
+def test_non_finite_noise_levels_rejected_by_name(levels, name):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+        NoiseSpec(*levels, 0)
+
+
 def test_zero_horizon_rejected():
     model = build_companion(ARParams(np.array([0.5])))
     with pytest.raises(HorizonTooShort):
