@@ -205,16 +205,24 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _check_keys(cfg: ExperimentConfig, least_order: int = 1) -> None:
+    """Refuse a bad setting under its key, the name the user typed, not under a fit config's field name."""
+    for key, ok, rule in (("order", getattr(cfg, "order", least_order) >= least_order, f">= {least_order}"),
+                          ("depth", getattr(cfg, "depth", 1) >= 1, ">= 1"),
+                          ("lambda", 0 <= cfg.lam < np.inf, "nonnegative and finite"),
+                          ("iterations", cfg.iterations >= 1, ">= 1"),
+                          ("convergence_tol", 0 < cfg.convergence_tol < np.inf, "positive and finite")):
+        if not ok:
+            raise ValueError(f"{key} must be {rule}, got {getattr(cfg, _attribute(key))}")
+
+
 def _fit_config(cfg: ExperimentConfig) -> FitConfig:
-    return FitConfig(
-        cfg.order, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol, cfg.anchor_all
-    )
+    _check_keys(cfg)
+    return FitConfig(cfg.order, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol, cfg.anchor_all)
 
 
 def _nar_config(cfg: ExperimentConfig) -> NARFitConfig:
-    # Refuse a bad tolerance under the name the user typed, as FitConfig does for the linear fits.
-    if not 0 < cfg.convergence_tol < np.inf:
-        raise ValueError(f"convergence_tol must be positive and finite, got {cfg.convergence_tol}")
+    _check_keys(cfg, least_order=2)
     return NARFitConfig(cfg.order, cfg.depth, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol)
 
 
@@ -341,6 +349,7 @@ def _run_fit_var(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         noise = NoiseSpec(cfg.transition_std, cfg.measurement_std, cfg.seed)
         states, y = simulate(model, np.zeros(A_true.shape[0]), cfg.n_steps, noise)
         truth = (A_true, states)
+    _check_keys(cfg)
     # r = 1: every value carries a measurement term already, so there is no anchor_all to read.
     result = fit_var1(y, FitConfig(1, cfg.rho, cfg.lam, cfg.iterations, cfg.convergence_tol))
     results, outputs = _fit_report(result, out)

@@ -417,11 +417,11 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     The readout is the identity, so the smoothing step couples the p
     channels through the block-tridiagonal system of
     :func:`assemble_var_smoother`, solved by
-    :func:`~arid.numerics.solve_block_tridiagonal_spd` (a steady-state
-    Cholesky factor on long series, the whole band factor otherwise) through
-    the diagonal-shift ladder; with p == 1 the whole
-    procedure reduces to ``fit_ar`` at order 1. It runs as a stack of one
-    in :func:`_alternate`.
+    :func:`~arid.numerics.solve_block_tridiagonal_spd` (on long series a
+    steady-state Cholesky factor, swept tile by tile in O(N p) memory; the
+    whole band factor otherwise) through the diagonal-shift ladder; with
+    p == 1 the whole procedure reduces to ``fit_ar`` at order 1. It runs as
+    a stack of one in :func:`_alternate`.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")

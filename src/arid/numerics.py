@@ -5,8 +5,8 @@ companion-matrix spectra by LAPACK's nonsymmetric eigensolver. One band
 builder lays out the smoother of every family from its stencil
 [-A_r ... -A_1, I] and measurement block Q: AR(r) with 1 x 1 blocks, VAR
 and NAR with [-A, I]. On long block systems the Cholesky factor is computed
-for the leading blocks only and its settled block column repeated. All
-routines are pure functions of their inputs.
+for the leading blocks only and one tile of its settled block column reused
+to the end. All routines are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs, dptsv
+from scipy.linalg.blas import dgemv, dtbsv
+from scipy.linalg.lapack import dpbsv, dpbtrf, dptsv
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
@@ -236,6 +237,8 @@ class BlockTridiagonalSPDMatrix:
 # steady state; shorter systems than 4 * _LEAD_BLOCKS blocks are factored
 # whole. See solve_block_tridiagonal_spd.
 _LEAD_BLOCKS = 32
+# Rows of the steady block column that one tile of a settled factor holds.
+_TILE_ROWS = 2048
 # Largest difference, in units of rounding of the block column's largest
 # entry, at which two consecutive block columns of the factor count as equal.
 _STEADY_ULPS = 4
@@ -261,38 +264,31 @@ def _banded_cholesky(bands: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray | None:
-    """Lower band Cholesky factor of the whole smoother, from a factor of its leading blocks.
+def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> tuple | None:
+    """Band segments of the whole smoother's Cholesky factor, from a factor of its leading blocks.
 
     Away from the ends every block of the smoother is the same, so its
     Cholesky pivots follow a Riccati recursion to the steady-state smoother
-    gain. Once block column K - 1 of the leading factor equals column K - 2
-    to rounding, it is the factor's block column all the way to the last
-    block, whose diagonal block is then the Cholesky factor of
-    ``Q + I - W W^T`` for the steady coupling block W. Returns None when the
-    leading blocks have not settled.
+    gain. Once block column K - 1 of the factor of the leading K + 2 blocks
+    equals column K - 2 to rounding, it is the factor's block column up to
+    the last block, whose column is the lead's last. Returns the segments
+    (the first K block columns, a tile of ``_TILE_ROWS`` rows of the steady
+    column, reused and cut short, and the last block) and the steady
+    coupling block W below each seam, or None when the lead has not settled.
     """
     lead_blocks, b = _LEAD_BLOCKS, Q.shape[0]
     # The leading K + 1 block columns are the same in every longer system.
-    bands = smoother_bands(np.stack((-A, np.eye(b)))[None], Q, lead_blocks + 2)[0]
-    lead = _banded_cholesky(bands[:, : (lead_blocks + 1) * b]).T.reshape(lead_blocks + 1, b, 2 * b)
-    steady = lead[lead_blocks - 1]
-    if np.abs(steady - lead[lead_blocks - 2]).max() > _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
+    lead = _banded_cholesky(smoother_bands(np.stack((-A, np.eye(b)))[None], Q, lead_blocks + 2)[0])
+    columns = lead.T.reshape(lead_blocks + 2, b, 2 * b)
+    steady = columns[lead_blocks - 1]
+    if np.abs(steady - columns[lead_blocks - 2]).max() > _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
         return None
     c = np.arange(b)
-    coupling = steady[c, b - c + c[:, None]]
-    try:
-        last = np.linalg.cholesky(Q + np.eye(b) - coupling @ coupling.T)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("last pivot block of the block smoother is not positive definite") from exc
-    factor = np.empty((num_blocks, b, 2 * b))
-    factor[:lead_blocks] = lead[:lead_blocks]
-    factor[lead_blocks:-1] = steady
-    # The last block column holds only its diagonal block, laid out as smoother_bands lays out Q.
-    _, _, lower, in_lower, _, _ = _band_layout(1, b, lead_blocks + 2)
-    factor[-1, :, :b] = np.where(in_lower, last.reshape(-1)[lower], 0.0)
-    factor[-1, :, b:] = 0.0
-    return factor.reshape(-1, 2 * b).T
+    coupling = np.asfortranarray(steady[c, b - c + c[:, None]])
+    rows = (num_blocks - 1 - lead_blocks) * b
+    tile = np.broadcast_to(steady, (min(rows, max(b, _TILE_ROWS)) // b, b, 2 * b)).reshape(-1, 2 * b).T
+    full, rest = divmod(rows, tile.shape[1])
+    return [lead[:, : lead_blocks * b], *[tile] * full, *[tile[:, :rest]] * (rest > 0), lead[:, -b:]], coupling
 
 
 def solve_block_tridiagonal_spd(
@@ -302,10 +298,11 @@ def solve_block_tridiagonal_spd(
 
     The bands (half-bandwidth 2b - 1) come from :func:`smoother_bands`. From
     4 * ``_LEAD_BLOCKS`` blocks on, only the leading blocks are factored;
-    when their factor has reached its steady state (see
-    :func:`_steady_factor`) it is tiled over the rest. Otherwise, and on
-    shorter systems, the whole band matrix is factored. Either way LAPACK
-    ``dpbtrs`` solves with the factor; a nonpositive pivot raises
+    when their factor has settled, it stands for the whole factor in the
+    segments of :func:`_steady_factor`; otherwise, and on shorter systems,
+    the whole band factor is one segment. BLAS ``dtbsv`` sweeps each segment
+    in place, forward then backward, with a ``dgemv`` across each seam; on
+    one segment this is LAPACK ``dpbtrs``. A nonpositive pivot raises
     :class:`NotPositiveDefinite`. With a ``probe`` that is off, the leading
     blocks are not tried; a lead that fails to settle switches it off.
     """
@@ -319,9 +316,18 @@ def solve_block_tridiagonal_spd(
     if factor is None:
         if steady and probe is not None:
             probe.on = False
-        factor = _banded_cholesky(smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)[0])
-    solution, _ = dpbtrs(factor, rhs, lower=1)
-    return solution
+        factor = [_banded_cholesky(smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)[0])], None
+    (segments, coupling), x, b = factor, rhs.copy(), len(Q)
+    starts = np.cumsum([0] + [segment.shape[1] for segment in segments[:-1]])
+    for segment, start in zip(segments, starts):
+        if start:
+            dgemv(-1.0, coupling, x[start - b : start], 1.0, x, offy=start, overwrite_y=1)
+        dtbsv(len(segment) - 1, segment, x, offx=start, lower=1, overwrite_x=1)
+    for segment, start in zip(segments[::-1], starts[::-1]):
+        dtbsv(len(segment) - 1, segment, x, offx=start, lower=1, trans=1, overwrite_x=1)
+        if start:
+            dgemv(-1.0, coupling, x[start : start + b], 1.0, x, offy=start - b, trans=1, overwrite_y=1)
+    return x
 
 
 def companion_eigenvalues(theta: np.ndarray) -> np.ndarray:

@@ -111,6 +111,22 @@ def test_nar_commands_refuse_a_bad_tolerance_under_the_name_typed(tmp_path, comm
     assert "state_change_tol" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [("fit-ar", "--lambda", "nan", "lam"), ("fit-var", "--lambda", "-1", "lam"), ("fit-nar", "--lambda", "-1", "lam"),
+     ("fit-ar", "--iterations", "0", "max_iterations"), ("fit-var", "--iterations", "0", "max_iterations"),
+     ("fit-nar", "--iterations", "0", "max_iterations"), ("order-scan", "--iterations", "0", "max_iterations"),
+     ("fit-ar", "--order", "0", "order_r"), ("fit-nar", "--order", "1", "order_r"),
+     ("fit-nar", "--depth", "0", "depth_d"), ("artefact-study", "--depth", "0", "depth_d")],
+)
+def test_a_bad_setting_is_refused_under_the_key_typed(tmp_path, capsys, command, flag, value, field):
+    key, window = flag[2:], ("--t-start", "5", "--t-end", "10") if command == "artefact-study" else ()
+    assert main([command, flag, value, *window, "--n-steps", "40", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} must be" in err
+    assert f"{field} must" not in err
+
+
 def test_unknown_config_key_exits_with_usage_code(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"no_such_knob": 1}))

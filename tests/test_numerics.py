@@ -1,5 +1,7 @@
 """Tests for the regularized solver, structured SPD solvers, and root finder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -472,6 +474,94 @@ def test_probe_stays_on_while_the_lead_settles():
     probe = numerics.SteadyProbe()
     np.testing.assert_array_equal(smoother_solve(A, Q, rhs, probe), smoother_solve(A, Q, rhs))
     assert probe.on
+
+
+def recorded_segments(monkeypatch) -> list:
+    """The band widths of the segments each forward sweep of the block solver runs over, in order."""
+    dtbsv, widths = numerics.dtbsv, []
+
+    def recording(k, a, x, **options):
+        if not options.get("trans"):
+            widths.append(a.shape[1])
+        return dtbsv(k, a, x, **options)
+
+    monkeypatch.setattr(numerics, "dtbsv", recording)
+    return widths
+
+
+K = numerics._LEAD_BLOCKS
+
+
+# (block_dim, full tiles, blocks after them) of the steady block columns:
+# m = 4K, where one shortened tile covers them all; one full tile; a one-block
+# remainder tile; and at b = 32, where m >= 4K needs two tiles.
+@pytest.mark.parametrize(
+    "block_dim, tiles, rest", [(4, 0, 3 * K - 1), (4, 1, 0), (4, 1, 1), (1, 1, 0), (1, 1, 1), (32, 2, 0), (32, 2, 1)]
+)
+def test_tiled_solve_matches_oracle_across_every_seam(monkeypatch, block_dim, tiles, rest):
+    tile_blocks = numerics._TILE_ROWS // block_dim
+    num_blocks = K + 1 + tiles * tile_blocks + rest
+    assert num_blocks >= 4 * K
+    A, Q, rhs, _ = smoother_case("var", block_dim, num_blocks, 3.0)
+    widths = recorded_segments(monkeypatch)
+    solution = smoother_solve(A, Q, rhs)
+    tile_widths = [tile_blocks * block_dim] * tiles + [rest * block_dim] * (rest > 0)
+    assert widths == [K * block_dim, *tile_widths, block_dim]
+    assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
+
+
+def test_indefinite_last_pivot_block_reaches_the_ladder():
+    # Every pivot of the scalar chain with A = 3, Q = -2 is positive up to the
+    # last, Q + 1 - W^2 < 0: the leading K + 1 blocks factor and settle, and the
+    # matrix is still indefinite, which the lead's last block shows.
+    A, Q, num_blocks = np.array([[3.0]]), np.array([[-2.0]]), 4 * K
+    dense = kronecker_smoother(A, Q, num_blocks).toarray()
+    assert np.linalg.eigvalsh(dense[: K + 1, : K + 1])[0] > 0 > np.linalg.eigvalsh(dense)[0]
+    with pytest.raises(NotPositiveDefinite):
+        numerics._steady_factor(A, Q, num_blocks)
+    attempts = []
+
+    def counting_solve(matrix, rhs):
+        attempts.append(matrix)
+        return solve_block_tridiagonal_spd(matrix, rhs)
+
+    with pytest.raises(NotPositiveDefinite, match="after diagonal shifts"):
+        _solve_smoother(BlockTridiagonalSPDMatrix(A, Q, num_blocks), np.ones(num_blocks), counting_solve)
+    assert len(attempts) == 4
+
+
+def test_singular_tiled_system_reaches_the_ladder(monkeypatch):
+    # Channel 2 has no measurement term (Q = 0), so its free trajectory
+    # x_t = 0.5^t x_0 spans the null space: its steady pivot is 0.25 exactly,
+    # W = -1 and the last pivot 1 - W^2 is 0. With no load on channel 2, the
+    # shifted system is well conditioned in what the load reaches. Its lead
+    # does not settle under a shift of 1e-10, so the ladder factors it whole.
+    A, Q, num_blocks = 0.5 * np.eye(2), np.diag([1.0, 0.0]), 4 * K
+    rhs = np.zeros(2 * num_blocks)
+    rhs[::2] = np.random.default_rng(3).normal(size=num_blocks)
+    matrix = BlockTridiagonalSPDMatrix(A, Q, num_blocks)
+    with pytest.raises(NotPositiveDefinite):
+        solve_block_tridiagonal_spd(matrix, rhs)
+    widths = recorded_segments(monkeypatch)
+    solution = _solve_smoother(matrix, rhs, solve_block_tridiagonal_spd)
+    shifted = _shift_diagonal(matrix, 1e-10)
+    assert widths == [2 * num_blocks]
+    assert_close_relative(solution, oracle_solve(shifted.A, shifted.Q, rhs), 1e-13)
+
+
+def test_tiled_solve_holds_no_whole_factor():
+    # The whole factor at b = 32 and m = 2e4 is 2e4 * 32 * 64 doubles, 328 MB;
+    # the tiled solve holds the solution, the lead and one tile.
+    A, Q, rhs, _ = smoother_case("var", 32, 20_000, 3.0)
+    matrix, probe = BlockTridiagonalSPDMatrix(A, Q, 20_000), numerics.SteadyProbe()
+    tracemalloc.start()
+    try:
+        solve_block_tridiagonal_spd(matrix, rhs, probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe.on
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # A NAR system has at least two blocks.
