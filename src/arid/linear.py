@@ -13,13 +13,14 @@ which a fit's row goes when it stops. The AR steps :func:`param_step`,
 series being a stack of one; :func:`fit_ar_batch` calls them by module name.
 The smoothing step returns the delay windows of its candidates, which the
 next refit regresses on, so each trajectory is windowed once.
-``numerics.smoother_bands`` lays out the AR(r) smoothers, with 1 x 1
-blocks, and the VAR(1) smoother, with the stencil [-A, I].
+The AR(r) smoothers, with 1 x 1 blocks, and the VAR(1) smoother, with the
+stencil [-A, I], are ``numerics.Smoother`` values: one solve, and one
+diagonal-shift ladder (:func:`_solve_smoother`), which NAR shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -28,15 +29,18 @@ import numpy as np
 from .errors import HorizonTooShort, NotPositiveDefinite, ZeroNormReference
 from .model import ARParams, TimeSeries, delay_windows, scalar_values
 from .numerics import (
-    BandedSPDMatrix,
-    BlockTridiagonalSPDMatrix,
+    Smoother,
     _require_finite,
     companion_eigenvalues,
     smoother_bands,
-    solve_banded_spd,
-    solve_block_tridiagonal_spd,
     solve_regularized_ls,
+    solve_smoother,
 )
+
+# The benchmark's tracer (perfbench/tracing.py) wraps the one smoother solve
+# under two names, AR's and VAR/NAR's, and books each as its own span. Both
+# bindings go once ROADMAP item 1 retargets the tracer to solve_smoother.
+solve_banded_spd = solve_block_tridiagonal_spd = solve_smoother
 
 
 @dataclass(frozen=True)
@@ -165,16 +169,17 @@ def _ar_stencils(thetas: np.ndarray) -> np.ndarray:
     return stencils
 
 
-def assemble_ar_smoother(thetas: np.ndarray, n: int, rho: float, lam: float, start: int) -> np.ndarray:
-    """The (B, r + 1, n) lower bands of the trajectory normal matrices of a (B, r) coefficient stack.
+def assemble_ar_smoother(thetas: np.ndarray, n: int, Q: np.ndarray, lam: float, start: int) -> Smoother:
+    """The trajectory smoothers of a (B, r) coefficient stack over n values.
 
     Every dynamics residual touches r+1 consecutive values, so each system is
-    banded with bandwidth r: :func:`~arid.numerics.smoother_bands` with 1 x 1
-    blocks. Measurement terms add rho to the diagonal from ``start`` on, and
-    the ridge lam everywhere; unanchored, the first r-1 values are pinned
-    only through the dynamics terms (and lam), exactly as the loss is written.
+    banded with bandwidth r: a :class:`~arid.numerics.Smoother` with 1 x 1
+    blocks. The measurement block Q = [[rho]] goes on the diagonal from
+    ``start`` on, and the ridge lam everywhere; unanchored, the first r-1
+    values are pinned only through the dynamics terms (and lam), exactly as
+    the loss is written.
     """
-    return smoother_bands(_ar_stencils(thetas), np.full((1, 1), rho), n, start, lam)
+    return Smoother(_ar_stencils(thetas), Q, n, start, lam)
 
 
 def _measurement_rhs(yo: np.ndarray, rho: float, start: int) -> np.ndarray:
@@ -189,63 +194,50 @@ def _measurement_rhs(yo: np.ndarray, rho: float, start: int) -> np.ndarray:
 _RIDGE_BOOSTS = (1e-10, 1e-8, 1e-6)
 
 
-def _shift_diagonal(matrix, boost: float):
-    """``matrix`` with its diagonal raised by ``boost`` times its largest diagonal entry (at least 1).
+def _solve_smoother(smoother: Smoother, rhs: np.ndarray, solve, probe=None) -> np.ndarray:
+    """``solve(smoother, rhs, probe)``, with the diagonal-shift ladder for a system that is not positive definite.
 
-    ``matrix`` is a :class:`BandedSPDMatrix` or a :class:`BlockTridiagonalSPDMatrix`,
-    whose shift goes into Q.
+    ``solve`` is the caller's binding of ``numerics.solve_smoother``, so every
+    attempt runs under the name the tracer wraps for its family. A stack
+    that fails sends each system alone: the shift scales by the largest
+    diagonal entry, which in a stack belongs to any of its systems, so a
+    singular system is shifted as it is outside a stack. Each retry raises
+    ``lam`` by a boost times that entry (at least 1).
     """
-    if isinstance(matrix, BandedSPDMatrix):
-        bands = matrix.bands.copy()
-        bands[0] += boost * max(1.0, float(bands[0].max()))
-        return BandedSPDMatrix(matrix.dim, matrix.bandwidth, bands)
-    A, Q, num_blocks = matrix.A, matrix.Q, matrix.num_blocks
-    # The first, a middle and the last block hold every distinct diagonal entry.
-    diagonal = smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, min(num_blocks, 3))[0, 0]
-    return BlockTridiagonalSPDMatrix(A, Q + boost * max(1.0, float(diagonal.max())) * np.eye(len(Q)), num_blocks)
-
-
-def _solve_smoother(matrix, rhs: np.ndarray, solve) -> np.ndarray:
-    """Solve with ``solve``, the caller's solver for the matrix type; every retry goes through it too."""
     try:
-        return solve(matrix, rhs)
+        return solve(smoother, rhs, probe)
     except NotPositiveDefinite:
-        pass
+        if len(rhs) > 1:
+            return np.concatenate([_solve_smoother(replace(smoother, stencils=smoother.stencils[i : i + 1]),
+                                                   rhs[i : i + 1], solve, probe) for i in range(len(rhs))])
     # A trailing AR coefficient near zero leaves the leading trajectory values
     # nearly unconstrained, and the NAR measurement term pins only the
     # rank-one readout direction of each state block; either way the normal
     # matrix can be singular at working precision. A rounding-scale diagonal
     # shift selects the bounded minimizer instead of aborting the fit; the
     # induced loss perturbation sits orders of magnitude below the
-    # convergence tolerances in use.
+    # convergence tolerances in use. Bands over at most 2r + 1 blocks hold
+    # every distinct diagonal entry of the system.
+    r = smoother.stencils.shape[1] - 1
+    diagonal = smoother_bands(smoother.stencils, smoother.Q, min(smoother.num_blocks, 2 * r + 1), smoother.start,
+                              smoother.lam)[0, 0]
+    scale = max(1.0, float(diagonal.max()))
     for boost in _RIDGE_BOOSTS:
         try:
-            return solve(_shift_diagonal(matrix, boost), rhs)
+            return solve(replace(smoother, lam=smoother.lam + boost * scale), rhs, probe)
         except NotPositiveDefinite:
             continue
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
 
 
-def _solve_stacked(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve B banded smoothers (B, k + 1, N) as one system of dim B * N."""
-    count, width, n = bands.shape
-    stacked = BandedSPDMatrix(count * n, width - 1, bands.transpose(1, 0, 2).reshape(width, count * n))
-    try:
-        return solve_banded_spd(stacked, rhs.reshape(-1)).reshape(count, n)
-    except NotPositiveDefinite:
-        # The shift ladder scales by the largest diagonal entry, which in a
-        # stack belongs to any of its systems; a singular system therefore
-        # has to be shifted alone to get the answer it gets outside a batch.
-        alone = [BandedSPDMatrix(n, width - 1, system) for system in bands]
-        return np.stack([_solve_smoother(matrix, v, solve_banded_spd) for matrix, v in zip(alone, rhs)])
-
-
-def state_step(thetas: np.ndarray, rhs: np.ndarray, rho: float, lam: float, start: int) -> tuple[np.ndarray, ...]:
+def state_step(thetas: np.ndarray, rhs: np.ndarray, Q: np.ndarray, lam: float, start: int) -> tuple[np.ndarray, ...]:
     """Exact trajectory update at fixed coefficients: the (B, N) smoothed trajectories and their delay windows.
 
-    ``rhs`` is :func:`_measurement_rhs` of the measurements; the B smoothers are solved as one banded system.
+    ``rhs`` is :func:`_measurement_rhs` of the measurements and Q the 1 x 1
+    measurement block [[rho]]; the B smoothers are solved as one banded system.
     """
-    candidate = _solve_stacked(assemble_ar_smoother(thetas, rhs.shape[1], rho, lam, start), rhs)
+    smoother = assemble_ar_smoother(thetas, rhs.shape[1], Q, lam, start)
+    candidate = _solve_smoother(smoother, rhs, solve_banded_spd)
     return candidate, delay_windows(candidate, thetas.shape[1])[0]
 
 
@@ -382,13 +374,13 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     if yo.shape[1] <= r:
         raise HorizonTooShort(f"need more than order {r} steps, got {yo.shape[1]}")
     start = 0 if config.anchor_all_values else r - 1
-    rhs = _measurement_rhs(yo, rho, start)
+    rhs, Q = _measurement_rhs(yo, rho, start), np.full((1, 1), rho)
 
     def refit(y_hat, windows):
         return param_step(windows, y_hat[:, r:], lam)
 
     def smooth(thetas, active):
-        candidate, windows = state_step(thetas, rhs[active], rho, lam, start)
+        candidate, windows = state_step(thetas, rhs[active], Q, lam, start)
         return candidate, windows, *evaluate_loss(thetas, windows, candidate, yo[active], start)
 
     return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, ARParams, companion_eigenvalues,
@@ -400,28 +392,29 @@ def _var_dynamics(A: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.sum(resid * resid))
 
 
-def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> tuple:
-    """Block-tridiagonal normal equations ``(matrix, rhs)`` of the VAR(1) state update.
+def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> tuple[Smoother, np.ndarray]:
+    """The smoother of the VAR(1) state update and its (1, N p) right-hand side.
 
     With the identity readout every state is measured, so each diagonal
-    block picks up rho (and the ridge) directly: ``Q = (rho + lam) I``, one
-    block per time step, coupling blocks -A.
+    block picks up rho (and the ridge) directly: the stencil [-A, I] and
+    ``Q = (rho + lam) I``, one block per time step.
     """
     n, p = x.shape
-    return BlockTridiagonalSPDMatrix(A, (rho + lam) * np.eye(p), n), (rho * x).reshape(-1)
+    return Smoother(np.stack((-A, np.eye(p)))[None], (rho + lam) * np.eye(p), n), (rho * x).reshape(1, -1)
 
 
 def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     """First-order VAR variant of the alternating fit with a full transition matrix.
 
     The readout is the identity, so the smoothing step couples the p
-    channels through the block-tridiagonal system of
+    channels through the block-tridiagonal smoother of
     :func:`assemble_var_smoother`, solved by
-    :func:`~arid.numerics.solve_block_tridiagonal_spd` (on long series a
-    steady-state Cholesky factor, swept tile by tile in O(N p) memory; the
-    whole band factor otherwise) through the diagonal-shift ladder; with
-    p == 1 the whole procedure reduces to ``fit_ar`` at order 1. It runs as
-    a stack of one in :func:`_alternate`.
+    :func:`~arid.numerics.solve_smoother` (on long series a steady-state
+    Cholesky factor, swept tile by tile in O(N p) memory; the whole band
+    factor otherwise) through the diagonal-shift ladder. With p == 1 it is
+    AR(1)'s smoother, solved by the same tridiagonal ``dptsv``, and the whole
+    procedure reduces to ``fit_ar`` at order 1. It runs as a stack of one in
+    :func:`_alternate`.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")

@@ -3,9 +3,9 @@
 Windows of the trajectory are lifted to truncated signatures of a
 two-column path (values and their running sum); dynamics and readout are
 then linear in signature space. The linear fits' driver, ``linear._alternate``,
-runs the alternation, with the VAR fit's block smoother, laid out by
-``numerics.smoother_bands`` with Q = rho c c^T + lam I, as the smoothing step
-over unconstrained signature states and no descent guard. Smoothed states are
+runs the alternation, with the VAR fit's smoother, the stencil [-A, I] with
+Q = rho c c^T + lam I, and its shift ladder as the smoothing step over
+unconstrained signature states and no descent guard. Smoothed states are
 not projected back onto the manifold of true signatures; only their readout
 re-enters the next iteration through the refreshed trajectory.
 """
@@ -19,7 +19,8 @@ import numpy as np
 from .errors import EmbeddingTooShort, HorizonTooShort
 from .linear import FitResult, _alternate, _solve_smoother, _var_dynamics
 from .model import TimeSeries, scalar_values
-from .numerics import BlockTridiagonalSPDMatrix, SteadyProbe, solve_block_tridiagonal_spd, solve_regularized_ls
+from .numerics import Smoother, SteadyProbe, solve_regularized_ls
+from .numerics import solve_smoother as solve_block_tridiagonal_spd  # the tracer's name; see linear
 from .signature import _signatures_flat, sig_dim
 
 _ALPHABET = 2  # fixed by the two-column path construction
@@ -115,12 +116,13 @@ def nar_param_step(gamma_minus: np.ndarray, gamma_plus: np.ndarray, y_plus: np.n
     return NARModel(w.T, c)
 
 
-def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float = 0.0) -> tuple:
-    """Block-tridiagonal normal equations ``(matrix, rhs)`` over the free signature states.
+def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float,
+                          lam: float = 0.0) -> tuple[Smoother, np.ndarray]:
+    """The smoother over the free signature states and its (1, M n_s) right-hand side.
 
-    One block per time step t = r..N. The readout is rank one, so the
-    measurement contributes ``rho * outer(C, C)`` to Q, the ridge ``lam I``;
-    the coupling blocks are -A.
+    One block per time step t = r..N, with the stencil [-A, I]. The readout
+    is rank one, so the measurement contributes ``rho * outer(C, C)`` to Q,
+    the ridge ``lam I``.
     """
     yo = scalar_values(y)
     if yo.size <= order_r:
@@ -130,33 +132,23 @@ def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: flo
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     Q = rho * np.outer(model.C_sig, model.C_sig) + lam * np.eye(model.n_s)
-    rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(-1)
-    return BlockTridiagonalSPDMatrix(model.A_sig, Q, yo.size - order_r + 1), rhs
+    rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(1, -1)
+    return Smoother(np.stack((-model.A_sig, np.eye(model.n_s)))[None], Q, yo.size - order_r + 1), rhs
 
 
 def nar_state_step(
-    model: NARModel,
-    y: TimeSeries,
-    order_r: int,
-    rho: float,
-    lam: float,
-    y_prev: TimeSeries,
-    probe: SteadyProbe | None = None,
+    model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float, probe: SteadyProbe | None = None
 ) -> tuple[np.ndarray, TimeSeries]:
     """Smooth the signature states against the measurements at a fixed model.
 
     Returns the stacked smoothed states (one row per t = r..N) and the
     refreshed trajectory estimate. Values before t = r have no state of
-    their own and are carried over from ``y_prev``. ``probe`` is handed to
-    ``numerics.solve_block_tridiagonal_spd``; a fit shares one over its steps.
+    their own and keep their measurements. ``probe`` is handed to
+    ``numerics.solve_smoother``; a fit shares one over its steps.
     """
-    prev = scalar_values(y_prev)
-    yo = scalar_values(y)
-    if prev.size != yo.size:
-        raise ValueError("y_prev must have the same length as y")
-    states = _solve_smoother(*assemble_nar_smoother(model, y, order_r, rho, lam),
-                             lambda matrix, v: solve_block_tridiagonal_spd(matrix, v, probe)).reshape(-1, model.n_s)
-    refreshed = np.concatenate((prev[: order_r - 1], states @ model.C_sig))
+    states = _solve_smoother(*assemble_nar_smoother(model, y, order_r, rho, lam), solve_block_tridiagonal_spd,
+                             probe).reshape(-1, model.n_s)
+    refreshed = np.concatenate((scalar_values(y)[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
 
 
@@ -188,7 +180,7 @@ def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
 
     def smooth(params, active):
         # params stacks the model that refit has just built.
-        states, y_new = nar_state_step(model, y, r, config.rho, config.lam, y, probe)
+        states, y_new = nar_state_step(model, y, r, config.rho, config.lam, probe)
         err = yo[r - 1:] - states @ model.C_sig
         return scalar_values(y_new)[None], None, np.array([_var_dynamics(model.A_sig, states)]), np.array([err @ err])
 

@@ -1,22 +1,25 @@
 """Structured linear algebra kernels used by the estimators.
 
-Regularized least squares, SPD smoother solves by banded Cholesky, and
-companion-matrix spectra by LAPACK's nonsymmetric eigensolver. One band
-builder lays out the smoother of every family from its stencil
-[-A_r ... -A_1, I] and measurement block Q: AR(r) with 1 x 1 blocks, VAR
-and NAR with [-A, I]. On long block systems the Cholesky factor is computed
-for the leading blocks only and one tile of its settled block column reused
-to the end. All routines are pure functions of their inputs.
+Regularized least squares, the trajectory smoother solve, and
+companion-matrix spectra by LAPACK's nonsymmetric eigensolver. The smoother
+of every family is one value, :class:`Smoother`: a stack of stencils
+[-A_r ... -A_1, I] with a measurement block Q, AR(r) with 1 x 1 blocks, VAR
+and NAR with [-A, I]. One band builder lays it out, and one solve picks its
+path from the shape: LAPACK's tridiagonal ``dptsv``; on one long block
+system, a Cholesky factor of the leading blocks only, one tile of its
+settled block column reused to the end; otherwise the whole band factor.
+All routines are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dtbsv
-from scipy.linalg.lapack import dpbsv, dpbtrf, dptsv
+from scipy.linalg.lapack import dpbtrf, dptsv
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
@@ -89,54 +92,6 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     return solution[0] if single else solution
 
 
-@dataclass(frozen=True, eq=False)
-class BandedSPDMatrix:
-    """Symmetric band matrix in packed lower storage.
-
-    ``bands[k, j]`` holds entry (j + k, j); row 0 is the main diagonal. Only
-    the lower triangle is stored, symmetry is implied. Positive definiteness
-    is asserted by the solver, not by the container. The bands are kept in
-    the layout they come in, without a copy; column-major bands are the
-    layout LAPACK reads.
-    """
-
-    dim: int
-    bandwidth: int
-    bands: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0 <= self.bandwidth < self.dim:
-            raise ValueError("bandwidth must lie in [0, dim)")
-        bands = np.asarray(self.bands, dtype=float)
-        if bands.shape != (self.bandwidth + 1, self.dim):
-            raise ValueError(f"bands must have shape {(self.bandwidth + 1, self.dim)}")
-        _require_finite("bands", bands)
-        object.__setattr__(self, "bands", bands)
-
-
-def solve_banded_spd(matrix: BandedSPDMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
-
-    Calls LAPACK ``dpbsv``, or ``dptsv`` at bandwidth 1: the routines
-    ``scipy.linalg.solveh_banded`` picks for these bands, so the solution is
-    the same bit for bit. Neither the bands nor ``rhs`` is overwritten.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (matrix.dim,):
-        raise ValueError("rhs length must equal matrix dim")
-    _require_finite("rhs", rhs)
-    bands = matrix.bands
-    if matrix.bandwidth == 1:
-        _, _, solution, info = dptsv(bands[0], bands[1, :-1], rhs)
-    else:
-        _, solution, info = dpbsv(bands, rhs, lower=1)
-    if info > 0:
-        raise NotPositiveDefinite("banded Cholesky hit a nonpositive pivot")
-    return solution
-
-
 @lru_cache(maxsize=64)
 def _band_layout(r: int, p: int, n: int):
     """Read-only index arrays of :func:`smoother_bands` for r + 1 stencil blocks of size p over n blocks.
@@ -173,8 +128,8 @@ def smoother_bands(stencils: np.ndarray, Q: np.ndarray, num_blocks: int, start: 
     from 0.0, over the windows that hold block j; then Q goes onto the
     diagonal blocks, then ``lam`` onto the diagonal. ``num_blocks`` >= r; the
     bands are built for at most 2r + 1 blocks and the middle column repeated.
-    Row k is subdiagonal k, as :class:`BandedSPDMatrix` holds it; only the
-    lower triangle is built. Each system is column-major, with zeros past its
+    Row k is subdiagonal k, LAPACK's lower band storage; only the lower
+    triangle is built. Each system is column-major, with zeros past its
     last row, so the systems end to end are the column-major bands LAPACK reads.
     """
     count, width, p = stencils.shape[:3]
@@ -197,31 +152,37 @@ def smoother_bands(stencils: np.ndarray, Q: np.ndarray, num_blocks: int, start: 
 
 
 @dataclass(frozen=True, eq=False)
-class BlockTridiagonalSPDMatrix:
-    """The block-tridiagonal SPD state step shared by the VAR and NAR smoothers.
+class Smoother:
+    """A stack of B trajectory smoothers, the normal matrices that :func:`smoother_bands` lays out.
 
-    Over ``num_blocks`` = m blocks of size b, diagonal block t is
-    ``[t < m - 1] A^T A + [t > 0] I + Q`` and the coupling block below it
-    is -A (its transpose above): the smoother of the stencil [-A, I], the
-    residual x_(t+1) - A x_t, in :func:`smoother_bands`. Only A, Q and m are
-    stored; the shapes and finiteness of A and Q are checked here, once.
+    ``stencils`` is the (B, r + 1, p, p) stack [-A_r ... -A_1, I] of the
+    systems, ``Q`` the p x p measurement block they share on every block from
+    ``start`` (at most r) on, and ``lam`` the ridge on their diagonal; each
+    system has ``num_blocks`` blocks, at least r. Shapes and finiteness are
+    checked here, once. ``dim``, ``bandwidth``, ``num_blocks`` and
+    ``block_dim`` describe the B systems placed end to end.
     """
 
-    A: np.ndarray
+    stencils: np.ndarray
     Q: np.ndarray
     num_blocks: int
+    start: int = 0
+    lam: float = 0.0
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        stencils = np.asarray(self.stencils, dtype=float)
         Q = np.asarray(self.Q, dtype=float)
-        b = Q.shape[0] if Q.ndim == 2 else 0
-        if b < 1 or Q.shape != (b, b) or A.shape != (b, b):
-            raise ValueError("A and Q must be square blocks of one positive size")
-        if self.num_blocks < 1:
-            raise ValueError("need at least one block")
-        _require_finite("A", A)
+        p = Q.shape[0] if Q.ndim == 2 else 0
+        if p < 1 or Q.shape != (p, p) or stencils.ndim != 4 or stencils.shape[2:] != (p, p) or 0 in stencils.shape:
+            raise ValueError("stencils must be a nonempty (B, r + 1, p, p) stack and Q one p x p block")
+        r = stencils.shape[1] - 1
+        if self.num_blocks < max(r, 1) or not 0 <= self.start <= r:
+            raise ValueError(f"need at least max(r, 1) blocks and 0 <= start <= r, r = {r}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        _require_finite("stencils", stencils)
         _require_finite("Q", Q)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "stencils", stencils)
         object.__setattr__(self, "Q", Q)
 
     @property
@@ -230,12 +191,16 @@ class BlockTridiagonalSPDMatrix:
 
     @property
     def dim(self) -> int:
-        return self.num_blocks * self.block_dim
+        return len(self.stencils) * self.num_blocks * self.block_dim
+
+    @property
+    def bandwidth(self) -> int:
+        return min(self.stencils.shape[1], self.num_blocks) * self.block_dim - 1
 
 
 # Block columns of the smoother factored before the factor is tested for a
 # steady state; shorter systems than 4 * _LEAD_BLOCKS blocks are factored
-# whole. See solve_block_tridiagonal_spd.
+# whole. See solve_smoother.
 _LEAD_BLOCKS = 32
 # Rows of the steady block column that one tile of a settled factor holds.
 _TILE_ROWS = 2048
@@ -245,7 +210,7 @@ _STEADY_ULPS = 4
 
 
 class SteadyProbe:
-    """Whether :func:`solve_block_tridiagonal_spd` still tries the steady path on a run of related systems.
+    """Whether :func:`solve_smoother` still tries the steady path on a run of related systems.
 
     One fit hands the same probe to each of its state steps. Once a leading
     factor has failed to settle, the probe is off, and the later systems are
@@ -260,12 +225,12 @@ def _banded_cholesky(bands: np.ndarray) -> np.ndarray:
     """LAPACK lower band Cholesky factor of ``bands``, computed in place."""
     factor, info = dpbtrf(bands, lower=1, overwrite_ab=1)
     if info > 0:
-        raise NotPositiveDefinite("banded Cholesky of the block smoother hit a nonpositive pivot")
+        raise NotPositiveDefinite("banded Cholesky of the smoother hit a nonpositive pivot")
     return factor
 
 
-def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> tuple | None:
-    """Band segments of the whole smoother's Cholesky factor, from a factor of its leading blocks.
+def _steady_factor(smoother: Smoother) -> tuple | None:
+    """Band segments of the Cholesky factor of a one-system smoother [-A, I], from a factor of its leading blocks.
 
     Away from the ends every block of the smoother is the same, so its
     Cholesky pivots follow a Riccati recursion to the steady-state smoother
@@ -276,9 +241,10 @@ def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> tuple | Non
     column, reused and cut short, and the last block) and the steady
     coupling block W below each seam, or None when the lead has not settled.
     """
-    lead_blocks, b = _LEAD_BLOCKS, Q.shape[0]
+    lead_blocks, b, num_blocks = _LEAD_BLOCKS, smoother.block_dim, smoother.num_blocks
     # The leading K + 1 block columns are the same in every longer system.
-    lead = _banded_cholesky(smoother_bands(np.stack((-A, np.eye(b)))[None], Q, lead_blocks + 2)[0])
+    lead = _banded_cholesky(
+        smoother_bands(smoother.stencils, smoother.Q, lead_blocks + 2, smoother.start, smoother.lam)[0])
     columns = lead.T.reshape(lead_blocks + 2, b, 2 * b)
     steady = columns[lead_blocks - 1]
     if np.abs(steady - columns[lead_blocks - 2]).max() > _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
@@ -291,34 +257,43 @@ def _steady_factor(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> tuple | Non
     return [lead[:, : lead_blocks * b], *[tile] * full, *[tile[:, :rest]] * (rest > 0), lead[:, -b:]], coupling
 
 
-def solve_block_tridiagonal_spd(
-    matrix: BlockTridiagonalSPDMatrix, rhs: np.ndarray, probe: SteadyProbe | None = None
-) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by banded Cholesky without pivoting.
+def solve_smoother(smoother: Smoother, rhs: np.ndarray, probe: SteadyProbe | None = None) -> np.ndarray:
+    """Solve the B systems of ``smoother`` for the (B, num_blocks * p) ``rhs``, one row each, by banded Cholesky.
 
-    The bands (half-bandwidth 2b - 1) come from :func:`smoother_bands`. From
-    4 * ``_LEAD_BLOCKS`` blocks on, only the leading blocks are factored;
-    when their factor has settled, it stands for the whole factor in the
-    segments of :func:`_steady_factor`; otherwise, and on shorter systems,
-    the whole band factor is one segment. BLAS ``dtbsv`` sweeps each segment
-    in place, forward then backward, with a ``dgemv`` across each seam; on
-    one segment this is LAPACK ``dpbtrs``. A nonpositive pivot raises
-    :class:`NotPositiveDefinite`. With a ``probe`` that is off, the leading
-    blocks are not tried; a lead that fails to settle switches it off.
+    The bands come from :func:`smoother_bands`, the B systems placed end to
+    end, and the path from the shape alone. At half-bandwidth 1 LAPACK
+    ``dptsv`` solves them. One system of two stencils with p >= 2 and at
+    least 4 * ``_LEAD_BLOCKS`` blocks factors only its leading blocks; when
+    their factor has settled, it stands for the whole factor in the segments
+    of :func:`_steady_factor`. Otherwise LAPACK ``dpbtrf`` factors the bands
+    whole, one segment. BLAS ``dtbsv`` sweeps each segment in place, forward
+    then backward, with a ``dgemv`` across each seam; on one segment this is
+    LAPACK ``dpbtrs``, and with the factor, ``dpbsv``. A nonpositive pivot
+    raises :class:`NotPositiveDefinite`. With a ``probe`` that is off, the
+    leading blocks are not tried; a lead that fails to settle switches it off.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (matrix.dim,):
-        raise ValueError("rhs length must equal num_blocks * block_dim")
+    count, width, b = smoother.stencils.shape[:3]
+    if rhs.shape != (count, smoother.num_blocks * b):
+        raise ValueError("rhs must hold one row of num_blocks * block_dim values per system")
     _require_finite("rhs", rhs)
-    A, Q, num_blocks = matrix.A, matrix.Q, matrix.num_blocks
-    steady = num_blocks >= 4 * _LEAD_BLOCKS and (probe is None or probe.on)
-    factor = _steady_factor(A, Q, num_blocks) if steady else None
+    steady = (count == 1 and width == 2 and b >= 2 and smoother.num_blocks >= 4 * _LEAD_BLOCKS
+              and (probe is None or probe.on))
+    factor = _steady_factor(smoother) if steady else None
     if factor is None:
         if steady and probe is not None:
             probe.on = False
-        factor = [_banded_cholesky(smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)[0])], None
-    (segments, coupling), x, b = factor, rhs.copy(), len(Q)
-    starts = np.cumsum([0] + [segment.shape[1] for segment in segments[:-1]])
+        bands = smoother_bands(smoother.stencils, smoother.Q, smoother.num_blocks, smoother.start, smoother.lam)
+        # Each system is column-major, so end to end they are one column-major band array, a view.
+        bands = bands.transpose(1, 0, 2).reshape(bands.shape[1], -1)
+        if len(bands) == 2:
+            _, _, x, info = dptsv(bands[0], bands[1, :-1], rhs.reshape(-1))
+            if info > 0:
+                raise NotPositiveDefinite("tridiagonal Cholesky of the smoother hit a nonpositive pivot")
+            return x.reshape(rhs.shape)
+        factor = [_banded_cholesky(bands)], None
+    (segments, coupling), x = factor, rhs.reshape(-1).copy()
+    starts = [0, *accumulate(segment.shape[1] for segment in segments[:-1])]
     for segment, start in zip(segments, starts):
         if start:
             dgemv(-1.0, coupling, x[start - b : start], 1.0, x, offy=start, overwrite_y=1)
@@ -327,7 +302,7 @@ def solve_block_tridiagonal_spd(
         dtbsv(len(segment) - 1, segment, x, offx=start, lower=1, trans=1, overwrite_x=1)
         if start:
             dgemv(-1.0, coupling, x[start : start + b], 1.0, x, offy=start - b, trans=1, overwrite_y=1)
-    return x
+    return x.reshape(rhs.shape)
 
 
 def companion_eigenvalues(theta: np.ndarray) -> np.ndarray:

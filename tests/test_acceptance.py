@@ -38,17 +38,11 @@ from arid.model import (
     simulate,
 )
 from arid.nar import NARFitConfig, fit_nar, nar_predict_one_step
-from arid.numerics import (
-    _LEAD_BLOCKS,
-    BlockTridiagonalSPDMatrix,
-    SteadyProbe,
-    solve_banded_spd,
-    solve_block_tridiagonal_spd,
-)
+from arid.numerics import _LEAD_BLOCKS, SteadyProbe, solve_smoother
 from arid.selection import order_scan
 from arid.signature import GeometricPath, embed_to_path, sig_dim, signature
 
-from test_numerics import kronecker_smoother, pack_lower_bands, random_banded_spd_dense
+from test_numerics import dense_smoother, kronecker_smoother, random_stencil_smoother, var_smoother
 from test_signature import brute_force_signature, chen_product, flatten_words, tensor_power
 
 TRUE_ORDER = 5
@@ -205,7 +199,7 @@ def test_5_both_steps_are_stationary_points(capsys):
             up, down = ar_loss(thetas + bump, y_hat), ar_loss(thetas - bump, y_hat)
             worst = max(worst, abs(up - down) / (2 * step) / scale)
 
-        smoothed, _ = state_step(thetas, _measurement_rhs(y, rho, first), rho, 0.0, first)
+        smoothed, _ = state_step(thetas, _measurement_rhs(y, rho, first), np.full((1, 1), rho), 0.0, first)
         scale = max(1.0, ar_loss(thetas, smoothed))
         for j in range(n_steps):
             step = 1e-6 * max(1.0, abs(smoothed[0, j]))
@@ -229,7 +223,7 @@ def test_5_both_steps_are_stationary_points(capsys):
             err = x - states
             return float(np.sum(resid * resid) + rho * np.sum(err * err))
 
-        smoothed = solve_block_tridiagonal_spd(*assemble_var_smoother(A, x, rho)).reshape(x.shape)
+        smoothed = solve_smoother(*assemble_var_smoother(A, x, rho)).reshape(x.shape)
         scale = max(1.0, var_loss(smoothed))
         for index in np.ndindex(x.shape):
             step = 1e-6 * max(1.0, abs(smoothed[index]))
@@ -266,11 +260,17 @@ def test_6_structured_solvers_match_dense_oracle(capsys):
 
     for instance in range(100):
         if instance % 2 == 0:
-            dim = int(rng.integers(1, 61))
-            bandwidth = int(rng.integers(0, min(dim, 7)))
-            dense = random_banded_spd_dense(rng, dim, bandwidth)
-            rhs = rng.normal(size=dim)
-            compare(solve_banded_spd(pack_lower_bands(dense, bandwidth), rhs), dense, rhs)
+            # Random smoothers: stacks of up to 4 systems of up to 60 blocks of
+            # size p <= 4, with r <= 6 stencil blocks, measured from block
+            # first <= r on (at least first windows pin the blocks before
+            # it), with or without a ridge.
+            order, block_dim = int(rng.integers(0, 7)), int(rng.integers(1, 5))
+            first = int(rng.integers(0, order + 1))
+            num_blocks = int(rng.integers(max(order + first, 1), 61))
+            smoother = random_stencil_smoother(rng, int(rng.integers(1, 5)), order, num_blocks, block_dim, first,
+                                               float(rng.choice([0.0, 0.01])))
+            rhs = rng.normal(size=(len(smoother.stencils), num_blocks * block_dim))
+            compare(solve_smoother(smoother, rhs).ravel(), dense_smoother(smoother), rhs.ravel())
             continue
         # The VAR/NAR smoother (A, Q), Q SPD, on both sides of the length from
         # which the solver tries the steady-state factor. A weak Q and a
@@ -285,7 +285,7 @@ def test_6_structured_solvers_match_dense_oracle(capsys):
         Q = 10.0 ** rng.uniform(-2.0, 0.5) * (lower @ lower.T / block_dim + np.eye(block_dim))
         rhs = rng.normal(size=num_blocks * block_dim)
         probe = SteadyProbe()
-        solved = solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(A, Q, num_blocks), rhs, probe)
+        solved = solve_smoother(var_smoother(A, Q, num_blocks), rhs[None], probe)[0]
         # A long system leaves the probe on only if its leading factor settled and was tiled.
         long_draws += long
         steady_draws += long and probe.on
@@ -301,7 +301,7 @@ def test_6_structured_solvers_match_dense_oracle(capsys):
         rho, lam = float(rng.choice([0.01, 0.1, 1.0])), float(rng.choice([0.0, 0.01]))
         thetas = np.array([stable_coefficients(rng, order).theta for _ in range(int(rng.integers(1, 11)))])
         rhs = _measurement_rhs(rng.normal(size=(len(thetas), n)), rho, 0)
-        solved, _ = state_step(thetas, rhs, rho, lam, 0)
+        solved, _ = state_step(thetas, rhs, np.full((1, 1), rho), lam, 0)
         for theta, member, v in zip(thetas, solved, rhs):
             compare(member, ar_smoother_dense(theta, n, rho, lam, 0), v)
     elapsed = time.perf_counter() - start

@@ -13,7 +13,6 @@ from arid.linear import (
     LossBreakdown,
     _measurement_rhs,
     _solve_smoother,
-    _solve_stacked,
     assemble_ar_smoother,
     assemble_var_smoother,
     error_metrics,
@@ -22,6 +21,8 @@ from arid.linear import (
     fit_ar_batch,
     fit_var1,
     param_step,
+    solve_banded_spd,
+    solve_block_tridiagonal_spd,
     state_step,
 )
 from arid.model import (
@@ -36,14 +37,7 @@ from arid.model import (
     scalar_values,
     simulate,
 )
-from arid.numerics import (
-    BandedSPDMatrix,
-    BlockTridiagonalSPDMatrix,
-    smoother_bands,
-    solve_banded_spd,
-    solve_block_tridiagonal_spd,
-    solve_regularized_ls,
-)
+from arid.numerics import Smoother, smoother_bands, solve_regularized_ls, solve_smoother
 
 
 def noise_free_series(theta: np.ndarray, x1: np.ndarray, n_steps: int) -> TimeSeries:
@@ -65,7 +59,7 @@ def smooth(theta: np.ndarray, y, rho: float, lam: float = 0.0, anchor_all: bool 
     """One trajectory smoothed by ``state_step`` on a stack of one."""
     start = 0 if anchor_all else theta.size - 1
     rhs = _measurement_rhs(np.asarray(y, dtype=float)[None], rho, start)
-    return state_step(theta[None], rhs, rho, lam, start)[0][0]
+    return state_step(theta[None], rhs, np.full((1, 1), rho), lam, start)[0][0]
 
 
 def total_with_ridge(
@@ -194,7 +188,9 @@ def test_smoother_bands_sum_in_pair_loop_order(order, n_steps):
         for b in range(a, order + 1):
             expected[b - a, a : a + n_steps - order] += stencil[a] * stencil[b]
     expected[0] += 0.3
-    np.testing.assert_array_equal(assemble_ar_smoother(theta[None], n_steps, 0.3, 0.0, 0)[0], expected)
+    smoother = assemble_ar_smoother(theta[None], n_steps, np.full((1, 1), 0.3), 0.0, 0)
+    bands = smoother_bands(smoother.stencils, smoother.Q, n_steps, smoother.start, smoother.lam)
+    np.testing.assert_array_equal(bands[0], expected)
 
 
 def loop_bands(stencils: np.ndarray, Q: np.ndarray, n: int, start: int, lam: float) -> np.ndarray:
@@ -389,7 +385,7 @@ def reference_fit_ar(y: TimeSeries, config: FitConfig):
     y_hat, history, estimates, monitor_prev, converged = yo, [], [], None, False
     for _ in range(config.max_iterations):
         theta = param_step(*delay_windows(y_hat[None], r), lam)[0][0]
-        candidate = state_step(theta[None], rhs, rho, lam, start)[0][0]
+        candidate = state_step(theta[None], rhs, np.full((1, 1), rho), lam, start)[0][0]
         loss = loss_of(theta, candidate, yo, rho, anchor)
         held = loss_of(theta, y_hat, yo, rho, anchor)
         if loss.total + lam * float(candidate @ candidate) > held.total + lam * float(y_hat @ y_hat):
@@ -642,8 +638,8 @@ def test_alternation_never_increases_loss(seed):
 @pytest.mark.parametrize("n_steps", [2, 3, 40, 127])
 def test_var_with_one_channel_factors_the_ar1_bands(monkeypatch, n_steps):
     # At lam == 0 the one-channel VAR smoother and the anchored AR(1)
-    # smoother are one system: the block solver factors the AR(1) bands,
-    # byte for byte. Below 128 blocks it builds them for the whole system.
+    # smoother are one system: the solve builds the same bands, byte for
+    # byte, and solves both by dptsv to the same solution.
     rng = np.random.Generator(np.random.Philox(key=n_steps))
     y = rng.normal(size=n_steps)
     built = []
@@ -654,9 +650,11 @@ def test_var_with_one_channel_factors_the_ar1_bands(monkeypatch, n_steps):
         return bands
 
     monkeypatch.setattr(numerics, "smoother_bands", recording)
-    solve_block_tridiagonal_spd(*assemble_var_smoother(np.array([[0.7]]), y[:, None], 0.3))
-    ar_bands = assemble_ar_smoother(np.array([[0.7]]), n_steps, 0.3, 0.0, 0)
-    assert len(built) == 1 and built[0][0].tobytes() == ar_bands[0].tobytes()
+    var_solution = solve_smoother(*assemble_var_smoother(np.array([[0.7]]), y[:, None], 0.3))
+    ar_smoother = assemble_ar_smoother(np.array([[0.7]]), n_steps, np.full((1, 1), 0.3), 0.0, 0)
+    ar_solution = solve_smoother(ar_smoother, _measurement_rhs(y[None], 0.3, 0))
+    assert len(built) == 2 and built[0].tobytes() == built[1].tobytes()
+    np.testing.assert_array_equal(var_solution, ar_solution)
 
 
 @pytest.mark.parametrize("power", [-60, -42, -20, 40, 300])
@@ -747,8 +745,8 @@ def reference_fit_var1(y: TimeSeries, config: FitConfig):
     x_hat, history, estimates, monitor_prev, converged = x, [], [], None, False
     for _ in range(config.max_iterations):
         A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
-        matrix = BlockTridiagonalSPDMatrix(A, (rho + lam) * np.eye(p), n)
-        candidate = _solve_smoother(matrix, (rho * x).reshape(-1), solve_block_tridiagonal_spd).reshape(x.shape)
+        smoother = Smoother(np.stack((-A, np.eye(p)))[None], (rho + lam) * np.eye(p), n)
+        candidate = _solve_smoother(smoother, (rho * x).reshape(1, -1), solve_smoother).reshape(x.shape)
         loss, held = loss_of(A, candidate), loss_of(A, x_hat)
         if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
             candidate, loss = x_hat, held
@@ -823,13 +821,13 @@ def test_ladder_rescues_singular_ar_smoother():
     # residual, and without anchor_all or a ridge out of the measurement
     # term too: its row of the normal matrix is zero.
     theta, y = np.array([0.5, 0.0]), np.sin(np.arange(30.0))
-    matrix = BandedSPDMatrix(30, 2, assemble_ar_smoother(theta[None], 30, 0.1, 0.0, 1)[0])
-    rhs = _measurement_rhs(y, 0.1, 1)
+    smoother = assemble_ar_smoother(theta[None], 30, np.full((1, 1), 0.1), 0.0, 1)
+    rhs = _measurement_rhs(y[None], 0.1, 1)
     with pytest.raises(NotPositiveDefinite):
-        solve_banded_spd(matrix, rhs)
-    solution = _solve_smoother(matrix, rhs, solve_banded_spd)
+        solve_smoother(smoother, rhs)
+    solution = _solve_smoother(smoother, rhs, solve_smoother)
     assert np.all(np.isfinite(solution))
-    np.testing.assert_array_equal(smooth(theta, y, 0.1), solution)
+    np.testing.assert_array_equal(smooth(theta, y, 0.1), solution[0])
 
 
 def _singular_stack():
@@ -837,31 +835,46 @@ def _singular_stack():
     rng = np.random.Generator(np.random.Philox(key=45))
     thetas = np.array([[0.3, -0.2], [0.5, 0.0], [-0.4, 0.1]])
     series = np.stack([rng.normal(size=30), np.sin(np.arange(30.0)), rng.normal(size=30)])
-    bands, rhs = assemble_ar_smoother(thetas, 30, 0.1, 0.0, 1), _measurement_rhs(series, 0.1, 1)
-    return thetas, series, bands, rhs
+    smoother = assemble_ar_smoother(thetas, 30, np.full((1, 1), 0.1), 0.0, 1)
+    return thetas, series, smoother, _measurement_rhs(series, 0.1, 1)
 
 
 def test_ladder_runs_per_system_inside_a_stack():
     # The stacked solve fails, and every system must then come back as it
     # does alone, the singular one shifted by its own diagonal only.
-    _, _, bands, rhs = _singular_stack()
+    _, _, smoother, rhs = _singular_stack()
     with pytest.raises(NotPositiveDefinite):
-        solve_banded_spd(BandedSPDMatrix(90, 2, np.concatenate(bands, axis=1)), rhs.ravel())
-    solutions = _solve_stacked(bands, rhs)
+        solve_smoother(smoother, rhs)
+    solutions = _solve_smoother(smoother, rhs, solve_smoother)
     assert np.all(np.isfinite(solutions))
-    for solution, system, v in zip(solutions, bands, rhs, strict=True):
-        np.testing.assert_array_equal(solution, _solve_smoother(BandedSPDMatrix(30, 2, system), v, solve_banded_spd))
+    for i, solution in enumerate(solutions):
+        member = Smoother(smoother.stencils[i : i + 1], smoother.Q, 30, 1)
+        np.testing.assert_array_equal(solution, _solve_smoother(member, rhs[i : i + 1], solve_smoother)[0])
 
 
-def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
+def test_assembled_stack_with_a_singular_member_reaches_the_ladder(monkeypatch):
     # The band builder's column-major bands reach LAPACK as one system
-    # without a copy; that solve fails, and each member gets its solo fit.
-    thetas, series, bands, rhs = _singular_stack()
-    stacked = bands.transpose(1, 0, 2).reshape(3, 90)
-    assert np.shares_memory(stacked, bands)
+    # without a copy, and that factor fails, as it does on a copy of the
+    # bands placed end to end; each member then gets its solo fit.
+    thetas, series, smoother, rhs = _singular_stack()
+    built, factored = [], []
+    bands_of, dpbtrf_of = numerics.smoother_bands, numerics.dpbtrf
+
+    def building(*args):
+        built.append(bands_of(*args))
+        return built[-1]
+
+    def factoring(bands, **options):
+        factored.append(bands)
+        return dpbtrf_of(bands, **options)
+
+    monkeypatch.setattr(numerics, "smoother_bands", building)
+    monkeypatch.setattr(numerics, "dpbtrf", factoring)
     with pytest.raises(NotPositiveDefinite):
-        solve_banded_spd(BandedSPDMatrix(90, 2, stacked), rhs.ravel())
-    solutions = _solve_stacked(bands, rhs)
+        solve_smoother(smoother, rhs)
+    assert np.shares_memory(factored[0], built[0])
+    assert dpbtrf_of(np.concatenate(list(built[0]), axis=1), lower=1)[1] > 0
+    solutions = _solve_smoother(smoother, rhs, solve_smoother)
     for solution, theta, y in zip(solutions, thetas, series, strict=True):
         np.testing.assert_array_equal(solution, smooth(theta, y, 0.1))
 
@@ -869,27 +882,32 @@ def test_assembled_stack_with_a_singular_member_reaches_the_ladder():
 def test_stacked_smoothers_equal_solo_solves():
     rng = np.random.Generator(np.random.Philox(key=46))
     thetas, series = rng.normal(scale=0.3, size=(3, 4)), rng.normal(size=(3, 50))
-    bands, rhs = assemble_ar_smoother(thetas, 50, 0.2, 0.0, 0), _measurement_rhs(series, 0.2, 0)
-    for solution, system, v in zip(_solve_stacked(bands, rhs), bands, rhs, strict=True):
-        np.testing.assert_array_equal(solution, solve_banded_spd(BandedSPDMatrix(50, 4, system), v))
+    smoother = assemble_ar_smoother(thetas, 50, np.full((1, 1), 0.2), 0.0, 0)
+    rhs = _measurement_rhs(series, 0.2, 0)
+    solutions = _solve_smoother(smoother, rhs, solve_smoother)
+    for i, (solution, v) in enumerate(zip(solutions, rhs, strict=True)):
+        member = Smoother(smoother.stencils[i : i + 1], smoother.Q, 50)
+        np.testing.assert_array_equal(solution, solve_smoother(member, v[None])[0])
 
 
+# Each family's binding of the one solve, as its fits call it.
 @pytest.mark.parametrize(
-    "matrix, solve",
+    "smoother, solve",
     [
-        (BandedSPDMatrix(3, 0, -np.ones((1, 3))), solve_banded_spd),
-        (BlockTridiagonalSPDMatrix(np.zeros((2, 2)), -np.eye(2), 2), solve_block_tridiagonal_spd),
+        (Smoother(np.ones((1, 1, 1, 1)), np.full((1, 1), -2.0), 3), solve_banded_spd),
+        (Smoother(np.stack((np.zeros((2, 2)), np.eye(2)))[None], -np.eye(2), 2), solve_block_tridiagonal_spd),
     ],
+    ids=["matrix0-solve_banded_spd", "matrix1-solve_block_tridiagonal_spd"],
 )
-def test_ladder_gives_up_on_indefinite_system(matrix, solve):
+def test_ladder_gives_up_on_indefinite_system(smoother, solve):
     attempts = []
 
-    def counting_solve(candidate, rhs):
+    def counting_solve(candidate, rhs, probe):
         attempts.append(candidate)
-        return solve(candidate, rhs)
+        return solve(candidate, rhs, probe)
 
     with pytest.raises(NotPositiveDefinite):
-        _solve_smoother(matrix, np.ones(matrix.dim), counting_solve)
+        _solve_smoother(smoother, np.ones((1, smoother.dim)), counting_solve)
     assert len(attempts) == 1 + len(_RIDGE_BOOSTS)
 
 

@@ -17,7 +17,7 @@ from arid.nar import (
     nar_predict_one_step,
     nar_state_step,
 )
-from arid.numerics import solve_block_tridiagonal_spd, solve_regularized_ls
+from arid.numerics import solve_regularized_ls, solve_smoother
 from arid.signature import GeometricPath, embed_to_path, sig_dim, signature
 
 N_S = sig_dim(2, 2)
@@ -218,7 +218,7 @@ def test_exactly_representable_data_is_reproduced():
         states[i + 1] = model.A_sig @ states[i]
     yo = np.concatenate((rng.normal(size=order_r - 1), states @ model.C_sig))
     y = TimeSeries(yo)
-    smoothed_states, y_hat = nar_state_step(model, y, order_r, 0.5, 0.0, y)
+    smoothed_states, y_hat = nar_state_step(model, y, order_r, 0.5, 0.0)
     np.testing.assert_allclose(smoothed_states, states, rtol=0, atol=1e-8)
     np.testing.assert_allclose(
         scalar_values(y_hat)[order_r - 1 :], yo[order_r - 1 :], rtol=0, atol=1e-8
@@ -226,12 +226,12 @@ def test_exactly_representable_data_is_reproduced():
 
 
 def test_leading_values_carried_from_previous_iterate():
+    # The first r - 1 values have no state of their own: every iterate keeps their measurements.
     rng = np.random.Generator(np.random.Philox(key=67))
     model = stable_random_model(rng)
     y = TimeSeries(rng.normal(size=20))
-    y_prev = TimeSeries(rng.normal(size=20))
-    _, y_hat = nar_state_step(model, y, 4, 0.5, 0.01, y_prev)
-    np.testing.assert_array_equal(scalar_values(y_hat)[:3], scalar_values(y_prev)[:3])
+    _, y_hat = nar_state_step(model, y, 4, 0.5, 0.01)
+    np.testing.assert_array_equal(scalar_values(y_hat)[:3], scalar_values(y)[:3])
 
 
 def test_huge_rho_reproduces_measurements():
@@ -239,7 +239,7 @@ def test_huge_rho_reproduces_measurements():
     model = stable_random_model(rng)
     yo = rng.normal(size=25)
     y = TimeSeries(yo)
-    _, y_hat = nar_state_step(model, y, 4, 1e8, 0.0, y)
+    _, y_hat = nar_state_step(model, y, 4, 1e8, 0.0)
     measured_part = scalar_values(y_hat)[3:]
     relative = np.abs(measured_part - yo[3:]) / np.maximum(np.abs(yo[3:]), 1e-6)
     assert float(relative.max()) < 1e-3
@@ -255,7 +255,7 @@ def test_state_step_matches_stacked_lstsq_oracle(lam):
     model = NARModel(0.6 * q, rng.normal(size=N_S))
     yo = rng.normal(size=20)
     y = TimeSeries(yo)
-    states, _ = nar_state_step(model, y, 4, 0.3, lam, y)
+    states, _ = nar_state_step(model, y, 4, 0.3, lam)
     oracle = stacked_lstsq_states(model, yo, 4, 0.3, lam)
     np.testing.assert_allclose(states, oracle, rtol=0, atol=1e-9)
 
@@ -265,7 +265,7 @@ def test_state_step_gradient_vanishes_at_solution():
     model = stable_random_model(rng)
     yo = rng.normal(size=15)
     y = TimeSeries(yo)
-    states, _ = nar_state_step(model, y, 4, 0.5, 0.01, y)
+    states, _ = nar_state_step(model, y, 4, 0.5, 0.01)
     reference = quadratic_objective(model, states, yo, 4, 0.5, 0.01)
     step = 1e-6
     flat = states.ravel().copy()
@@ -287,7 +287,7 @@ def test_smoothing_never_increases_objective_at_fixed_model():
     gamma_minus, gamma_plus, y_plus = build_sig_matrices(y, 4, 2)
     model = nar_param_step(gamma_minus, gamma_plus, y_plus, 0.001)
     raw_states = np.vstack((gamma_minus, gamma_plus[-1]))
-    smoothed_states, _ = nar_state_step(model, y, 4, 0.1, 0.001, y)
+    smoothed_states, _ = nar_state_step(model, y, 4, 0.1, 0.001)
     before = quadratic_objective(model, raw_states, vals, 4, 0.1, 0.001)
     after = quadratic_objective(model, smoothed_states, vals, 4, 0.1, 0.001)
     assert after <= before * (1 + 1e-12)
@@ -300,10 +300,10 @@ def test_singular_signature_smoother_goes_down_the_shift_ladder():
     readout[0] = 1.0
     model = NARModel(np.zeros((N_S, N_S)), readout)
     y = TimeSeries(np.sin(np.arange(40.0)))
-    matrix, rhs = assemble_nar_smoother(model, y, 4, 0.1, 0.0)
+    smoother, rhs = assemble_nar_smoother(model, y, 4, 0.1, 0.0)
     with pytest.raises(NotPositiveDefinite):
-        solve_block_tridiagonal_spd(matrix, rhs)
-    states, refreshed = nar_state_step(model, y, 4, 0.1, 0.0, y)
+        solve_smoother(smoother, rhs)
+    states, refreshed = nar_state_step(model, y, 4, 0.1, 0.0)
     assert np.all(np.isfinite(states))
     assert np.all(np.isfinite(scalar_values(refreshed)))
 
@@ -350,7 +350,7 @@ def reference_fit_nar(y: TimeSeries, config: NARFitConfig):
     y_hat, history, models, converged = y, [], [], False
     for _ in range(config.max_iterations):
         model = nar_param_step(*build_sig_matrices(y_hat, r, config.depth_d), config.lam)
-        states, y_new = nar_state_step(model, y, r, rho, config.lam, y_hat)
+        states, y_new = nar_state_step(model, y, r, rho, config.lam)
         resid = states[1:] - states[:-1] @ model.A_sig.T
         dynamics = float(np.sum(resid * resid))
         err = yo[r - 1 :] - states @ model.C_sig

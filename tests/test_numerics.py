@@ -1,4 +1,4 @@
-"""Tests for the regularized solver, structured SPD solvers, and root finder."""
+"""Tests for the regularized solver, the smoother solve, and root finder."""
 
 import tracemalloc
 
@@ -13,33 +13,62 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from arid import numerics
 from arid.errors import NonFinite, NotPositiveDefinite, SingularSystem
-from arid.linear import _shift_diagonal, _solve_smoother, assemble_var_smoother
+from arid.linear import _RIDGE_BOOSTS, _solve_smoother, assemble_var_smoother
 from arid.model import ARParams, TimeSeries, build_companion, coefficients_from_roots
 from arid.nar import NARModel, assemble_nar_smoother
 from arid.numerics import (
-    BandedSPDMatrix,
-    BlockTridiagonalSPDMatrix,
+    Smoother,
     companion_eigenvalues,
     smoother_bands,
-    solve_banded_spd,
-    solve_block_tridiagonal_spd,
     solve_regularized_ls,
+    solve_smoother,
 )
 
 
-def pack_lower_bands(dense, bandwidth: int) -> BandedSPDMatrix:
-    """The lower bands of a dense array or a SciPy sparse matrix."""
+def pack_lower_bands(dense, bandwidth: int) -> np.ndarray:
+    """The lower bands of a dense array or a SciPy sparse matrix, row k holding subdiagonal k."""
     dim = dense.shape[0]
     bands = np.zeros((bandwidth + 1, dim))
     for k in range(bandwidth + 1):
         bands[k, : dim - k] = dense.diagonal(-k)
-    return BandedSPDMatrix(dim, bandwidth, bands)
+    return bands
 
 
-def random_banded_spd_dense(rng: np.random.Generator, dim: int, bandwidth: int) -> np.ndarray:
-    square = rng.normal(size=(dim, dim))
-    factor = np.tril(np.triu(square, -bandwidth))
-    return factor @ factor.T + 0.5 * np.eye(dim)
+def var_smoother(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> Smoother:
+    """The smoother of the stencil [-A, I], the VAR and NAR state step."""
+    return Smoother(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)
+
+
+def dense_smoother(smoother: Smoother) -> np.ndarray:
+    """The normal matrices of a stack of smoothers, block diagonal, each built from its residual operator."""
+    width, p = smoother.stencils.shape[1:3]
+    n, r = smoother.num_blocks, width - 1
+    systems = []
+    for stencils in smoother.stencils:
+        residuals = np.zeros(((n - r) * p, n * p))
+        for t in range(n - r):
+            residuals[t * p : (t + 1) * p, t * p : (t + width) * p] = np.concatenate(stencils, axis=1)
+        measured = np.kron(np.diag((np.arange(n) >= smoother.start).astype(float)), smoother.Q)
+        systems.append(residuals.T @ residuals + measured + smoother.lam * np.eye(n * p))
+    return sla.block_diag(*systems)
+
+
+def random_stencil_smoother(rng: np.random.Generator, count: int, order: int, num_blocks: int, block_dim: int,
+                            start: int = 0, lam: float = 0.0) -> Smoother:
+    """A stack of smoothers with random stencils and a random SPD Q, whose least eigenvalue is at least 0.5.
+
+    The oldest stencil block -A_r is a scaled orthogonal matrix, so the blocks
+    before ``start``, which only the dynamics pin, stay well conditioned
+    while there are at least ``start`` windows: ``num_blocks`` >= order + start.
+    """
+    stencils = np.empty((count, order + 1, block_dim, block_dim))
+    stencils[:, 1:order] = rng.normal(scale=0.5 / np.sqrt(block_dim), size=stencils[:, 1:order].shape)
+    stencils[:, order] = np.eye(block_dim)
+    if order:
+        orthogonal = np.linalg.qr(rng.normal(size=(count, block_dim, block_dim)))[0]
+        stencils[:, 0] = rng.uniform(0.3, 0.9, size=(count, 1, 1)) * orthogonal
+    lower = rng.normal(size=(block_dim, block_dim))
+    return Smoother(stencils, lower @ lower.T / block_dim + 0.5 * np.eye(block_dim), num_blocks, start, lam)
 
 
 def kronecker_smoother(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> sp.csr_matrix:
@@ -60,7 +89,7 @@ def kronecker_smoother(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> sp.csr_
 
 
 def block_bands(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> np.ndarray:
-    """The bands of ``BlockTridiagonalSPDMatrix(A, Q, num_blocks)``, as its solver builds them."""
+    """The bands of ``var_smoother(A, Q, num_blocks)``, as its solve builds them."""
     return smoother_bands(np.stack((-A, np.eye(len(A))))[None], Q, num_blocks)[0]
 
 
@@ -84,7 +113,7 @@ def lapack_band_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarr
     """LAPACK ``dpbtrf`` + ``dpbtrs`` on the lower bands packed from the Kronecker-built smoother."""
     b = Q.shape[0]
     m = rhs.size // b
-    bands = pack_lower_bands(kronecker_smoother(A, Q, m), smoother_bandwidth(b, m)).bands
+    bands = pack_lower_bands(kronecker_smoother(A, Q, m), smoother_bandwidth(b, m))
     factor, info = dpbtrf(bands, lower=1)
     assert info == 0
     solution, info = dpbtrs(factor, rhs, lower=1)
@@ -92,11 +121,11 @@ def lapack_band_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return solution
 
 
-def random_smoother(rng: np.random.Generator, num_blocks: int, block_dim: int) -> BlockTridiagonalSPDMatrix:
-    """A smoother with a random transition A and a random SPD Q, whose least eigenvalue is at least 0.5."""
+def random_smoother(rng: np.random.Generator, block_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random transition A and a random SPD Q, whose least eigenvalue is at least 0.5."""
     A = rng.normal(size=(block_dim, block_dim))
     lower = rng.normal(size=(block_dim, block_dim))
-    return BlockTridiagonalSPDMatrix(A, lower @ lower.T + 0.5 * np.eye(block_dim), num_blocks)
+    return A, lower @ lower.T + 0.5 * np.eye(block_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -198,53 +227,69 @@ def test_solution_satisfies_stationarity_condition(seed, lam):
 
 
 # ---------------------------------------------------------------------------
-# solve_banded_spd
+# solve_smoother on AR(r) smoothers, 1 x 1 blocks
+
+
+def ar_smoother(thetas: np.ndarray, num_blocks: int, rho: float, start: int = 0, lam: float = 0.0) -> Smoother:
+    """The smoothers of a (B, r) stack of AR coefficients: stencils [-theta_r ... -theta_1, 1]."""
+    stencils = np.concatenate((-thetas[:, ::-1], np.ones((len(thetas), 1))), axis=1)
+    return Smoother(stencils[:, :, None, None], np.full((1, 1), rho), num_blocks, start, lam)
 
 
 def test_diagonal_system_scales_rhs():
-    matrix = BandedSPDMatrix(3, 0, np.array([[2.0, 2.0, 2.0]]))
-    solution = solve_banded_spd(matrix, np.array([2.0, 4.0, 6.0]))
-    np.testing.assert_allclose(solution, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
+    # The one-value stencil [1] with Q = 1 puts 2 on every diagonal entry.
+    smoother = Smoother(np.ones((1, 1, 1, 1)), np.ones((1, 1)), 3)
+    assert smoother.bandwidth == 0
+    solution = solve_smoother(smoother, np.array([[2.0, 4.0, 6.0]]))
+    np.testing.assert_allclose(solution, [[1.0, 2.0, 3.0]], rtol=0, atol=1e-14)
 
 
 def test_tridiagonal_matches_dense_solve():
-    dense = np.array(
-        [
-            [4.0, 1.0, 0.0, 0.0],
-            [1.0, 5.0, 2.0, 0.0],
-            [0.0, 2.0, 6.0, 1.0],
-            [0.0, 0.0, 1.0, 3.0],
-        ]
-    )
-    rhs = np.array([1.0, -2.0, 0.5, 4.0])
-    solution = solve_banded_spd(pack_lower_bands(dense, 1), rhs)
-    np.testing.assert_allclose(solution, np.linalg.solve(dense, rhs), rtol=1e-12)
+    smoother = ar_smoother(np.array([[0.5]]), 4, 2.0)
+    assert smoother.bandwidth == 1
+    rhs = np.array([[1.0, -2.0, 0.5, 4.0]])
+    solution = solve_smoother(smoother, rhs)
+    np.testing.assert_allclose(solution[0], np.linalg.solve(dense_smoother(smoother), rhs[0]), rtol=1e-12)
 
 
 def test_wide_band_matches_dense_solve():
     rng = np.random.Generator(np.random.Philox(key=11))
-    dense = random_banded_spd_dense(rng, 200, 5)
-    rhs = rng.normal(size=200)
-    solution = solve_banded_spd(pack_lower_bands(dense, 5), rhs)
-    oracle = np.linalg.solve(dense, rhs)
-    np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
+    smoother = random_stencil_smoother(rng, 1, 5, 200, 1)
+    assert smoother.bandwidth == 5
+    rhs = rng.normal(size=(1, 200))
+    solution = solve_smoother(smoother, rhs)
+    oracle = np.linalg.solve(dense_smoother(smoother), rhs[0])
+    np.testing.assert_allclose(solution[0], oracle, rtol=1e-10, atol=1e-10)
 
 
 def test_indefinite_band_raises():
-    matrix = BandedSPDMatrix(2, 0, np.array([[1.0, -1.0]]))
-    with pytest.raises(NotPositiveDefinite):
-        solve_banded_spd(matrix, np.array([1.0, 1.0]))
+    # A negative measurement block outweighs the stencil's terms: LAPACK's
+    # dpbtrf at bandwidth 0 and 3, its dptsv at bandwidth 1.
+    for order in (0, 1, 3):
+        smoother = Smoother(np.ones((1, order + 1, 1, 1)) / (order + 1), np.full((1, 1), -2.0), 6)
+        with pytest.raises(NotPositiveDefinite):
+            solve_smoother(smoother, np.ones((1, 6)))
 
 
 def test_band_shape_validated():
     with pytest.raises(ValueError):
-        BandedSPDMatrix(3, 1, np.zeros((3, 3)))
+        Smoother(np.ones((1, 2, 1, 1)), np.ones((2, 2)), 3)
+    with pytest.raises(ValueError):
+        Smoother(np.ones((0, 2, 1, 1)), np.ones((1, 1)), 3)
+    with pytest.raises(ValueError):
+        Smoother(np.ones((1, 4, 1, 1)), np.ones((1, 1)), 2)
+    with pytest.raises(ValueError):
+        Smoother(np.ones((1, 3, 1, 1)), np.ones((1, 1)), 5, start=3)
+    with pytest.raises(ValueError):
+        Smoother(np.ones((1, 3, 1, 1)), np.ones((1, 1)), 5, lam=-1.0)
 
 
 def test_band_rhs_length_validated():
-    matrix = BandedSPDMatrix(3, 0, np.array([[1.0, 1.0, 1.0]]))
+    smoother = Smoother(np.ones((2, 1, 1, 1)), np.ones((1, 1)), 3)
     with pytest.raises(ValueError):
-        solve_banded_spd(matrix, np.array([1.0, 2.0]))
+        solve_smoother(smoother, np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        solve_smoother(smoother, np.ones(6))
 
 
 @given(
@@ -253,70 +298,88 @@ def test_band_rhs_length_validated():
     st.integers(min_value=0, max_value=6),
 )
 def test_banded_solve_agrees_with_dense_oracle(seed, dim, bandwidth):
-    bandwidth = min(bandwidth, dim - 1)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    dense = random_banded_spd_dense(rng, dim, bandwidth)
-    rhs = rng.normal(size=dim)
-    solution = solve_banded_spd(pack_lower_bands(dense, bandwidth), rhs)
-    oracle = np.linalg.solve(dense, rhs)
-    np.testing.assert_allclose(solution, oracle, rtol=1e-8, atol=1e-8)
+    order = min(bandwidth, dim - 1)
+    start, lam = int(rng.integers(0, min(order, dim - order) + 1)), float(rng.choice([0.0, 0.01]))
+    smoother = random_stencil_smoother(rng, int(rng.integers(1, 4)), order, dim, 1, start, lam)
+    rhs = rng.normal(size=(len(smoother.stencils), dim))
+    solution = solve_smoother(smoother, rhs)
+    oracle = np.linalg.solve(dense_smoother(smoother), rhs.ravel())
+    np.testing.assert_allclose(solution.ravel(), oracle, rtol=1e-8, atol=1e-8)
 
 
 @pytest.mark.parametrize("bandwidth", range(1, 11))
 def test_banded_solve_equals_scipy_solveh_banded_bit_for_bit(bandwidth):
-    # solve_banded_spd calls LAPACK itself: dptsv at bandwidth 1 and dpbsv
-    # above, the routines scipy.linalg.solveh_banded picks for these bands.
+    # The solve calls LAPACK itself: dptsv at bandwidth 1, and above it
+    # dpbtrf plus BLAS dtbsv forward and backward, which is what dpbsv runs;
+    # scipy.linalg.solveh_banded picks dptsv and dpbsv for these bands.
     rng = np.random.Generator(np.random.Philox(key=60 + bandwidth))
-    matrices = [pack_lower_bands(random_banded_spd_dense(rng, 40, bandwidth), bandwidth) for _ in range(3)]
+    smoother = ar_smoother(rng.normal(scale=0.3, size=(3, bandwidth)), 40, 0.5)
+    bands = smoother_bands(smoother.stencils, smoother.Q, 40)
     rhs = rng.normal(size=(3, 40))
-    for matrix, v in zip(matrices, rhs):
-        bands = matrix.bands.copy()
-        solution = solve_banded_spd(matrix, v)
-        np.testing.assert_array_equal(solution, sla.solveh_banded(bands, v, lower=True))
-        np.testing.assert_array_equal(matrix.bands, bands)
-    # A stack placed end to end, in the column-major layout the AR fits build.
-    stacked = np.asfortranarray(np.concatenate([matrix.bands for matrix in matrices], axis=1))
-    solution = solve_banded_spd(BandedSPDMatrix(120, bandwidth, stacked), rhs.ravel())
-    np.testing.assert_array_equal(solution, sla.solveh_banded(stacked, rhs.ravel(), lower=True))
+    for i, v in enumerate(rhs):
+        member = Smoother(smoother.stencils[i : i + 1], smoother.Q, 40)
+        np.testing.assert_array_equal(solve_smoother(member, v[None])[0], sla.solveh_banded(bands[i], v, lower=True))
+    # The stack, placed end to end.
+    stacked = np.concatenate(list(bands), axis=1)
+    solution = solve_smoother(smoother, rhs)
+    np.testing.assert_array_equal(solution.ravel(), sla.solveh_banded(stacked, rhs.ravel(), lower=True))
 
 
-def test_band_container_keeps_column_major_bands_without_a_copy():
-    bands = np.asfortranarray(np.ones((3, 10)))
-    assert BandedSPDMatrix(10, 2, bands).bands is bands
+def test_stacked_bands_reach_lapack_without_a_copy(monkeypatch):
+    # The band builder's systems are column-major, so placed end to end they
+    # are the band array LAPACK factors in place, a view.
+    built, factored = [], []
+    bands_of, dpbtrf_of = numerics.smoother_bands, numerics.dpbtrf
+
+    def building(*args):
+        built.append(bands_of(*args))
+        return built[-1]
+
+    def factoring(bands, **options):
+        factored.append(bands)
+        return dpbtrf_of(bands, **options)
+
+    monkeypatch.setattr(numerics, "smoother_bands", building)
+    monkeypatch.setattr(numerics, "dpbtrf", factoring)
+    rng = np.random.Generator(np.random.Philox(key=62))
+    solve_smoother(ar_smoother(rng.normal(scale=0.3, size=(4, 3)), 30, 0.5), rng.normal(size=(4, 30)))
+    assert len(built) == len(factored) == 1
+    assert factored[0].shape == (4, 120) and factored[0].flags.f_contiguous
+    assert np.shares_memory(factored[0], built[0])
 
 
 # ---------------------------------------------------------------------------
-# solve_block_tridiagonal_spd
+# solve_smoother on the VAR and NAR smoothers, the stencil [-A, I]
 
 
 def test_identity_blocks_reproduce_rhs():
     # One block is Q alone, whatever A; with no dynamics the blocks decouple
     # into Q for the first and Q + I for the rest.
     rng = np.random.Generator(np.random.Philox(key=12))
-    rhs = rng.normal(size=6)
-    one_block = BlockTridiagonalSPDMatrix(rng.normal(size=(6, 6)), np.eye(6), 1)
-    np.testing.assert_allclose(solve_block_tridiagonal_spd(one_block, rhs), rhs, rtol=0, atol=1e-14)
-    decoupled = BlockTridiagonalSPDMatrix(np.zeros((2, 2)), np.eye(2), 3)
-    np.testing.assert_allclose(
-        solve_block_tridiagonal_spd(decoupled, rhs), rhs / [1, 1, 2, 2, 2, 2], rtol=0, atol=1e-14
-    )
+    rhs = rng.normal(size=(1, 6))
+    one_block = var_smoother(rng.normal(size=(6, 6)), np.eye(6), 1)
+    np.testing.assert_allclose(solve_smoother(one_block, rhs), rhs, rtol=0, atol=1e-14)
+    decoupled = var_smoother(np.zeros((2, 2)), np.eye(2), 3)
+    np.testing.assert_allclose(solve_smoother(decoupled, rhs), rhs / [1, 1, 2, 2, 2, 2], rtol=0, atol=1e-14)
 
 
 def test_scalar_blocks_match_banded_solver():
+    # With one channel the smoother is tridiagonal, and the solve is LAPACK's dptsv.
     rng = np.random.Generator(np.random.Philox(key=13))
-    matrix = random_smoother(rng, 30, 1)
+    A, Q = random_smoother(rng, 1)
     rhs = rng.normal(size=30)
-    block_solution = solve_block_tridiagonal_spd(matrix, rhs)
-    banded_solution = solve_banded_spd(pack_lower_bands(kronecker_smoother(matrix.A, matrix.Q, 30), 1), rhs)
+    block_solution = solve_smoother(var_smoother(A, Q, 30), rhs[None])[0]
+    banded_solution = sla.solveh_banded(pack_lower_bands(kronecker_smoother(A, Q, 30), 1), rhs, lower=True)
     np.testing.assert_allclose(block_solution, banded_solution, rtol=1e-12)
 
 
 def test_long_chain_matches_dense_solve():
     rng = np.random.Generator(np.random.Philox(key=14))
-    matrix = random_smoother(rng, 50, 4)
+    A, Q = random_smoother(rng, 4)
     rhs = rng.normal(size=200)
-    solution = solve_block_tridiagonal_spd(matrix, rhs)
-    oracle = np.linalg.solve(kronecker_smoother(matrix.A, matrix.Q, 50).toarray(), rhs)
+    solution = solve_smoother(var_smoother(A, Q, 50), rhs[None])[0]
+    oracle = np.linalg.solve(kronecker_smoother(A, Q, 50).toarray(), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
 
 
@@ -325,10 +388,11 @@ def test_long_chain_matches_dense_solve():
 @pytest.mark.parametrize("num_blocks, block_dim", [(1, 1), (1, 5), (397, 7), (40, 32)])
 def test_block_solve_matches_dense_oracle_at_fixed_shapes(num_blocks, block_dim):
     rng = np.random.Generator(np.random.Philox(key=num_blocks * 100 + block_dim))
-    matrix = random_smoother(rng, num_blocks, block_dim)
-    rhs = rng.normal(size=matrix.dim)
-    solution = solve_block_tridiagonal_spd(matrix, rhs)
-    oracle = np.linalg.solve(kronecker_smoother(matrix.A, matrix.Q, num_blocks).toarray(), rhs)
+    A, Q = random_smoother(rng, block_dim)
+    smoother = var_smoother(A, Q, num_blocks)
+    rhs = rng.normal(size=smoother.dim)
+    solution = solve_smoother(smoother, rhs[None])[0]
+    oracle = np.linalg.solve(kronecker_smoother(A, Q, num_blocks).toarray(), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-10, atol=1e-10)
 
 
@@ -336,17 +400,14 @@ def test_block_solve_matches_dense_oracle_at_fixed_shapes(num_blocks, block_dim)
 def test_lower_bands_round_trip_through_dense(num_blocks, block_dim):
     # The short systems, where the bands are cut to fewer than 2b rows.
     rng = np.random.Generator(np.random.Philox(key=16))
-    matrix = random_smoother(rng, num_blocks, block_dim)
-    expected = pack_lower_bands(
-        kronecker_smoother(matrix.A, matrix.Q, num_blocks), smoother_bandwidth(block_dim, num_blocks)
-    ).bands
-    np.testing.assert_array_equal(block_bands(matrix.A, matrix.Q, num_blocks), expected)
+    A, Q = random_smoother(rng, block_dim)
+    expected = pack_lower_bands(kronecker_smoother(A, Q, num_blocks), smoother_bandwidth(block_dim, num_blocks))
+    np.testing.assert_array_equal(block_bands(A, Q, num_blocks), expected)
 
 
 def test_indefinite_chain_raises():
-    matrix = BlockTridiagonalSPDMatrix(np.zeros((2, 2)), -np.eye(2), 2)
     with pytest.raises(NotPositiveDefinite):
-        solve_block_tridiagonal_spd(matrix, np.ones(4))
+        solve_smoother(var_smoother(np.zeros((2, 2)), -np.eye(2), 2), np.ones((1, 4)))
 
 
 @given(
@@ -356,15 +417,12 @@ def test_indefinite_chain_raises():
 )
 def test_block_solve_agrees_with_dense_oracle(seed, num_blocks, block_dim):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    matrix = random_smoother(rng, num_blocks, block_dim)
+    A, Q = random_smoother(rng, block_dim)
     rhs = rng.normal(size=num_blocks * block_dim)
-    solution = solve_block_tridiagonal_spd(matrix, rhs)
-    oracle = np.linalg.solve(kronecker_smoother(matrix.A, matrix.Q, num_blocks).toarray(), rhs)
+    solution = solve_smoother(var_smoother(A, Q, num_blocks), rhs[None])[0]
+    oracle = np.linalg.solve(kronecker_smoother(A, Q, num_blocks).toarray(), rhs)
     np.testing.assert_allclose(solution, oracle, rtol=1e-8, atol=1e-8)
 
-
-# ---------------------------------------------------------------------------
-# The VAR and NAR smoothers
 
 NAR_ORDER = 4
 
@@ -377,14 +435,14 @@ def transition_with_radius(rng: np.random.Generator, block_dim: int, radius: flo
 def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radius: float = 0.6):
     """(A, Q, rhs, assembled system) of a VAR or NAR state step with ``num_blocks`` blocks.
 
-    The (matrix, rhs) pair comes from ``assemble_var_smoother`` or
+    The (smoother, rhs) pair comes from ``assemble_var_smoother`` or
     ``assemble_nar_smoother``, or is None for a one-block NAR system, which no series can produce.
     """
     rng = np.random.default_rng([block_dim, num_blocks, int(1000 * rho)])
     A = transition_with_radius(rng, block_dim, radius)
     if family == "var":
         system = assemble_var_smoother(A, rng.normal(size=(num_blocks, block_dim)), rho)
-        return A, rho * np.eye(block_dim), system[1], system
+        return A, rho * np.eye(block_dim), system[1][0], system
     # A unit readout and a ridge of 0.1 keep the condition number of the NAR
     # system below about 100, so 1e-13 bounds the solver, not the problem.
     lam = 0.1
@@ -395,7 +453,7 @@ def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radi
         return A, Q, rng.normal(size=block_dim), None
     y = TimeSeries(rng.normal(size=num_blocks + NAR_ORDER - 1))
     system = assemble_nar_smoother(NARModel(A, readout), y, NAR_ORDER, rho, lam)
-    return A, Q, system[1], system
+    return A, Q, system[1][0], system
 
 
 def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float) -> None:
@@ -404,7 +462,7 @@ def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float)
 
 
 def smoother_solve(A: np.ndarray, Q: np.ndarray, rhs: np.ndarray, probe=None) -> np.ndarray:
-    return solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(A, Q, rhs.size // Q.shape[0]), rhs, probe)
+    return solve_smoother(var_smoother(A, Q, rhs.size // Q.shape[0]), rhs[None], probe)[0]
 
 
 @pytest.mark.parametrize("rho", [3.0, 0.1, 0.01])
@@ -417,14 +475,14 @@ def test_block_smoother_matches_oracle_and_reference(family, block_dim, num_bloc
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
     if system is not None:
         # The assembler builds the same A and Q.
-        np.testing.assert_array_equal(solve_block_tridiagonal_spd(*system), solution)
+        np.testing.assert_array_equal(solve_smoother(*system)[0], solution)
 
 
 @pytest.mark.parametrize("family", ["var", "nar"])
 def test_steady_factor_settles_on_long_well_damped_systems(family):
     # At rho = 3 the factor of the leading blocks settles well inside them.
     A, Q, rhs, _ = smoother_case(family, 7, 500, 3.0)
-    assert numerics._steady_factor(A, Q, 500) is not None
+    assert numerics._steady_factor(var_smoother(A, Q, 500)) is not None
 
 
 @pytest.mark.parametrize("family", ["var", "nar"])
@@ -432,22 +490,38 @@ def test_near_unit_root_takes_full_factor(family):
     # A spectral radius near 1 and a weak measurement term slow the Riccati
     # recursion down so much that the leading blocks do not settle.
     A, Q, rhs, _ = smoother_case(family, 4, 500, 0.01, radius=0.999)
-    assert numerics._steady_factor(A, Q, 500) is None
+    assert numerics._steady_factor(var_smoother(A, Q, 500)) is None
     solution = smoother_solve(A, Q, rhs)
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
     np.testing.assert_array_equal(solution, lapack_band_solve(A, Q, rhs))
 
 
+def fail(*args):
+    raise AssertionError("steady path taken")
+
+
 def test_short_system_takes_full_factor(monkeypatch):
     # Below 4 * _LEAD_BLOCKS blocks the leading factor is never tried.
     A, Q, rhs, _ = smoother_case("var", 4, 4 * numerics._LEAD_BLOCKS - 1, 3.0)
-
-    def fail(*args):
-        raise AssertionError("steady path taken")
-
     monkeypatch.setattr(numerics, "_steady_factor", fail)
     solution = smoother_solve(A, Q, rhs)
     np.testing.assert_array_equal(solution, lapack_band_solve(A, Q, rhs))
+
+
+@pytest.mark.parametrize(
+    "stencils, count", [("ar1", 1), ("ar2", 1), ("var", 2)], ids=["one-channel", "three-stencils", "stack"]
+)
+def test_steady_path_needs_one_system_of_two_stencils_with_p_of_two_or_more(monkeypatch, stencils, count):
+    # A long AR(1) or one-channel VAR system is tridiagonal, and dptsv solves
+    # it whole; three stencils, or a stack, are factored whole by dpbtrf.
+    num_blocks = 4 * numerics._LEAD_BLOCKS
+    rng = np.random.Generator(np.random.Philox(key=63))
+    p, order = (1, 1) if stencils == "ar1" else (1, 2) if stencils == "ar2" else (2, 1)
+    smoother = random_stencil_smoother(rng, count, order, num_blocks, p)
+    monkeypatch.setattr(numerics, "_steady_factor", fail)
+    rhs = rng.normal(size=(count, num_blocks * p))
+    solution = solve_smoother(smoother, rhs)
+    assert_close_relative(solution.ravel(), np.linalg.solve(dense_smoother(smoother), rhs.ravel()), 1e-13)
 
 
 def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
@@ -477,7 +551,7 @@ def test_probe_stays_on_while_the_lead_settles():
 
 
 def recorded_segments(monkeypatch) -> list:
-    """The band widths of the segments each forward sweep of the block solver runs over, in order."""
+    """The band widths of the segments each forward sweep of the solve runs over, in order."""
     dtbsv, widths = numerics.dtbsv, []
 
     def recording(k, a, x, **options):
@@ -494,7 +568,8 @@ K = numerics._LEAD_BLOCKS
 
 # (block_dim, full tiles, blocks after them) of the steady block columns:
 # m = 4K, where one shortened tile covers them all; one full tile; a one-block
-# remainder tile; and at b = 32, where m >= 4K needs two tiles.
+# remainder tile; and at b = 32, where m >= 4K needs two tiles. At b = 1 the
+# system is tridiagonal: dptsv solves it whole and sweeps no segment.
 @pytest.mark.parametrize(
     "block_dim, tiles, rest", [(4, 0, 3 * K - 1), (4, 1, 0), (4, 1, 1), (1, 1, 0), (1, 1, 1), (32, 2, 0), (32, 2, 1)]
 )
@@ -506,28 +581,35 @@ def test_tiled_solve_matches_oracle_across_every_seam(monkeypatch, block_dim, ti
     widths = recorded_segments(monkeypatch)
     solution = smoother_solve(A, Q, rhs)
     tile_widths = [tile_blocks * block_dim] * tiles + [rest * block_dim] * (rest > 0)
-    assert widths == [K * block_dim, *tile_widths, block_dim]
+    assert widths == ([] if block_dim == 1 else [K * block_dim, *tile_widths, block_dim])
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
 
 
 def test_indefinite_last_pivot_block_reaches_the_ladder():
     # Every pivot of the scalar chain with A = 3, Q = -2 is positive up to the
-    # last, Q + 1 - W^2 < 0: the leading K + 1 blocks factor and settle, and the
-    # matrix is still indefinite, which the lead's last block shows.
-    A, Q, num_blocks = np.array([[3.0]]), np.array([[-2.0]]), 4 * K
+    # last, Q + 1 - W^2 < 0; two such chains side by side take the steady
+    # path. The leading K + 1 blocks factor and settle, and the matrix is
+    # still indefinite, which the lead's last block shows.
+    A, Q, num_blocks = 3.0 * np.eye(2), -2.0 * np.eye(2), 4 * K
     dense = kronecker_smoother(A, Q, num_blocks).toarray()
-    assert np.linalg.eigvalsh(dense[: K + 1, : K + 1])[0] > 0 > np.linalg.eigvalsh(dense)[0]
+    lead = 2 * (K + 1)
+    assert np.linalg.eigvalsh(dense[:lead, :lead])[0] > 0 > np.linalg.eigvalsh(dense)[0]
     with pytest.raises(NotPositiveDefinite):
-        numerics._steady_factor(A, Q, num_blocks)
+        numerics._steady_factor(var_smoother(A, Q, num_blocks))
     attempts = []
 
-    def counting_solve(matrix, rhs):
-        attempts.append(matrix)
-        return solve_block_tridiagonal_spd(matrix, rhs)
+    def counting_solve(smoother, rhs, probe):
+        attempts.append(smoother)
+        return solve_smoother(smoother, rhs, probe)
 
     with pytest.raises(NotPositiveDefinite, match="after diagonal shifts"):
-        _solve_smoother(BlockTridiagonalSPDMatrix(A, Q, num_blocks), np.ones(num_blocks), counting_solve)
+        _solve_smoother(var_smoother(A, Q, num_blocks), np.ones((1, 2 * num_blocks)), counting_solve)
     assert len(attempts) == 4
+
+
+def largest_diagonal(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> float:
+    """The largest diagonal entry of the Kronecker-built smoother, at least 1."""
+    return max(1.0, float(kronecker_smoother(A, Q, num_blocks).diagonal().max()))
 
 
 def test_singular_tiled_system_reaches_the_ladder(monkeypatch):
@@ -539,24 +621,24 @@ def test_singular_tiled_system_reaches_the_ladder(monkeypatch):
     A, Q, num_blocks = 0.5 * np.eye(2), np.diag([1.0, 0.0]), 4 * K
     rhs = np.zeros(2 * num_blocks)
     rhs[::2] = np.random.default_rng(3).normal(size=num_blocks)
-    matrix = BlockTridiagonalSPDMatrix(A, Q, num_blocks)
+    smoother = var_smoother(A, Q, num_blocks)
     with pytest.raises(NotPositiveDefinite):
-        solve_block_tridiagonal_spd(matrix, rhs)
+        solve_smoother(smoother, rhs[None])
     widths = recorded_segments(monkeypatch)
-    solution = _solve_smoother(matrix, rhs, solve_block_tridiagonal_spd)
-    shifted = _shift_diagonal(matrix, 1e-10)
+    solution = _solve_smoother(smoother, rhs[None], solve_smoother)[0]
+    shifted = Q + 1e-10 * largest_diagonal(A, Q, num_blocks) * np.eye(2)
     assert widths == [2 * num_blocks]
-    assert_close_relative(solution, oracle_solve(shifted.A, shifted.Q, rhs), 1e-13)
+    assert_close_relative(solution, oracle_solve(A, shifted, rhs), 1e-13)
 
 
 def test_tiled_solve_holds_no_whole_factor():
     # The whole factor at b = 32 and m = 2e4 is 2e4 * 32 * 64 doubles, 328 MB;
     # the tiled solve holds the solution, the lead and one tile.
     A, Q, rhs, _ = smoother_case("var", 32, 20_000, 3.0)
-    matrix, probe = BlockTridiagonalSPDMatrix(A, Q, 20_000), numerics.SteadyProbe()
+    smoother, probe = var_smoother(A, Q, 20_000), numerics.SteadyProbe()
     tracemalloc.start()
     try:
-        solve_block_tridiagonal_spd(matrix, rhs, probe)
+        solve_smoother(smoother, rhs[None], probe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -570,27 +652,34 @@ def test_tiled_solve_holds_no_whole_factor():
 )
 def test_direct_bands_match_assembled_bands(family, num_blocks):
     A, Q, _, _ = smoother_case(family, 5, num_blocks, 0.1)
-    expected = pack_lower_bands(kronecker_smoother(A, Q, num_blocks), smoother_bandwidth(5, num_blocks)).bands
+    expected = pack_lower_bands(kronecker_smoother(A, Q, num_blocks), smoother_bandwidth(5, num_blocks))
     np.testing.assert_array_equal(block_bands(A, Q, num_blocks), expected)
 
 
 @pytest.mark.parametrize("num_blocks", [1, 2, 3, 200])
 def test_ladder_shifts_block_smoother_like_assembled_system(num_blocks):
     # With a large A, the largest diagonal-block entry depends on which
-    # blocks exist: m = 1 has only Q, and m = 2 has no middle block.
+    # blocks exist: m = 1 has only Q, and m = 2 has no middle block. Each
+    # retry of the ladder raises lam by its boost times that entry.
     b = 3
     A, Q, _, _ = smoother_case("var", b, num_blocks, 0.1, radius=3.0)
     dense = kronecker_smoother(A, Q, num_blocks).toarray()
-    t = np.arange(num_blocks)
-    largest = float(dense.reshape(num_blocks, b, num_blocks, b)[t, :, t].max())
-    for boost in (1e-10, 1e-8, 1e-6):
-        shifted = _shift_diagonal(BlockTridiagonalSPDMatrix(A, Q, num_blocks), boost)
-        expected = dense + boost * max(1.0, largest) * np.eye(dense.shape[0])
-        np.testing.assert_array_equal(shifted.A, A)
+    attempts = []
+
+    def failing_solve(smoother, rhs, probe):
+        attempts.append(smoother)
+        raise NotPositiveDefinite("recorded")
+
+    with pytest.raises(NotPositiveDefinite, match="after diagonal shifts"):
+        _solve_smoother(var_smoother(A, Q, num_blocks), np.ones((1, num_blocks * b)), failing_solve)
+    assert attempts[0].lam == 0.0 and len(attempts) == 1 + len(_RIDGE_BOOSTS)
+    for boost, shifted in zip(_RIDGE_BOOSTS, attempts[1:], strict=True):
+        expected = dense + boost * largest_diagonal(A, Q, num_blocks) * np.eye(dense.shape[0])
+        np.testing.assert_array_equal(shifted.stencils, attempts[0].stencils)
         assert shifted.num_blocks == num_blocks
         np.testing.assert_allclose(
-            block_bands(shifted.A, shifted.Q, num_blocks),
-            pack_lower_bands(expected, smoother_bandwidth(b, num_blocks)).bands,
+            smoother_bands(shifted.stencils, shifted.Q, num_blocks, shifted.start, shifted.lam)[0],
+            pack_lower_bands(expected, smoother_bandwidth(b, num_blocks)),
             rtol=1e-15,
             atol=0.0,
         )
@@ -600,24 +689,26 @@ def test_ladder_shifts_block_smoother_like_assembled_system(num_blocks):
 def test_indefinite_block_smoother_raises(num_blocks):
     # Both the whole factor and the leading factor of the steady path fail.
     b = 2
-    matrix = BlockTridiagonalSPDMatrix(np.zeros((b, b)), -np.eye(b), num_blocks)
+    smoother = var_smoother(np.zeros((b, b)), -np.eye(b), num_blocks)
     with pytest.raises(NotPositiveDefinite):
-        solve_block_tridiagonal_spd(matrix, np.ones(num_blocks * b))
+        solve_smoother(smoother, np.ones((1, num_blocks * b)))
     with pytest.raises(NotPositiveDefinite):
-        _solve_smoother(matrix, np.ones(num_blocks * b), solve_block_tridiagonal_spd)
+        _solve_smoother(smoother, np.ones((1, num_blocks * b)), solve_smoother)
 
 
 def test_block_smoother_validates_shapes():
     with pytest.raises(ValueError):
-        BlockTridiagonalSPDMatrix(np.eye(2), np.eye(3), 2)
+        var_smoother(np.eye(2), np.eye(3), 2)
     with pytest.raises(ValueError):
-        BlockTridiagonalSPDMatrix(np.eye(2), np.eye(2), 0)
+        var_smoother(np.eye(2), np.eye(2), 0)
     with pytest.raises(ValueError):
-        solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(np.eye(2), np.eye(2), 3), np.ones(5))
+        solve_smoother(var_smoother(np.eye(2), np.eye(2), 3), np.ones((1, 5)))
     with pytest.raises(NonFinite):
-        solve_block_tridiagonal_spd(BlockTridiagonalSPDMatrix(np.eye(2), np.eye(2), 1), np.array([1.0, np.nan]))
+        solve_smoother(var_smoother(np.eye(2), np.eye(2), 1), np.array([[1.0, np.nan]]))
     with pytest.raises(NonFinite):
-        BlockTridiagonalSPDMatrix(np.full((2, 2), np.inf), np.eye(2), 1)
+        var_smoother(np.full((2, 2), np.inf), np.eye(2), 1)
+    smoother = var_smoother(np.eye(2), np.eye(2), 5)
+    assert (smoother.dim, smoother.bandwidth, smoother.num_blocks, smoother.block_dim) == (10, 3, 5, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,10 @@ def test_histories_read_after_a_scan_equal_the_step_by_step_reference(monkeypatc
 
 
 def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
-    # One call of each AR step, one batched refit, one band build, one
-    # stacked banded solve and one windowing per lockstep iteration, through
-    # the names the benchmark's tracer wraps; LAPACK's triangular solve once
-    # per running fit.
+    # One call of each AR step, one batched refit, one stacked smoother solve
+    # and one windowing per lockstep iteration, through the names the
+    # benchmark's tracer wraps; one band build, inside that solve; LAPACK's
+    # triangular solve once per running fit.
     calls = {}
 
     def count(module, name):
@@ -166,8 +166,9 @@ def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for name in ("param_step", "state_step", "evaluate_loss", "assemble_ar_smoother", "solve_regularized_ls",
-                 "smoother_bands", "solve_banded_spd", "delay_windows"):
+                 "solve_banded_spd", "delay_windows"):
         count(arid.linear, name)
+    count(arid.numerics, "smoother_bands")
     count(arid.numerics, "_potrs")
     batches, batch = [], arid.selection.fit_ar_batch
 
