@@ -30,6 +30,7 @@ from .errors import HorizonTooShort, NotPositiveDefinite, ZeroNormReference
 from .model import ARParams, TimeSeries, delay_windows, scalar_values
 from .numerics import (
     Smoother,
+    SteadyProbe,
     _require_finite,
     companion_eigenvalues,
     smoother_bands,
@@ -411,10 +412,13 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     :func:`assemble_var_smoother`, solved by
     :func:`~arid.numerics.solve_smoother` (on long series a steady-state
     Cholesky factor, swept tile by tile in O(N p) memory; the whole band
-    factor otherwise) through the diagonal-shift ladder. With p == 1 it is
-    AR(1)'s smoother, solved by the same tridiagonal ``dptsv``, and the whole
-    procedure reduces to ``fit_ar`` at order 1. It runs as a stack of one in
-    :func:`_alternate`.
+    factor otherwise) through the diagonal-shift ladder. The fit's one
+    :class:`~arid.numerics.SteadyProbe` carries the lead that last settled
+    from step to step; once no lead up to a quarter of the series settles,
+    the later steps factor their smoothers whole without trying one. With
+    p == 1 it is AR(1)'s smoother, solved by the same tridiagonal ``dptsv``,
+    and the whole procedure reduces to ``fit_ar`` at order 1. It runs as a
+    stack of one in :func:`_alternate`.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")
@@ -422,6 +426,7 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     n, p = x.shape
     if n < 2:
         raise HorizonTooShort("need at least two steps")
+    probe = SteadyProbe()
 
     def refit(x_hat, windows):
         A = solve_regularized_ls(x_hat[0, :-1], x_hat[0, 1:], config.lam).T
@@ -429,7 +434,7 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
 
     def smooth(A, active):
         system = assemble_var_smoother(A[0], x, config.rho, config.lam)
-        candidate = _solve_smoother(*system, solve_block_tridiagonal_spd).reshape(1, n, p)
+        candidate = _solve_smoother(*system, solve_block_tridiagonal_spd, probe).reshape(1, n, p)
         return candidate, None, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
 
     return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,

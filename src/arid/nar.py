@@ -166,9 +166,11 @@ def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
     (the VAR(1) loss over the signature states, with the readout's residual
     as the measurement term) are diagnostics. The first r - 1 values have no
     state and keep their measurements. A fit stops early only if its
-    trajectory stalls (relative change below ``state_change_tol``). Once a
-    state step's steady-state lead has failed to settle, the fit's later
-    steps factor their smoothers whole without trying it.
+    trajectory stalls (relative change below ``state_change_tol``). The
+    fit's one probe carries the steady-state lead that last settled from
+    step to step; once a state step's lead has doubled up to a quarter of the
+    series without settling, the fit's later steps factor their smoothers
+    whole without trying one.
     """
     yo, r = scalar_values(y), config.order_r
     probe, model = SteadyProbe(), None

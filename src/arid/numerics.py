@@ -6,9 +6,11 @@ of every family is one value, :class:`Smoother`: a stack of stencils
 [-A_r ... -A_1, I] with a measurement block Q, AR(r) with 1 x 1 blocks, VAR
 and NAR with [-A, I]. One band builder lays it out, and one solve picks its
 path from the shape: LAPACK's tridiagonal ``dptsv``; on one long block
-system, a Cholesky factor of the leading blocks only, one tile of its
-settled block column reused to the end; otherwise the whole band factor.
-All routines are pure functions of their inputs.
+system, a Cholesky factor of the leading blocks only, a lead that doubles
+until its block columns settle, and one tile of the settled column, in upper
+band storage, reused to the end; otherwise the whole band factor, in lower
+band storage. All routines are pure functions of their inputs, apart from
+the :class:`SteadyProbe` through which a fit's solves pass on their lead.
 """
 
 from __future__ import annotations
@@ -198,10 +200,9 @@ class Smoother:
         return min(self.stencils.shape[1], self.num_blocks) * self.block_dim - 1
 
 
-# Block columns of the smoother factored before the factor is tested for a
-# steady state; shorter systems than 4 * _LEAD_BLOCKS blocks are factored
-# whole. See solve_smoother.
-_LEAD_BLOCKS = 32
+# Block columns of the first lead that the steady path factors; shorter systems
+# than 4 * _LEAD_BLOCKS blocks are factored whole. See solve_smoother.
+_LEAD_BLOCKS = 16
 # Rows of the steady block column that one tile of a settled factor holds.
 _TILE_ROWS = 2048
 # Largest difference, in units of rounding of the block column's largest
@@ -210,15 +211,18 @@ _STEADY_ULPS = 4
 
 
 class SteadyProbe:
-    """Whether :func:`solve_smoother` still tries the steady path on a run of related systems.
+    """The lead that :func:`solve_smoother` tries first on a run of related systems.
 
-    One fit hands the same probe to each of its state steps. Once a leading
-    factor has failed to settle, the probe is off, and the later systems are
-    factored whole straight away, which is what they would have been anyway.
+    One fit hands the same probe to each of its state steps. ``lead`` starts
+    at ``_LEAD_BLOCKS`` block columns and becomes the length at which the last
+    lead settled, so the fit's later steps start there. Once a solve has
+    doubled its lead up to a quarter of the system without settling,
+    ``lead`` is None: the probe is off, and the later systems are factored
+    whole straight away, which is what they would have been anyway.
     """
 
     def __init__(self):
-        self.on = True
+        self.lead = _LEAD_BLOCKS
 
 
 def _banded_cholesky(bands: np.ndarray) -> np.ndarray:
@@ -229,32 +233,44 @@ def _banded_cholesky(bands: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _steady_factor(smoother: Smoother) -> tuple | None:
+def _steady_factor(smoother: Smoother, lead_blocks: int = _LEAD_BLOCKS) -> tuple | None:
     """Band segments of the Cholesky factor of a one-system smoother [-A, I], from a factor of its leading blocks.
 
     Away from the ends every block of the smoother is the same, so its
     Cholesky pivots follow a Riccati recursion to the steady-state smoother
     gain. Once block column K - 1 of the factor of the leading K + 2 blocks
     equals column K - 2 to rounding, it is the factor's block column up to
-    the last block, whose column is the lead's last. Returns the segments
-    (the first K block columns, a tile of ``_TILE_ROWS`` rows of the steady
-    column, reused and cut short, and the last block) and the steady
-    coupling block W below each seam, or None when the lead has not settled.
+    the last block, whose column is the lead's last. K starts at
+    ``lead_blocks`` and doubles while the lead has not settled and 4K is at
+    most the number of blocks. Returns the segments, each with its LAPACK
+    ``lower`` flag (the first K block columns and the last block in lower
+    band storage; between them a tile of ``_TILE_ROWS`` rows of the steady
+    column, reused and cut short, in upper band storage, as the transposed
+    factor), the steady coupling block W below each seam, and K; or None
+    when no lead has settled.
     """
-    lead_blocks, b, num_blocks = _LEAD_BLOCKS, smoother.block_dim, smoother.num_blocks
-    # The leading K + 1 block columns are the same in every longer system.
-    lead = _banded_cholesky(
-        smoother_bands(smoother.stencils, smoother.Q, lead_blocks + 2, smoother.start, smoother.lam)[0])
-    columns = lead.T.reshape(lead_blocks + 2, b, 2 * b)
-    steady = columns[lead_blocks - 1]
-    if np.abs(steady - columns[lead_blocks - 2]).max() > _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
-        return None
-    c = np.arange(b)
+    b, num_blocks = smoother.block_dim, smoother.num_blocks
+    while True:
+        # The leading K + 1 block columns are the same in every longer system.
+        lead = _banded_cholesky(
+            smoother_bands(smoother.stencils, smoother.Q, lead_blocks + 2, smoother.start, smoother.lam)[0])
+        columns = lead.T.reshape(lead_blocks + 2, b, 2 * b)
+        steady = columns[lead_blocks - 1]
+        if np.abs(steady - columns[lead_blocks - 2]).max() <= _STEADY_ULPS * np.finfo(float).eps * np.abs(steady).max():
+            break
+        if 8 * lead_blocks > num_blocks:
+            return None
+        lead_blocks *= 2
+    c, m = np.arange(b), np.arange(2 * b)
     coupling = np.asfortranarray(steady[c, b - c + c[:, None]])
+    # Upper band row 2b - 1 - m of column c is subdiagonal m of the factor's
+    # column c - m, which a tile that starts on a block holds at (c - m) mod b.
+    period = steady[(c[:, None] - m) % b, m][:, ::-1]
     rows = (num_blocks - 1 - lead_blocks) * b
-    tile = np.broadcast_to(steady, (min(rows, max(b, _TILE_ROWS)) // b, b, 2 * b)).reshape(-1, 2 * b).T
+    tile = np.broadcast_to(period, (min(rows, max(b, _TILE_ROWS)) // b, b, 2 * b)).reshape(-1, 2 * b).T
     full, rest = divmod(rows, tile.shape[1])
-    return [lead[:, : lead_blocks * b], *[tile] * full, *[tile[:, :rest]] * (rest > 0), lead[:, -b:]], coupling
+    tiles = [(tile, 0)] * full + [(tile[:, :rest], 0)] * (rest > 0)
+    return [(lead[:, : lead_blocks * b], 1), *tiles, (lead[:, -b:], 1)], coupling, lead_blocks
 
 
 def solve_smoother(smoother: Smoother, rhs: np.ndarray, probe: SteadyProbe | None = None) -> np.ndarray:
@@ -263,26 +279,30 @@ def solve_smoother(smoother: Smoother, rhs: np.ndarray, probe: SteadyProbe | Non
     The bands come from :func:`smoother_bands`, the B systems placed end to
     end, and the path from the shape alone. At half-bandwidth 1 LAPACK
     ``dptsv`` solves them. One system of two stencils with p >= 2 and at
-    least 4 * ``_LEAD_BLOCKS`` blocks factors only its leading blocks; when
-    their factor has settled, it stands for the whole factor in the segments
-    of :func:`_steady_factor`. Otherwise LAPACK ``dpbtrf`` factors the bands
-    whole, one segment. BLAS ``dtbsv`` sweeps each segment in place, forward
-    then backward, with a ``dgemv`` across each seam; on one segment this is
-    LAPACK ``dpbtrs``, and with the factor, ``dpbsv``. A nonpositive pivot
-    raises :class:`NotPositiveDefinite`. With a ``probe`` that is off, the
-    leading blocks are not tried; a lead that fails to settle switches it off.
+    least four times the probe's lead in blocks (``_LEAD_BLOCKS`` without a
+    probe) factors only its leading blocks, a lead that doubles from there
+    until it settles; then it stands for the whole factor in the segments of
+    :func:`_steady_factor`. Otherwise
+    LAPACK ``dpbtrf`` factors the bands whole, one segment in lower band
+    storage. BLAS ``dtbsv`` sweeps each segment in place, forward then
+    backward, in the segment's own storage (a tile in upper storage sweeps
+    forward transposed), with a ``dgemv`` across each seam; on one segment
+    this is LAPACK ``dpbtrs``, and with the factor, ``dpbsv``. A nonpositive
+    pivot raises :class:`NotPositiveDefinite`. With a ``probe`` that is off,
+    no lead is tried; a settled lead sets its length, and a solve whose leads
+    never settle switches it off.
     """
     rhs = np.asarray(rhs, dtype=float)
     count, width, b = smoother.stencils.shape[:3]
     if rhs.shape != (count, smoother.num_blocks * b):
         raise ValueError("rhs must hold one row of num_blocks * block_dim values per system")
     _require_finite("rhs", rhs)
-    steady = (count == 1 and width == 2 and b >= 2 and smoother.num_blocks >= 4 * _LEAD_BLOCKS
-              and (probe is None or probe.on))
-    factor = _steady_factor(smoother) if steady else None
+    lead = _LEAD_BLOCKS if probe is None else probe.lead
+    steady = count == 1 and width == 2 and b >= 2 and lead is not None and smoother.num_blocks >= 4 * lead
+    factor = _steady_factor(smoother, lead) if steady else None
+    if steady and probe is not None:
+        probe.lead = factor[2] if factor else None
     if factor is None:
-        if steady and probe is not None:
-            probe.on = False
         bands = smoother_bands(smoother.stencils, smoother.Q, smoother.num_blocks, smoother.start, smoother.lam)
         # Each system is column-major, so end to end they are one column-major band array, a view.
         bands = bands.transpose(1, 0, 2).reshape(bands.shape[1], -1)
@@ -291,15 +311,15 @@ def solve_smoother(smoother: Smoother, rhs: np.ndarray, probe: SteadyProbe | Non
             if info > 0:
                 raise NotPositiveDefinite("tridiagonal Cholesky of the smoother hit a nonpositive pivot")
             return x.reshape(rhs.shape)
-        factor = [_banded_cholesky(bands)], None
-    (segments, coupling), x = factor, rhs.reshape(-1).copy()
-    starts = [0, *accumulate(segment.shape[1] for segment in segments[:-1])]
-    for segment, start in zip(segments, starts):
+        factor = [(_banded_cholesky(bands), 1)], None, None
+    (segments, coupling, _), x = factor, rhs.reshape(-1).copy()
+    starts = [0, *accumulate(segment.shape[1] for segment, _ in segments[:-1])]
+    for (segment, lower), start in zip(segments, starts):
         if start:
             dgemv(-1.0, coupling, x[start - b : start], 1.0, x, offy=start, overwrite_y=1)
-        dtbsv(len(segment) - 1, segment, x, offx=start, lower=1, overwrite_x=1)
-    for segment, start in zip(segments[::-1], starts[::-1]):
-        dtbsv(len(segment) - 1, segment, x, offx=start, lower=1, trans=1, overwrite_x=1)
+        dtbsv(len(segment) - 1, segment, x, offx=start, lower=lower, trans=1 - lower, overwrite_x=1)
+    for (segment, lower), start in zip(segments[::-1], starts[::-1]):
+        dtbsv(len(segment) - 1, segment, x, offx=start, lower=lower, trans=lower, overwrite_x=1)
         if start:
             dgemv(-1.0, coupling, x[start : start + b], 1.0, x, offy=start - b, trans=1, overwrite_y=1)
     return x.reshape(rhs.shape)

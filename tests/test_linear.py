@@ -37,7 +37,7 @@ from arid.model import (
     scalar_values,
     simulate,
 )
-from arid.numerics import Smoother, smoother_bands, solve_regularized_ls, solve_smoother
+from arid.numerics import Smoother, SteadyProbe, smoother_bands, solve_regularized_ls, solve_smoother
 
 
 def noise_free_series(theta: np.ndarray, x1: np.ndarray, n_steps: int) -> TimeSeries:
@@ -728,7 +728,7 @@ def test_var_reduces_to_scalar_ar():
 
 
 def reference_fit_var1(y: TimeSeries, config: FitConfig):
-    """One step at a time: refit, smooth, two full loss evaluations, guard, stop rule."""
+    """One step at a time: refit, smooth with one probe for the fit, two full loss evaluations, guard, stop rule."""
     x = y.values
     n, p = x.shape
     rho, lam = config.rho, config.lam
@@ -743,10 +743,11 @@ def reference_fit_var1(y: TimeSeries, config: FitConfig):
         return LossBreakdown(dynamics, measurement, total, total / n)
 
     x_hat, history, estimates, monitor_prev, converged = x, [], [], None, False
+    probe = SteadyProbe()
     for _ in range(config.max_iterations):
         A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
         smoother = Smoother(np.stack((-A, np.eye(p)))[None], (rho + lam) * np.eye(p), n)
-        candidate = _solve_smoother(smoother, (rho * x).reshape(1, -1), solve_smoother).reshape(x.shape)
+        candidate = _solve_smoother(smoother, (rho * x).reshape(1, -1), solve_smoother, probe).reshape(x.shape)
         loss, held = loss_of(A, candidate), loss_of(A, x_hat)
         if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
             candidate, loss = x_hat, held
@@ -787,6 +788,50 @@ def test_var_fit_matches_step_by_step_reference(settings, channels, n_steps):
     for got, want in zip(result.estimate_history, estimates, strict=True):
         np.testing.assert_array_equal(got, want)
     assert result.converged == converged
+
+
+def recorded_leads(monkeypatch) -> list:
+    """(first lead, settled lead or None) of each steady-path attempt of the solve, in order."""
+    steady, leads = numerics._steady_factor, []
+
+    def recording(smoother, lead):
+        factor = steady(smoother, lead)
+        leads.append((lead, factor and factor[2]))
+        return factor
+
+    monkeypatch.setattr(numerics, "_steady_factor", recording)
+    return leads
+
+
+def test_var_fit_starts_each_step_from_the_lead_that_last_settled(monkeypatch):
+    # At rho = 0.1 the refitted smoothers of this recording settle at longer
+    # and longer leads; each state step starts from the one before it.
+    rng = np.random.Generator(np.random.Philox(key=47))
+    A_true = 0.3 * np.eye(4) + 0.2 * np.tri(4, k=-1)
+    x = np.empty((300, 4))
+    x[0] = rng.normal(size=4)
+    for t in range(299):
+        x[t + 1] = A_true @ x[t] + 0.3 * rng.normal(size=4)
+    y = TimeSeries(x + 0.3 * rng.normal(size=x.shape))
+    config = FitConfig(order_r=1, rho=0.1, max_iterations=6, convergence_tol=1e-300)
+    leads = recorded_leads(monkeypatch)
+    result = fit_var1(y, config)
+    assert len(leads) == config.max_iterations
+    assert [first for first, _ in leads] == [numerics._LEAD_BLOCKS] + [settled for _, settled in leads[:-1]]
+    assert max(settled for _, settled in leads) > 2 * numerics._LEAD_BLOCKS
+    np.testing.assert_array_equal(result.y_hat.values, reference_fit_var1(y, config)[0])
+
+
+def test_var_fit_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
+    # A random walk measured at rho = 1e-3: no lead up to a quarter of the 200
+    # blocks settles, so only the first state step tries one.
+    x = np.random.Generator(np.random.Philox(key=5)).normal(size=(200, 2)).cumsum(axis=0)
+    config = FitConfig(order_r=1, rho=1e-3, max_iterations=4, convergence_tol=1e-300)
+    leads = recorded_leads(monkeypatch)
+    result = fit_var1(TimeSeries(x), config)
+    assert result.iterations_run == config.max_iterations
+    assert leads == [(numerics._LEAD_BLOCKS, None)]
+    np.testing.assert_array_equal(result.y_hat.values, reference_fit_var1(TimeSeries(x), config)[0])
 
 
 def test_var_recovers_noise_free_transition():

@@ -488,9 +488,13 @@ def test_steady_factor_settles_on_long_well_damped_systems(family):
 @pytest.mark.parametrize("family", ["var", "nar"])
 def test_near_unit_root_takes_full_factor(family):
     # A spectral radius near 1 and a weak measurement term slow the Riccati
-    # recursion down so much that the leading blocks do not settle.
-    A, Q, rhs, _ = smoother_case(family, 4, 500, 0.01, radius=0.999)
-    assert numerics._steady_factor(var_smoother(A, Q, 500)) is None
+    # recursion down so much that no lead up to a quarter of the blocks
+    # settles. The NAR case's ridge settles it at block 34: at 200 blocks its
+    # leads of 16 and 32 blocks do not reach that, and 64 is more than a
+    # quarter of them.
+    num_blocks = 500 if family == "var" else 200
+    A, Q, rhs, _ = smoother_case(family, 4, num_blocks, 0.01, radius=0.999)
+    assert numerics._steady_factor(var_smoother(A, Q, num_blocks)) is None
     solution = smoother_solve(A, Q, rhs)
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
     np.testing.assert_array_equal(solution, lapack_band_solve(A, Q, rhs))
@@ -526,7 +530,7 @@ def test_steady_path_needs_one_system_of_two_stencils_with_p_of_two_or_more(monk
 
 def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
     # The near-unit-root system above never settles: the first solve tries
-    # the lead and switches the probe off, the second goes straight to the
+    # its leads and switches the probe off, the second goes straight to the
     # whole factor, and both give the answer of a solve without a probe.
     A, Q, rhs, _ = smoother_case("var", 4, 500, 0.01, radius=0.999)
     expected = smoother_solve(A, Q, rhs)
@@ -540,27 +544,39 @@ def test_probe_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
     probe = numerics.SteadyProbe()
     for _ in range(2):
         np.testing.assert_array_equal(smoother_solve(A, Q, rhs, probe), expected)
-    assert len(tries) == 1 and not probe.on
+    assert len(tries) == 1 and probe.lead is None
 
 
 def test_probe_stays_on_while_the_lead_settles():
     A, Q, rhs, _ = smoother_case("var", 7, 500, 3.0)
     probe = numerics.SteadyProbe()
     np.testing.assert_array_equal(smoother_solve(A, Q, rhs, probe), smoother_solve(A, Q, rhs))
-    assert probe.on
+    assert probe.lead == numerics._LEAD_BLOCKS
 
 
 def recorded_segments(monkeypatch) -> list:
-    """The band widths of the segments each forward sweep of the solve runs over, in order."""
-    dtbsv, widths = numerics.dtbsv, []
+    """The (band width, lower, trans) of each ``dtbsv`` call of the solve, in call order."""
+    dtbsv, calls = numerics.dtbsv, []
 
     def recording(k, a, x, **options):
-        if not options.get("trans"):
-            widths.append(a.shape[1])
+        calls.append((a.shape[1], options["lower"], options["trans"]))
         return dtbsv(k, a, x, **options)
 
     monkeypatch.setattr(numerics, "dtbsv", recording)
-    return widths
+    return calls
+
+
+def forward_sweep(calls: list) -> list:
+    """The (band width, lower) of the segments the forward sweep runs over, in order.
+
+    The forward sweep is the first half of the calls; the backward sweep runs
+    the same segments in reverse order, each transposed the other way.
+    """
+    half = len(calls) // 2
+    forward, backward = calls[:half], calls[half:]
+    assert all(trans == 1 - lower for _, lower, trans in forward)
+    assert backward == [(width, lower, lower) for width, lower, _ in forward[::-1]]
+    return [(width, lower) for width, lower, _ in forward]
 
 
 K = numerics._LEAD_BLOCKS
@@ -568,8 +584,9 @@ K = numerics._LEAD_BLOCKS
 
 # (block_dim, full tiles, blocks after them) of the steady block columns:
 # m = 4K, where one shortened tile covers them all; one full tile; a one-block
-# remainder tile; and at b = 32, where m >= 4K needs two tiles. At b = 1 the
-# system is tridiagonal: dptsv solves it whole and sweeps no segment.
+# remainder tile; and two tiles at b = 32. At b = 1 the system is
+# tridiagonal: dptsv solves it whole and sweeps no segment. The lead and the
+# last block sweep in lower band storage, the tiles in upper.
 @pytest.mark.parametrize(
     "block_dim, tiles, rest", [(4, 0, 3 * K - 1), (4, 1, 0), (4, 1, 1), (1, 1, 0), (1, 1, 1), (32, 2, 0), (32, 2, 1)]
 )
@@ -578,10 +595,10 @@ def test_tiled_solve_matches_oracle_across_every_seam(monkeypatch, block_dim, ti
     num_blocks = K + 1 + tiles * tile_blocks + rest
     assert num_blocks >= 4 * K
     A, Q, rhs, _ = smoother_case("var", block_dim, num_blocks, 3.0)
-    widths = recorded_segments(monkeypatch)
+    calls = recorded_segments(monkeypatch)
     solution = smoother_solve(A, Q, rhs)
-    tile_widths = [tile_blocks * block_dim] * tiles + [rest * block_dim] * (rest > 0)
-    assert widths == ([] if block_dim == 1 else [K * block_dim, *tile_widths, block_dim])
+    tile_widths = [(tile_blocks * block_dim, 0)] * tiles + [(rest * block_dim, 0)] * (rest > 0)
+    assert forward_sweep(calls) == ([] if block_dim == 1 else [(K * block_dim, 1), *tile_widths, (block_dim, 1)])
     assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
 
 
@@ -612,29 +629,48 @@ def largest_diagonal(A: np.ndarray, Q: np.ndarray, num_blocks: int) -> float:
     return max(1.0, float(kronecker_smoother(A, Q, num_blocks).diagonal().max()))
 
 
-def test_singular_tiled_system_reaches_the_ladder(monkeypatch):
-    # Channel 2 has no measurement term (Q = 0), so its free trajectory
-    # x_t = 0.5^t x_0 spans the null space: its steady pivot is 0.25 exactly,
-    # W = -1 and the last pivot 1 - W^2 is 0. With no load on channel 2, the
-    # shifted system is well conditioned in what the load reaches. Its lead
-    # does not settle under a shift of 1e-10, so the ladder factors it whole.
-    A, Q, num_blocks = 0.5 * np.eye(2), np.diag([1.0, 0.0]), 4 * K
+def singular_ladder_segments(monkeypatch, num_blocks: int) -> list:
+    """The forward segments of the ladder's solve of a singular two-channel system, checked against the oracle.
+
+    Channel 2 has no measurement term (Q = 0), so its free trajectory
+    x_t = 0.5^t x_0 spans the null space: its steady pivot is 0.25 exactly,
+    W = -1 and the last pivot 1 - W^2 is 0. With no load on channel 2, the
+    shifted system is well conditioned in what the load reaches. Under a
+    shift of 1e-10 its lead settles at 4K blocks.
+    """
+    A, Q = 0.5 * np.eye(2), np.diag([1.0, 0.0])
     rhs = np.zeros(2 * num_blocks)
     rhs[::2] = np.random.default_rng(3).normal(size=num_blocks)
     smoother = var_smoother(A, Q, num_blocks)
     with pytest.raises(NotPositiveDefinite):
         solve_smoother(smoother, rhs[None])
-    widths = recorded_segments(monkeypatch)
+    calls = recorded_segments(monkeypatch)
     solution = _solve_smoother(smoother, rhs[None], solve_smoother)[0]
     shifted = Q + 1e-10 * largest_diagonal(A, Q, num_blocks) * np.eye(2)
-    assert widths == [2 * num_blocks]
     assert_close_relative(solution, oracle_solve(A, shifted, rhs), 1e-13)
+    return forward_sweep(calls)
 
 
-def test_tiled_solve_holds_no_whole_factor():
-    # The whole factor at b = 32 and m = 2e4 is 2e4 * 32 * 64 doubles, 328 MB;
-    # the tiled solve holds the solution, the lead and one tile.
-    A, Q, rhs, _ = smoother_case("var", 32, 20_000, 3.0)
+def test_singular_tiled_system_reaches_the_ladder(monkeypatch):
+    # At m = 4K no lead past K is tried, so the ladder factors it whole.
+    assert singular_ladder_segments(monkeypatch, 4 * K) == [(2 * 4 * K, 1)]
+
+
+def test_ladder_retry_of_a_long_singular_system_runs_on_tiles(monkeypatch):
+    # At m = 1024 the shifted retry runs its 4K-block lead, the tiles and the last block.
+    num_blocks = 1024
+    lead, *tiles, last = singular_ladder_segments(monkeypatch, num_blocks)
+    assert lead == (2 * 4 * K, 1) and last == (2, 1)
+    assert {lower for _, lower in tiles} == {0} and sum(width for width, _ in tiles) == 2 * (num_blocks - 4 * K - 1)
+
+
+def tiled_solve_peak(rho: float, lead: int) -> None:
+    """Solve one VAR system of 2e4 blocks of 32 under tracemalloc; check the lead that settled and the peak.
+
+    The whole factor is 2e4 * 32 * 64 doubles, 328 MB; the tiled solve holds
+    the solution, the leads it tries and one tile.
+    """
+    A, Q, rhs, _ = smoother_case("var", 32, 20_000, rho)
     smoother, probe = var_smoother(A, Q, 20_000), numerics.SteadyProbe()
     tracemalloc.start()
     try:
@@ -642,8 +678,36 @@ def test_tiled_solve_holds_no_whole_factor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert probe.on
+    assert probe.lead == lead
     assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_tiled_solve_holds_no_whole_factor():
+    # At rho = 3 the first lead settles.
+    tiled_solve_peak(3.0, K)
+
+
+def test_doubled_lead_holds_no_whole_factor():
+    # At rho = 0.1, the CLI's default, the lead settles only once it has doubled.
+    tiled_solve_peak(0.1, 2 * K)
+
+
+# Systems of 512 blocks of 4 whose lead first settles at 32, 64 and 128
+# block columns; 128 is the longest lead that 512 blocks try.
+@pytest.mark.parametrize("rho, lead", [(0.3, 2 * K), (0.1, 4 * K), (0.01, 8 * K)])
+def test_lead_doubles_until_it_settles(monkeypatch, rho, lead):
+    num_blocks = 512
+    A, Q, rhs, _ = smoother_case("var", 4, num_blocks, rho, radius=0.9)
+    calls = recorded_segments(monkeypatch)
+    probe = numerics.SteadyProbe()
+    solution = smoother_solve(A, Q, rhs, probe)
+    assert probe.lead == lead
+    assert forward_sweep(calls)[0] == (4 * lead, 1)
+    assert_close_relative(solution, oracle_solve(A, Q, rhs), 1e-13)
+    # A probe that starts at the settled lead takes it straight away.
+    calls.clear()
+    np.testing.assert_array_equal(smoother_solve(A, Q, rhs, probe), solution)
+    assert probe.lead == lead and forward_sweep(calls)[0] == (4 * lead, 1)
 
 
 # A NAR system has at least two blocks.

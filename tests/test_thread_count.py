@@ -23,15 +23,19 @@ def digest(result):
     return hashlib.sha256(b"".join(np.ascontiguousarray(part).tobytes() for part in parts)).hexdigest()
 
 hashes = {}
-# At p = 32, N = 3000 and rho = 1 the smoother's lead settles, and each
-# state step runs over 49 band segments: the lead, 47 tiles and the last block.
-# At p = 1 the smoother is tridiagonal, and dptsv solves it below and above
-# the 128 blocks from which a wider one tries the lead.
-for p, n, rho in ((4, 500, 0.1), (48, 500, 0.1), (64, 500, 0.1), (32, 3000, 1.0), (1, 100, 0.1), (1, 500, 0.1)):
+# At p = 32, N = 3000 and rho = 1 the smoother's lead settles once it has
+# doubled to 32 blocks, and each state step runs over 49 band segments: the
+# lead, 47 tiles and the last block. At rho = 0.1 it doubles again, to 64
+# blocks, and the steps run over 48 segments. At p = 1 the smoother is
+# tridiagonal, and dptsv solves it below and above the 64 blocks from which a
+# wider one tries the lead.
+cases = ((4, 500, 0.1), (48, 500, 0.1), (64, 500, 0.1), (32, 3000, 1.0), (32, 3000, 0.1), (1, 100, 0.1),
+         (1, 500, 0.1))
+for p, n, rho in cases:
     rng = np.random.Generator(np.random.Philox(key=p))
     x = 0.1 * rng.normal(size=(n, p)).cumsum(axis=0) + rng.normal(size=(n, p))
     config = FitConfig(1, rho, max_iterations=3, convergence_tol=1e-300)
-    hashes[f"var p={p} N={n}"] = digest(fit_var1(TimeSeries(x), config))
+    hashes[f"var p={p} N={n} rho={rho}"] = digest(fit_var1(TimeSeries(x), config))
 spec = SyntheticSpec(oscillatory_ar5(), 200, 0.01, 1.0, 123)
 series = [spec.trajectory(trial)[1] for trial in range(10)]
 for k, result in enumerate(fit_ar_batch(series, FitConfig(5, 0.1, convergence_tol=1e-300, anchor_all_values=True))):
@@ -50,5 +54,5 @@ def _hashes(threads: int) -> dict:
 
 def test_fits_hash_the_same_on_one_and_two_blas_threads():
     one, two = _hashes(1), _hashes(2)
-    assert len(one) == 6 + 10 + 1
+    assert len(one) == 7 + 10 + 1
     assert [name for name in one if one[name] != two[name]] == []
