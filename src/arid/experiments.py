@@ -77,6 +77,11 @@ def _alternation(family: type) -> dict[str, Key]:
     }
 
 
+def _with_defaults(keys: dict[str, Key], **defaults) -> dict[str, Key]:
+    """``keys`` with the defaults of some of them replaced."""
+    return {**keys, **{name: dataclasses.replace(keys[name], default=value) for name, value in defaults.items()}}
+
+
 _OUT = {"out_dir": Key(str, "directory for outputs and report.json", "runs/latest")}
 _INPUT = {
     "input": Key(str, "CSV file with one column per channel"),
@@ -108,7 +113,10 @@ _TRIALS = {"trials": Key(int, "number of independent trials", 1)}
 KEYS: dict[str, dict[str, Key]] = {
     "simulate": {**_OUT, **_SYNTHETIC},
     "fit-ar": {**_OUT, **_INPUT, **_SYNTHETIC, **_AR_FIT},
-    "fit-var": {**_OUT, **_INPUT, **_SIMULATION, **_alternation(FitConfig)},
+    # The flagless VAR demo simulates demo_var_matrix() at noise its fit can
+    # separate, and stops on the tolerance; rho = 3 also holds for --input.
+    "fit-var": _with_defaults({**_OUT, **_INPUT, **_SIMULATION, **_alternation(FitConfig)}, n_steps=400,
+                              transition_std=0.1, measurement_std=0.1, rho=3.0, iterations=50),
     "fit-nar": {**_OUT, **_INPUT, **_SYNTHETIC, **_NAR_FIT},
     "order-scan": {
         **_OUT, **_INPUT, **_SYNTHETIC, **_AR_FIT, **_TRIALS,

@@ -15,7 +15,9 @@ The smoothing step returns the delay windows of its candidates, which the
 next refit regresses on, so each trajectory is windowed once.
 The AR(r) smoothers, with 1 x 1 blocks, and the VAR(1) smoother, with the
 stencil [-A, I], are ``numerics.Smoother`` values: one solve, and one
-diagonal-shift ladder (:func:`_solve_smoother`), which NAR shares.
+diagonal-shift ladder (:func:`_solve_smoother`), which NAR shares. A descent
+fit can mix its parameters (:class:`_Mixing`, guarded Anderson acceleration
+of the alternation); the VAR fit does from two channels on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HorizonTooShort, NotPositiveDefinite, ZeroNormReference
+from .errors import HorizonTooShort, NotPositiveDefinite, SingularSystem, ZeroNormReference
 from .model import ARParams, TimeSeries, delay_windows, scalar_values
 from .numerics import (
     Smoother,
@@ -247,8 +249,74 @@ def _sumsq(stack: np.ndarray) -> np.ndarray:
     return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
 
 
+# Iterates, with their fixed-point residuals, that a mixed parameter step combines. See _Mixing.
+_MIXING_DEPTH = 5
+
+
+class _Mixing:
+    """Anderson type-II mixing of the parameters of a stack of running descent fits.
+
+    The alternation is the fixed-point iteration a -> G(a): smooth with the
+    parameters a, then refit on the smoothed trajectory. Each fit holds its
+    last ``_MIXING_DEPTH`` iterates a_j and residuals r_j = G(a_j) - a_j, row
+    k for :func:`_alternate`'s ``active[k]``. Given the refits G(a_k), :meth:`step`
+    returns G(a_k) - (dA + dR) g, with dA and dR the differences of
+    consecutive iterates and residuals and g the least-squares fit of r_k by
+    dR (Walker & Ni, SIAM J. Numer. Anal. 49, 2011). A fit restarts its
+    history from the current pair, and takes the plain refit, when its
+    residual has grown since its last step or dR is rank-deficient.
+    """
+
+    def __init__(self, params: np.ndarray):
+        flat = params.reshape(len(params), -1)
+        # The parameters that smoothed each fit's current trajectory.
+        self.last = flat.copy()
+        self.iterates = np.empty((len(flat), _MIXING_DEPTH, flat.shape[1]))
+        self.residuals = np.empty_like(self.iterates)
+        self.pairs, self.norms = np.zeros(len(flat), dtype=np.intp), np.full(len(flat), np.inf)
+
+    def step(self, params: np.ndarray) -> np.ndarray:
+        """The parameters to smooth with, from the refits ``params`` of the running fits."""
+        plain = params.reshape(len(params), -1)
+        residual = plain - self.last
+        norms = np.sqrt(np.vecdot(residual, residual))
+        mixed = plain.copy()
+        for k, (iterates, residuals) in enumerate(zip(self.iterates, self.residuals)):
+            pairs = self.pairs[k] if norms[k] <= self.norms[k] else 0
+            if pairs == _MIXING_DEPTH:
+                iterates[:-1], residuals[:-1], pairs = iterates[1:], residuals[1:], pairs - 1
+            iterates[pairs], residuals[pairs], pairs = self.last[k], residual[k], pairs + 1
+            if pairs > 1:
+                dR = np.diff(residuals[:pairs], axis=0)
+                try:
+                    gamma = solve_regularized_ls(dR.T, residual[k][:, None], 0.0)[:, 0]
+                except SingularSystem:
+                    iterates[0], residuals[0], pairs = self.last[k], residual[k], 1
+                else:
+                    mixed[k] -= gamma @ (np.diff(iterates[:pairs], axis=0) + dR)
+            self.pairs[k] = pairs
+        self.norms = norms
+        return mixed.reshape(params.shape)
+
+    def settle(self, params: np.ndarray, used: np.ndarray, hold: np.ndarray) -> np.ndarray:
+        """The parameters each fit logs: ``used``, or the refit ``params`` where the guard held the trajectory.
+
+        A held trajectory is still the one that ``last`` smoothed, so ``last``
+        stays, and the next step pairs it with the same residual again, as the
+        first pair of a new history.
+        """
+        self.pairs[hold] = 0
+        self.last[~hold] = used.reshape(len(used), -1)[~hold]
+        return np.where(hold.reshape(-1, *[1] * (params.ndim - 1)), params, used)
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Keep the rows of the fits that run on, ``keep`` being :func:`_alternate`'s mask."""
+        self.last, self.iterates, self.residuals, self.pairs, self.norms = (
+            state[keep] for state in (self.last, self.iterates, self.residuals, self.pairs, self.norms))
+
+
 def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=None,
-               windows=None) -> tuple[FitResult, ...]:
+               windows=None, mix=False) -> tuple[FitResult, ...]:
     """Alternate ``refit`` and ``smooth`` on the (B, ...) stack ``observed``, one fit per series of ``ys``.
 
     ``refit(y_hat, windows)`` returns the parameters of the running fits and
@@ -267,6 +335,14 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     ``ys[i]`` alone bit for bit. ``estimate`` maps a logged parameter row to
     the estimate, and ``roots`` a stack of rows to the eigenvalues of their
     dynamics.
+
+    With ``mix``, for descent fits, each step smooths with :class:`_Mixing`'s
+    combination of the refit and the fit's earlier iterates, whose history
+    is per-fit state too. The guard then weighs whole objectives, parameter
+    ridge included, against the held pair of the plain refit and the old
+    trajectory. So every kept step is still a descent, and its ``theta_log``
+    row holds the parameters it smoothed with; a held step logs the plain
+    refit, as an unmixed fit does, and drops the history.
     """
     count, rho, lam = len(observed), config.rho, config.lam
     # Exactly recoverable data drives the loss to rounding level, where the
@@ -280,9 +356,15 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     runs, reasons, y_final = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp), np.empty_like(observed)
     # Starting from y_hat = y, the held trajectory's measurement term is 0.
     active, y_hat, measurement, previous = np.arange(count), observed, np.zeros(count), np.full(count, np.nan)
+    mixing = None
     for iteration in range(config.max_iterations):
         params, held_dynamics = refit(y_hat, windows)
-        candidate, new_windows, dynamics, new_measurement = smooth(params, active)
+        used = params
+        if mixing is not None:
+            used = mixing.step(params)
+        elif mix:
+            mixing = _Mixing(params)
+        candidate, new_windows, dynamics, new_measurement = smooth(used, active)
         _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
         total = dynamics + rho * new_measurement
         if ridge is None:
@@ -300,7 +382,11 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
             # At lam == 0 the ridge terms would add zeros to nonnegative sums, which changes nothing.
             held_total = held_dynamics + rho * measurement
             norms = (ridge(candidate), ridge(y_hat)) if lam else None
-            hold = total + lam * norms[0] > held_total + lam * norms[1] if lam else total > held_total
+            if lam and mixing is not None:
+                # A mixed step smooths with other parameters than the held pair's, so both ridges count.
+                hold = total + lam * (ridge(used) + norms[0]) > held_total + lam * (ridge(params) + norms[1])
+            else:
+                hold = total + lam * norms[0] > held_total + lam * norms[1] if lam else total > held_total
             if hold.any():
                 candidate[hold] = y_hat[hold]
                 if windows is not None:
@@ -308,6 +394,8 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
                 dynamics = np.where(hold, held_dynamics, dynamics)
                 new_measurement = np.where(hold, measurement, new_measurement)
                 total = np.where(hold, held_total, total)
+            if mixing is not None:
+                params = mixing.settle(params, used, hold)
             measurement = new_measurement
             monitor = total + lam * (ridge(params) + np.where(hold, norms[1], norms[0])) if lam else total
             scale, previous, floored = previous, monitor, monitor <= floor
@@ -335,6 +423,8 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
                 state[keep] for state in (active, candidate, measurement, previous, floor))
             if new_windows is not None:
                 new_windows = new_windows[keep]
+            if mixing is not None:
+                mixing.keep(keep)
             if not active.size:
                 break
         y_hat, windows = candidate, new_windows
@@ -418,7 +508,9 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     the later steps factor their smoothers whole without trying one. With
     p == 1 it is AR(1)'s smoother, solved by the same tridiagonal ``dptsv``,
     and the whole procedure reduces to ``fit_ar`` at order 1. It runs as a
-    stack of one in :func:`_alternate`.
+    stack of one in :func:`_alternate`, which from p == 2 on mixes its
+    transition matrices (:class:`_Mixing`): a ``var_wide``-shaped fit (p = 32,
+    N = 500, rho = 3) stops in about 14 state steps instead of about 33.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")
@@ -438,7 +530,7 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
         return candidate, None, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
 
     return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,
-                      ridge=_sumsq)[0]
+                      ridge=_sumsq, mix=p > 1)[0]
 
 
 def _as_vector(params) -> np.ndarray:

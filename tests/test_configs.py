@@ -20,7 +20,6 @@ BENCH = CONFIGS.parent / "perfbench"
 PRESETS = {
     "order_scan": ("order-scan", ["--trials", "2", "--iterations", "3"]),
     "convergence_study": ("convergence-study", ["--trials", "2", "--iterations", "3"]),
-    "var_demo": ("fit-var", ["--iterations", "3"]),
     "artefact_study": ("artefact-study", ["--iterations", "2"]),
 }
 
@@ -59,11 +58,12 @@ def test_var_demo_preset_takes_a_recording(tmp_path, capsys):
     path = tmp_path / "recording.csv"
     values = [[0.1 * ((3 * t + c) % 7) for c in range(3)] for t in range(40)]
     write_csv(TimeSeries(values, channel_names=("a", "b", "c")), path)
-    argv = ["fit-var", "--config", str(CONFIGS / "var_demo.json"), "--input", str(path), "--has-header",
-            "--iterations", "3", "--out-dir", str(tmp_path / "run")]
+    argv = ["fit-var", "--input", str(path), "--has-header", "--iterations", "3", "--out-dir", str(tmp_path / "run")]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["input"] == str(path) and report["config"]["has_header"] is True
+    # The flagless demo's rho holds for a recording too.
+    assert report["config"]["rho"] == 3.0
     assert "e_norm_theta" not in report["results"]
     assert len(report["results"]["model"]["A"]) == 3
     assert (report["results"]["converged"], report["results"]["stop_reason"]) == (False, "iteration_cap")

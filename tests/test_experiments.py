@@ -269,7 +269,16 @@ def test_convergence_study_below_the_true_order_traces_padded_errors(tmp_path):
 def test_unset_ridge_cap_and_tolerance_are_the_fitting_familys(command, family):
     cfg = ExperimentConfig(command)
     tol = family.state_change_tol if family is NARFitConfig else family.convergence_tol
-    assert (cfg.lam, cfg.iterations, cfg.convergence_tol) == (family.lam, family.max_iterations, tol)
+    # The flagless VAR demo caps its alternation at 50 iterations.
+    cap = 50 if command == "fit-var" else family.max_iterations
+    assert (cfg.lam, cfg.iterations, cfg.convergence_tol) == (family.lam, cap, tol)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_flagless_var_fit_stops_on_the_tolerance(seed, tmp_path):
+    report = run_experiment(ExperimentConfig("fit-var", out_dir=str(tmp_path), seed=seed))
+    assert report.results["stop_reason"] == "tolerance"
+    assert report.results["e_norm_theta"] < 0.5
 
 
 def test_flagless_nar_fit_is_the_nar_fit_config_fit(tmp_path):

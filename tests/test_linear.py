@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arid import numerics
+from arid import linear, numerics
 from arid.errors import HorizonTooShort, NotPositiveDefinite, SingularSystem, ZeroNormReference
 from arid.linear import (
+    _MIXING_DEPTH,
+    _Mixing,
     _RIDGE_BOOSTS,
     FitConfig,
     LossBreakdown,
@@ -728,7 +730,16 @@ def test_var_reduces_to_scalar_ar():
 
 
 def reference_fit_var1(y: TimeSeries, config: FitConfig):
-    """One step at a time: refit, smooth with one probe for the fit, two full loss evaluations, guard, stop rule."""
+    """One step at a time: refit, mix, smooth with one probe for the fit, two full loss evaluations, guard, stop rule.
+
+    From two channels on, each step after the first smooths with the Anderson
+    mix of the last ``_MIXING_DEPTH`` parameters that smoothed a trajectory
+    and their residuals, refit minus parameters: the history restarts from
+    the current pair when the residual norm grows or the mixing system is
+    singular, and empties when the guard holds the trajectory, whose
+    parameters then stay the last. The guard weighs whole objectives, ridges
+    included. At one channel every step is plain.
+    """
     x = y.values
     n, p = x.shape
     rho, lam = config.rho, config.lam
@@ -742,15 +753,44 @@ def reference_fit_var1(y: TimeSeries, config: FitConfig):
         total = dynamics + rho * measurement
         return LossBreakdown(dynamics, measurement, total, total / n)
 
+    def objective(loss, A, x_hat):
+        return loss.total + lam * (float(np.sum(A * A)) + float(np.sum(x_hat * x_hat)))
+
     x_hat, history, estimates, monitor_prev, converged = x, [], [], None, False
     probe = SteadyProbe()
+    pairs, last, last_norm = [], None, np.inf
     for _ in range(config.max_iterations):
-        A = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
+        plain = solve_regularized_ls(x_hat[:-1], x_hat[1:], lam).T
+        A = plain
+        if p > 1 and last is None:
+            last = plain.ravel()
+        elif p > 1:
+            residual = plain.ravel() - last
+            norm = float(np.sqrt(np.vecdot(residual, residual)))
+            if norm > last_norm:
+                pairs = []
+            pairs, last_norm = [*pairs, (last, residual)][-_MIXING_DEPTH:], norm
+            if len(pairs) > 1:
+                dA = np.array([new[0] - old[0] for old, new in zip(pairs, pairs[1:])])
+                dR = np.array([new[1] - old[1] for old, new in zip(pairs, pairs[1:])])
+                try:
+                    gamma = solve_regularized_ls(dR.T, residual[:, None], 0.0)[:, 0]
+                except SingularSystem:
+                    pairs = pairs[-1:]
+                else:
+                    A = (plain.ravel() - gamma @ (dA + dR)).reshape(p, p)
         smoother = Smoother(np.stack((-A, np.eye(p)))[None], (rho + lam) * np.eye(p), n)
         candidate = _solve_smoother(smoother, (rho * x).reshape(1, -1), solve_smoother, probe).reshape(x.shape)
-        loss, held = loss_of(A, candidate), loss_of(A, x_hat)
-        if loss.total + lam * float(np.vdot(candidate, candidate)) > held.total + lam * float(np.vdot(x_hat, x_hat)):
-            candidate, loss = x_hat, held
+        loss, held = loss_of(A, candidate), loss_of(plain, x_hat)
+        if p > 1:
+            hold = objective(loss, A, candidate) > objective(held, plain, x_hat)
+        else:
+            hold = (loss.total + lam * float(np.vdot(candidate, candidate))
+                    > held.total + lam * float(np.vdot(x_hat, x_hat)))
+        if hold:
+            candidate, loss, A, pairs = x_hat, held, plain, []
+        elif p > 1:
+            last = A.ravel()
         x_hat = candidate
         history.append(loss)
         estimates.append(A)
@@ -832,6 +872,112 @@ def test_var_fit_stops_trying_the_lead_once_it_fails_to_settle(monkeypatch):
     assert result.iterations_run == config.max_iterations
     assert leads == [(numerics._LEAD_BLOCKS, None)]
     np.testing.assert_array_equal(result.y_hat.values, reference_fit_var1(TimeSeries(x), config)[0])
+
+
+def coupled_var_recording(p: int, n: int, key: int) -> TimeSeries:
+    """A measured VAR(1) whose channels each pull on both neighbours, like ``experiments.demo_var_matrix``."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    A = 0.45 * np.eye(p) + 0.3 * np.roll(np.eye(p), 1, axis=1) + 0.15 * np.roll(np.eye(p), -1, axis=1)
+    x = np.zeros((n, p))
+    for t in range(n - 1):
+        x[t + 1] = A @ x[t] + 0.1 * rng.normal(size=p)
+    return TimeSeries(x + 0.1 * rng.normal(size=x.shape))
+
+
+def recorded_candidates(monkeypatch) -> list:
+    """The trajectory of each state step of a VAR fit, in order."""
+    solve, candidates = linear._solve_smoother, []
+
+    def recording(*args):
+        candidate = solve(*args)
+        candidates.append(candidate.reshape(-1))
+        return candidate
+
+    monkeypatch.setattr(linear, "_solve_smoother", recording)
+    return candidates
+
+
+def accepted_trajectories(result, candidates, observed) -> list:
+    """Each row's trajectory: its step's candidate, or the one before where the guard held, which keeps the
+    last measurement term (0 for the measurements themselves)."""
+    trajectories, x_hat, measurement = [], observed.reshape(-1), 0.0
+    for (_, now, _), candidate in zip(result.loss_log.tolist(), candidates, strict=True):
+        if now != measurement:
+            x_hat = candidate
+        trajectories.append(x_hat)
+        measurement = now
+    return trajectories
+
+
+def test_mixed_var_fits_never_raise_their_objective(monkeypatch):
+    # The objective with its ridges, loss total + lam (||A||^2 + ||x||^2),
+    # must not rise from row to row of a mixed fit, by acceptance 1's bound.
+    worst, mixed = 0.0, 0
+    step = linear._Mixing.step
+
+    def counting(self, params):
+        nonlocal mixed
+        out = step(self, params)
+        mixed += int((out != params).any())
+        return out
+
+    monkeypatch.setattr(linear._Mixing, "step", counting)
+    candidates = recorded_candidates(monkeypatch)
+    for p in (2, 3, 8):
+        y = coupled_var_recording(p, 300, key=p)
+        for rho in (0.1, 1.0, 3.0):
+            for lam in (0.0, 1e-3):
+                candidates.clear()
+                result = fit_var1(y, FitConfig(1, rho, lam, max_iterations=30, convergence_tol=1e-300))
+                trajectories = accepted_trajectories(result, candidates, y.values)
+                objectives = [total + lam * float(np.sum(A * A) + x_hat @ x_hat)
+                              for total, A, x_hat in zip(result.loss_log[:, 2], result.theta_log, trajectories)]
+                steps = np.diff(objectives) / np.maximum(objectives[:-1], 1e-30)
+                worst = max(worst, float(steps.max(initial=0.0)))
+    assert worst <= 1e-9
+    assert mixed > 0
+
+
+def test_a_mixed_step_that_raises_the_objective_is_held(monkeypatch):
+    # The first mixing solve (iteration 3, the first with two iterates) is
+    # forced to a bad combination. Its step is held: the trajectory stays,
+    # the plain refit is logged, and the history goes, so iteration 4 is plain.
+    y, p = coupled_var_recording(4, 300, key=4), 4
+    solve, mixes = linear.solve_regularized_ls, []
+    candidates = recorded_candidates(monkeypatch)
+
+    def forced(design, targets, lam):
+        # Each mixing solve is recorded by the state steps before it, even one that raises.
+        mixing = targets.shape[1:] == (1,)
+        if mixing:
+            mixes.append(len(candidates))
+        gamma = solve(design, targets, lam)
+        return np.full_like(gamma, 100.0) if mixing and len(mixes) == 1 else gamma
+
+    monkeypatch.setattr(linear, "solve_regularized_ls", forced)
+    config = FitConfig(1, rho=3.0, max_iterations=8, convergence_tol=1e-300)
+    result = fit_var1(y, config)
+    assert mixes[:2] == [2, 4]
+    x_before = candidates[1].reshape(-1, p)
+    plain = solve(x_before[:-1], x_before[1:], 0.0).T
+    np.testing.assert_array_equal(result.theta_log[2], plain)
+    assert result.loss_log[2, 1] == result.loss_log[1, 1]
+    assert result.loss_log[2, 2] < result.loss_log[1, 2]
+    np.testing.assert_array_equal(result.theta_log[3], plain)
+    assert result.loss_log[3, 2] < result.loss_log[2, 2]
+
+
+def test_a_singular_mixing_system_restarts_the_history():
+    # Two equal residuals leave the mixing system singular: the step is the
+    # plain refit and the history restarts from its pair. With the next pair,
+    # the residual of an affine map, the mix lands on its fixed point.
+    ones = np.ones((1, 2, 2))
+    mixing = _Mixing(0.0 * ones)
+    for refit, want, pairs in ((ones, ones, 1), (2.0 * ones, 2.0 * ones, 1), (2.5 * ones, 3.0 * ones, 2)):
+        used = mixing.step(refit)
+        np.testing.assert_array_equal(used, want)
+        assert mixing.pairs.tolist() == [pairs]
+        mixing.settle(refit, used, np.array([False]))
 
 
 def test_var_recovers_noise_free_transition():

@@ -36,6 +36,12 @@ for p, n, rho in cases:
     x = 0.1 * rng.normal(size=(n, p)).cumsum(axis=0) + rng.normal(size=(n, p))
     config = FitConfig(1, rho, max_iterations=3, convergence_tol=1e-300)
     hashes[f"var p={p} N={n} rho={rho}"] = digest(fit_var1(TimeSeries(x), config))
+# Run on, the p = 32, N = 500 fit mixes its parameters from iteration 3 and
+# holds a full history of iterates from iteration 6.
+rng = np.random.Generator(np.random.Philox(key=32))
+x = 0.1 * rng.normal(size=(500, 32)).cumsum(axis=0) + rng.normal(size=(500, 32))
+hashes["var p=32 N=500 rho=3.0 mixed"] = digest(fit_var1(TimeSeries(x), FitConfig(1, 3.0, max_iterations=10,
+                                                                                   convergence_tol=1e-300)))
 spec = SyntheticSpec(oscillatory_ar5(), 200, 0.01, 1.0, 123)
 series = [spec.trajectory(trial)[1] for trial in range(10)]
 for k, result in enumerate(fit_ar_batch(series, FitConfig(5, 0.1, convergence_tol=1e-300, anchor_all_values=True))):
@@ -54,5 +60,5 @@ def _hashes(threads: int) -> dict:
 
 def test_fits_hash_the_same_on_one_and_two_blas_threads():
     one, two = _hashes(1), _hashes(2)
-    assert len(one) == 7 + 10 + 1
+    assert len(one) == 8 + 10 + 1
     assert [name for name in one if one[name] != two[name]] == []
