@@ -128,13 +128,15 @@ KEYS: dict[str, dict[str, Key]] = {
         "orders": Key(_int_list, "window lengths to scan, e.g. 1,2,3,4,5; unset, 1 to 10"),
     },
     "convergence-study": {**_OUT, **_SYNTHETIC, **_AR_FIT, **_TRIALS},
-    "artefact-study": {
+    # The flagless artefact demo simulates a series long and quiet enough that
+    # the refit both cleans the corrupted window and forecasts better.
+    "artefact-study": _with_defaults({
         **_OUT, **_INPUT, **_SYNTHETIC, **_NAR_FIT,
         "channel": Key(int, "1-based channel receiving the artefact", 1),
-        "t_start": Key(int, "1-based first corrupted step", 75),
-        "t_end": Key(int, "1-based last corrupted step", 125),
+        "t_start": Key(int, "1-based first corrupted step", 150),
+        "t_end": Key(int, "1-based last corrupted step", 250),
         "artefact_std": Key(float, "standard deviation of the artefact noise", 2.0),
-    },
+    }, order=4, n_steps=400, transition_std=0.05, measurement_std=0.02),
     "predict": {**_OUT, **_INPUT, "report": Key(str, "report.json of the run that fitted the model")},
 }
 

@@ -11,20 +11,56 @@ until its block columns settle, and one tile of the settled column, in upper
 band storage, reused to the end; otherwise the whole band factor, in lower
 band storage. All routines are pure functions of their inputs, apart from
 the :class:`SteadyProbe` through which a fit's solves pass on their lead.
+
+The five LAPACK and BLAS routines (``dpbtrf``, ``dptsv``, ``dpotrs``,
+``dtbsv``, ``dgemv``) come from SciPy's compiled f2py modules
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded from their
+files. Importing ``scipy.linalg.lapack`` or ``scipy.linalg.blas`` would run
+``scipy.linalg``'s package init, which clones the NumPy namespace and with it
+imports ``numpy.f2py``, ``numpy.testing`` and more: over half of every
+command's start-up, for nothing ``arid`` calls. The wrappers are the very
+objects those public modules re-export; where the files are missing, they
+come from the public modules instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dtbsv
-from scipy.linalg.lapack import dpbtrf, dptsv
-from scipy.linalg.lapack import dpotrs as _potrs
+import scipy
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
+
+
+def _compiled_module(name: str, public: str):
+    """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file.
+
+    Loading the extension alone skips ``scipy.linalg``'s package init.
+    CPython keeps one copy of a single-phase extension, so its wrappers are
+    the objects that ``scipy.linalg`` later re-exports, whichever is imported
+    first. If no file matches, the public module ``public`` is imported.
+    """
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(public)
+
+
+_lapack = _compiled_module("_flapack", "scipy.linalg.lapack")
+_blas = _compiled_module("_fblas", "scipy.linalg.blas")
+dpbtrf, dptsv, _potrs = _lapack.dpbtrf, _lapack.dptsv, _lapack.dpotrs
+dgemv, dtbsv = _blas.dgemv, _blas.dtbsv
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:

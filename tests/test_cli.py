@@ -264,30 +264,8 @@ def test_artefact_study_runs_with_no_flags(tmp_path):
 
 
 def test_artefact_study_refit_beats_first_iteration(tmp_path):
-    out = tmp_path / "run"
-    proc = run_cli(
-        "artefact-study",
-        "--out-dir",
-        str(out),
-        "--n-steps",
-        "400",
-        "--order",
-        "4",
-        "--depth",
-        "2",
-        "--rho",
-        "0.1",
-        "--lambda",
-        "0.001",
-        "--iterations",
-        "20",
-        "--transition-std",
-        "0.05",
-        "--measurement-std",
-        "0.02",
-        "--seed",
-        "0",
-    )
+    # The command's own defaults are the demo's.
+    proc = run_cli("artefact-study", "--out-dir", str(tmp_path / "run"), "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     results = report["results"]

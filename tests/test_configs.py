@@ -20,7 +20,6 @@ BENCH = CONFIGS.parent / "perfbench"
 PRESETS = {
     "order_scan": ("order-scan", ["--trials", "2", "--iterations", "3"]),
     "convergence_study": ("convergence-study", ["--trials", "2", "--iterations", "3"]),
-    "artefact_study": ("artefact-study", ["--iterations", "2"]),
 }
 
 

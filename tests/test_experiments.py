@@ -281,6 +281,12 @@ def test_flagless_var_fit_stops_on_the_tolerance(seed, tmp_path):
     assert report.results["e_norm_theta"] < 0.5
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_flagless_artefact_study_cleans_the_window_and_forecasts_better(seed, tmp_path):
+    results = run_experiment(ExperimentConfig("artefact-study", out_dir=str(tmp_path), seed=seed)).results
+    assert (results["window_improved"], results["prediction_improved"]) == (True, True)
+
+
 def test_flagless_nar_fit_is_the_nar_fit_config_fit(tmp_path):
     report = run_experiment(ExperimentConfig("fit-nar", out_dir=str(tmp_path), n_steps=80))
     _, y = SyntheticSpec(oscillatory_ar5(), 80, 0.01, 1.0, 0).trajectory(0)
