@@ -12,7 +12,8 @@ which a fit's row goes when it stops. The AR steps :func:`param_step`,
 :func:`state_step` and :func:`evaluate_loss` take a (B, ...) stack, one
 series being a stack of one; :func:`fit_ar_batch` calls them by module name.
 The smoothing step returns the delay windows of its candidates, which the
-next refit regresses on, so each trajectory is windowed once.
+next refit regresses on, so each trajectory is windowed once. The VAR fit
+refits and scores through the same two, and every sum of squares is :func:`_sumsq`.
 The AR(r) smoothers, with 1 x 1 blocks, and the VAR(1) smoother, with the
 stencil [-A, I], are ``numerics.Smoother`` values: one solve, and one
 diagonal-shift ladder (:func:`_solve_smoother`), which NAR shares. A descent
@@ -141,26 +142,45 @@ class ErrorMetrics:
     e_x: float
 
 
+def _sumsq(stack: np.ndarray) -> np.ndarray:
+    """Sum of squares of each member of a stack, its flattened row added pairwise by ``np.add``.
+
+    Every loss term, ridge, zero floor and norm of a fit is this sum. BLAS
+    ``ddot`` (NumPy's ``vecdot``, a 1-D matmul) rounds by the thread count
+    past 10 000 elements, and ``einsum`` rounds a row past 8 192 by the rows
+    in its stack; this sum depends on neither.
+    """
+    flat = stack.reshape(len(stack), -1)
+    return np.add.reduce(flat * flat, axis=1)
+
+
 def _dynamics_term(thetas: np.ndarray, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Summed squared one-step residuals of each member of a stack of delay embeddings."""
-    resid = targets - (windows @ thetas[:, :, None])[:, :, 0]
-    return np.vecdot(resid, resid)
+    """Summed squared residuals ``targets - windows @ theta`` of a stack of (B, r) or (B, p, k) parameters."""
+    fitted = windows @ thetas.reshape(len(thetas), windows.shape[2], -1)
+    return _sumsq(targets - fitted.reshape(targets.shape))
 
 
 def evaluate_loss(thetas: np.ndarray, windows: np.ndarray, y_hat: np.ndarray, observed: np.ndarray,
                   start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dynamics and measurement terms of each member of a (B, N) stack of trajectories, windowed as ``windows``.
+    """Dynamics and measurement terms of each member of a (B, N, ...) stack of trajectories, windowed as ``windows``.
 
-    Dynamics residuals run over every transition with a full delay window;
-    measurement residuals against ``observed`` over the values from ``start``
-    on (r - 1, or 0 to anchor every sample). The objective is dynamics + rho * measurement.
+    Dynamics residuals run over every transition with a full window (the
+    last ``windows.shape[1]`` values are targets), with ``thetas`` as
+    :func:`param_step` returns them; measurement residuals against
+    ``observed`` over the values from ``start`` on (r - 1, or 0 to anchor
+    every sample). The objective is dynamics + rho * measurement.
     """
-    err = observed[:, start:] - y_hat[:, start:]
-    return _dynamics_term(thetas, windows, y_hat[:, thetas.shape[1]:]), np.vecdot(err, err)
+    return (_dynamics_term(thetas, windows, y_hat[:, y_hat.shape[1] - windows.shape[1]:]),
+            _sumsq(observed[:, start:] - y_hat[:, start:]))
 
 
 def param_step(windows: np.ndarray, targets: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact coefficient update at fixed states: the (B, r) ridge regressions and their dynamics terms."""
+    """Exact coefficient update at fixed states: the stacked ridge regressions and their dynamics terms.
+
+    (B, M, r) delay windows and (B, M) targets give (B, r) AR coefficients;
+    (B, M, p) states and their successors the (B, p, p) transposed VAR(1)
+    transitions, which at p = 1 are AR(1)'s coefficients bit for bit.
+    """
     thetas = solve_regularized_ls(windows, targets, lam)
     return thetas, _dynamics_term(thetas, windows, targets)
 
@@ -244,79 +264,65 @@ def state_step(thetas: np.ndarray, rhs: np.ndarray, Q: np.ndarray, lam: float, s
     return candidate, delay_windows(candidate, thetas.shape[1])[0]
 
 
-def _sumsq(stack: np.ndarray) -> np.ndarray:
-    """Sum of squares of each member of a stack, by ``np.sum``."""
-    return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
-
-
 # Iterates, with their fixed-point residuals, that a mixed parameter step combines. See _Mixing.
 _MIXING_DEPTH = 5
 
 
 class _Mixing:
-    """Anderson type-II mixing of the parameters of a stack of running descent fits.
+    """Anderson type-II mixing of the parameters of one descent fit.
 
     The alternation is the fixed-point iteration a -> G(a): smooth with the
-    parameters a, then refit on the smoothed trajectory. Each fit holds its
-    last ``_MIXING_DEPTH`` iterates a_j and residuals r_j = G(a_j) - a_j, row
-    k for :func:`_alternate`'s ``active[k]``. Given the refits G(a_k), :meth:`step`
-    returns G(a_k) - (dA + dR) g, with dA and dR the differences of
-    consecutive iterates and residuals and g the least-squares fit of r_k by
-    dR (Walker & Ni, SIAM J. Numer. Anal. 49, 2011). A fit restarts its
-    history from the current pair, and takes the plain refit, when its
-    residual has grown since its last step or dR is rank-deficient.
+    parameters a, then refit on the smoothed trajectory. The fit holds its
+    last ``_MIXING_DEPTH`` iterates a_j and residuals r_j = G(a_j) - a_j.
+    Given the refit G(a_k), :meth:`step` returns G(a_k) - (dA + dR) g, with
+    dA and dR the differences of consecutive iterates and residuals and g the
+    least-squares fit of r_k by dR (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011). The fit restarts its history from the current pair, and takes the
+    plain refit, when its residual has grown since its last step or dR is
+    rank-deficient.
     """
 
     def __init__(self, params: np.ndarray):
-        flat = params.reshape(len(params), -1)
-        # The parameters that smoothed each fit's current trajectory.
-        self.last = flat.copy()
-        self.iterates = np.empty((len(flat), _MIXING_DEPTH, flat.shape[1]))
-        self.residuals = np.empty_like(self.iterates)
-        self.pairs, self.norms = np.zeros(len(flat), dtype=np.intp), np.full(len(flat), np.inf)
+        # The parameters that smoothed the fit's current trajectory.
+        self.last = params.ravel()
+        self.iterates, self.residuals, self.norm = [], [], np.inf
 
     def step(self, params: np.ndarray) -> np.ndarray:
-        """The parameters to smooth with, from the refits ``params`` of the running fits."""
-        plain = params.reshape(len(params), -1)
+        """The parameters to smooth with, from the refit ``params``."""
+        plain = params.ravel()
         residual = plain - self.last
-        norms = np.sqrt(np.vecdot(residual, residual))
-        mixed = plain.copy()
-        for k, (iterates, residuals) in enumerate(zip(self.iterates, self.residuals)):
-            pairs = self.pairs[k] if norms[k] <= self.norms[k] else 0
-            if pairs == _MIXING_DEPTH:
-                iterates[:-1], residuals[:-1], pairs = iterates[1:], residuals[1:], pairs - 1
-            iterates[pairs], residuals[pairs], pairs = self.last[k], residual[k], pairs + 1
-            if pairs > 1:
-                dR = np.diff(residuals[:pairs], axis=0)
-                try:
-                    gamma = solve_regularized_ls(dR.T, residual[k][:, None], 0.0)[:, 0]
-                except SingularSystem:
-                    iterates[0], residuals[0], pairs = self.last[k], residual[k], 1
-                else:
-                    mixed[k] -= gamma @ (np.diff(iterates[:pairs], axis=0) + dR)
-            self.pairs[k] = pairs
-        self.norms = norms
-        return mixed.reshape(params.shape)
+        norm = np.sqrt(_sumsq(residual[None]))[0]
+        if norm > self.norm:
+            self.iterates, self.residuals = [], []
+        self.iterates = [*self.iterates, self.last][-_MIXING_DEPTH:]
+        self.residuals = [*self.residuals, residual][-_MIXING_DEPTH:]
+        self.norm = norm
+        if len(self.residuals) == 1:
+            return params
+        dR = np.diff(self.residuals, axis=0)
+        try:
+            gamma = solve_regularized_ls(dR.T, residual[:, None], 0.0)[:, 0]
+        except SingularSystem:
+            self.iterates, self.residuals = self.iterates[-1:], self.residuals[-1:]
+            return params
+        return (plain - gamma @ (np.diff(self.iterates, axis=0) + dR)).reshape(params.shape)
 
-    def settle(self, params: np.ndarray, used: np.ndarray, hold: np.ndarray) -> np.ndarray:
-        """The parameters each fit logs: ``used``, or the refit ``params`` where the guard held the trajectory.
+    def settle(self, params: np.ndarray, used: np.ndarray, hold: bool) -> np.ndarray:
+        """The parameters the fit logs: ``used``, or the refit ``params`` if the guard held the trajectory.
 
         A held trajectory is still the one that ``last`` smoothed, so ``last``
         stays, and the next step pairs it with the same residual again, as the
         first pair of a new history.
         """
-        self.pairs[hold] = 0
-        self.last[~hold] = used.reshape(len(used), -1)[~hold]
-        return np.where(hold.reshape(-1, *[1] * (params.ndim - 1)), params, used)
-
-    def keep(self, keep: np.ndarray) -> None:
-        """Keep the rows of the fits that run on, ``keep`` being :func:`_alternate`'s mask."""
-        self.last, self.iterates, self.residuals, self.pairs, self.norms = (
-            state[keep] for state in (self.last, self.iterates, self.residuals, self.pairs, self.norms))
+        if hold:
+            self.iterates, self.residuals = [], []
+            return params
+        self.last = used.ravel()
+        return used
 
 
-def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=None,
-               windows=None, mix=False) -> tuple[FitResult, ...]:
+def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, windows=None,
+               mix=False) -> tuple[FitResult, ...]:
     """Alternate ``refit`` and ``smooth`` on the (B, ...) stack ``observed``, one fit per series of ``ys``.
 
     ``refit(y_hat, windows)`` returns the parameters of the running fits and
@@ -325,10 +331,10 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     measurement terms. ``windows`` are those of ``observed``; the driver
     holds and drops each fit's windows with its trajectory and hands them to
     the next ``refit``, so every trajectory is windowed once. Fits that use
-    no windows (VAR, NAR) pass and return None. With
-    ``ridge``, a per-fit sum of squares, the fits are descents (AR, VAR):
-    guarded, and stopped on the objective or the zero floor. Without it
-    (NAR) a fit stops once its trajectory stops changing. The per-fit state
+    no windows (VAR, NAR) pass and return None. Fits whose refit returns
+    dynamics terms are descents (AR, VAR): guarded, and stopped on the
+    objective or the zero floor. A refit returning None (NAR) makes a fit
+    stop once its trajectory stops changing. The per-fit state
     (trajectory, windows, last measurement term, last monitored figure, zero
     floor) is kept for the running fits only, row k for ``active[k]``; a fit
     that stops leaves every such stack, so result i equals the fit of
@@ -336,15 +342,17 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
     the estimate, and ``roots`` a stack of rows to the eigenvalues of their
     dynamics.
 
-    With ``mix``, for descent fits, each step smooths with :class:`_Mixing`'s
-    combination of the refit and the fit's earlier iterates, whose history
-    is per-fit state too. The guard then weighs whole objectives, parameter
-    ridge included, against the held pair of the plain refit and the old
+    With ``mix``, for one descent fit, each step smooths with
+    :class:`_Mixing`'s combination of the refit and the fit's earlier
+    iterates. The guard then weighs whole objectives, parameter ridge
+    included, against the held pair of the plain refit and the old
     trajectory. So every kept step is still a descent, and its ``theta_log``
     row holds the parameters it smoothed with; a held step logs the plain
     refit, as an unmixed fit does, and drops the history.
     """
     count, rho, lam = len(observed), config.rho, config.lam
+    if mix and count > 1:
+        raise ValueError("parameter mixing runs one fit at a time")
     # Exactly recoverable data drives the loss to rounding level, where the
     # relative-change test is meaningless; such a fit stops outright. The floor
     # is 1e-24 times the sum of squares, taken over each series scaled by its
@@ -367,10 +375,9 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
         candidate, new_windows, dynamics, new_measurement = smooth(used, active)
         _require_finite(f"trajectory of iteration {iteration + 1}", candidate)
         total = dynamics + rho * new_measurement
-        if ridge is None:
-            step = candidate - y_hat
-            change = np.sqrt(np.vecdot(step, step))
-            scale, floored = np.maximum(np.sqrt(np.vecdot(y_hat, y_hat)), 1e-300), False
+        if held_dynamics is None:
+            change = np.sqrt(_sumsq(candidate - y_hat))
+            scale, floored = np.maximum(np.sqrt(_sumsq(y_hat)), 1e-300), False
         else:
             # The exact state update cannot raise its own objective (the loss
             # plus the state ridge), but a smoother system that is singular
@@ -381,10 +388,10 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
             # old trajectory, whose measurement term is the last iteration's.
             # At lam == 0 the ridge terms would add zeros to nonnegative sums, which changes nothing.
             held_total = held_dynamics + rho * measurement
-            norms = (ridge(candidate), ridge(y_hat)) if lam else None
+            norms = (_sumsq(candidate), _sumsq(y_hat)) if lam else None
             if lam and mixing is not None:
                 # A mixed step smooths with other parameters than the held pair's, so both ridges count.
-                hold = total + lam * (ridge(used) + norms[0]) > held_total + lam * (ridge(params) + norms[1])
+                hold = total + lam * (_sumsq(used) + norms[0]) > held_total + lam * (_sumsq(params) + norms[1])
             else:
                 hold = total + lam * norms[0] > held_total + lam * norms[1] if lam else total > held_total
             if hold.any():
@@ -395,9 +402,9 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
                 new_measurement = np.where(hold, measurement, new_measurement)
                 total = np.where(hold, held_total, total)
             if mixing is not None:
-                params = mixing.settle(params, used, hold)
+                params = mixing.settle(params, used, hold[0])
             measurement = new_measurement
-            monitor = total + lam * (ridge(params) + np.where(hold, norms[1], norms[0])) if lam else total
+            monitor = total + lam * (_sumsq(params) + np.where(hold, norms[1], norms[0])) if lam else total
             scale, previous, floored = previous, monitor, monitor <= floor
             change = np.abs(scale - monitor)
         if iteration == 0:
@@ -423,8 +430,6 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, ridge=
                 state[keep] for state in (active, candidate, measurement, previous, floor))
             if new_windows is not None:
                 new_windows = new_windows[keep]
-            if mixing is not None:
-                mixing.keep(keep)
             if not active.size:
                 break
         y_hat, windows = candidate, new_windows
@@ -475,23 +480,18 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
         return candidate, windows, *evaluate_loss(thetas, windows, candidate, yo[active], start)
 
     return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, ARParams, companion_eigenvalues,
-                      ridge=lambda v: np.vecdot(v, v), windows=delay_windows(yo, r)[0])
-
-
-def _var_dynamics(A: np.ndarray, x_hat: np.ndarray) -> float:
-    resid = x_hat[1:] - x_hat[:-1] @ A.T
-    return float(np.sum(resid * resid))
+                      windows=delay_windows(yo, r)[0])
 
 
 def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> tuple[Smoother, np.ndarray]:
     """The smoother of the VAR(1) state update and its (1, N p) right-hand side.
 
     With the identity readout every state is measured, so each diagonal
-    block picks up rho (and the ridge) directly: the stencil [-A, I] and
-    ``Q = (rho + lam) I``, one block per time step.
+    block picks up rho directly: the stencil [-A, I] and ``Q = rho I``, one
+    block per time step, and the ridge ``lam``, as in AR's smoother.
     """
     n, p = x.shape
-    return Smoother(np.stack((-A, np.eye(p)))[None], (rho + lam) * np.eye(p), n), (rho * x).reshape(1, -1)
+    return Smoother(np.stack((-A, np.eye(p)))[None], rho * np.eye(p), n, 0, lam), (rho * x).reshape(1, -1)
 
 
 def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
@@ -505,12 +505,13 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     factor otherwise) through the diagonal-shift ladder. The fit's one
     :class:`~arid.numerics.SteadyProbe` carries the lead that last settled
     from step to step; once no lead up to a quarter of the series settles,
-    the later steps factor their smoothers whole without trying one. With
-    p == 1 it is AR(1)'s smoother, solved by the same tridiagonal ``dptsv``,
-    and the whole procedure reduces to ``fit_ar`` at order 1. It runs as a
-    stack of one in :func:`_alternate`, which from p == 2 on mixes its
-    transition matrices (:class:`_Mixing`): a ``var_wide``-shaped fit (p = 32,
-    N = 500, rho = 3) stops in about 14 state steps instead of about 33.
+    the later steps factor their smoothers whole without trying one. It
+    refits and scores by AR's :func:`param_step` and :func:`evaluate_loss`;
+    with p == 1 its smoother is AR(1)'s too, and the fit equals ``fit_ar`` at
+    order 1 bit for bit. It runs as a stack of one in :func:`_alternate`,
+    which from p == 2 on mixes its transition matrices (:class:`_Mixing`): a
+    ``var_wide``-shaped fit (p = 32, N = 500, rho = 3) stops in about 14
+    state steps instead of about 33.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")
@@ -521,16 +522,16 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     probe = SteadyProbe()
 
     def refit(x_hat, windows):
-        A = solve_regularized_ls(x_hat[0, :-1], x_hat[0, 1:], config.lam).T
-        return A[None], np.array([_var_dynamics(A, x_hat[0])])
+        maps, dynamics = param_step(x_hat[:, :-1], x_hat[:, 1:], config.lam)
+        return np.swapaxes(maps, 1, 2), dynamics
 
     def smooth(A, active):
         system = assemble_var_smoother(A[0], x, config.rho, config.lam)
         candidate = _solve_smoother(*system, solve_block_tridiagonal_spd, probe).reshape(1, n, p)
-        return candidate, None, np.array([_var_dynamics(A[0], candidate[0])]), _sumsq(x - candidate)
+        return candidate, None, *evaluate_loss(np.swapaxes(A, 1, 2), candidate[:, :-1], candidate, x[None], 0)
 
     return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,
-                      ridge=_sumsq, mix=p > 1)[0]
+                      mix=p > 1)[0]
 
 
 def _as_vector(params) -> np.ndarray:

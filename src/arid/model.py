@@ -288,25 +288,16 @@ class SyntheticSpec:
     transition_std: float
     measurement_std: float
     base_seed: int
-    x1: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_steps <= self.theta.order:
             raise HorizonTooShort("n_steps must exceed the model order")
-        if self.x1 is not None:
-            x1 = np.array(self.x1, dtype=float)
-            if x1.shape != (self.theta.order,):
-                raise ValueError("x1 must match the model order")
-            x1.setflags(write=False)
-            object.__setattr__(self, "x1", x1)
 
     def trajectory(self, trial: int = 0) -> tuple[np.ndarray, TimeSeries]:
-        """Noiseless measured trajectory and noisy measurements for one trial."""
+        """Noiseless measured trajectory and noisy measurements for one trial, started from the state e_1."""
         model = build_companion(self.theta)
-        x1 = self.x1
-        if x1 is None:
-            x1 = np.zeros(self.theta.order)
-            x1[0] = 1.0
+        x1 = np.zeros(self.theta.order)
+        x1[0] = 1.0
         noise = NoiseSpec(self.transition_std, self.measurement_std, self.base_seed + trial)
         states, measured = simulate(model, x1, self.n_steps, noise)
         return states[:, 0], measured

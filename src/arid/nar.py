@@ -5,7 +5,8 @@ two-column path (values and their running sum); dynamics and readout are
 then linear in signature space. The linear fits' driver, ``linear._alternate``,
 runs the alternation, with the VAR fit's smoother, the stencil [-A, I] with
 Q = rho c c^T + lam I, and its shift ladder as the smoothing step over
-unconstrained signature states and no descent guard. Smoothed states are
+unconstrained signature states and no descent guard, and its sums of
+squares (``linear._sumsq``) for the loss terms. Smoothed states are
 not projected back onto the manifold of true signatures; only their readout
 re-enters the next iteration through the refreshed trajectory.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, _alternate, _solve_smoother, _var_dynamics
+from .linear import FitResult, _alternate, _dynamics_term, _solve_smoother, _sumsq
 from .model import TimeSeries, scalar_values
 from .numerics import Smoother, SteadyProbe, solve_regularized_ls
 from .numerics import solve_smoother as solve_block_tridiagonal_spd  # the tracer's name; see linear
@@ -183,8 +184,9 @@ def fit_nar(y: TimeSeries, config: NARFitConfig) -> FitResult:
     def smooth(params, active):
         # params stacks the model that refit has just built.
         states, y_new = nar_state_step(model, y, r, config.rho, config.lam, probe)
-        err = yo[r - 1:] - states @ model.C_sig
-        return scalar_values(y_new)[None], None, np.array([_var_dynamics(model.A_sig, states)]), np.array([err @ err])
+        y_new = scalar_values(y_new)[None]
+        dynamics = _dynamics_term(model.A_sig.T[None], states[None, :-1], states[None, 1:])
+        return y_new, None, dynamics, _sumsq(yo[None, r - 1:] - y_new[:, r - 1:])
 
     return _alternate((y,), yo[None], config, config.state_change_tol, refit, smooth, _unpack,
                       lambda params: np.linalg.eigvals(params[:, :-1]))[0]

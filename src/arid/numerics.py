@@ -79,9 +79,12 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     A (B, M, n) stack of designs with (B, M) or (B, M, k) targets solves the
     B problems in one batched factorization; each solution equals the one
     its problem gets alone, and rank deficiency in any of them raises.
-    Matrix targets take their moments from one Gram of the design and the
-    targets side by side, so the solution does not depend on the number of
-    BLAS threads.
+    Targets of one column, vector or matrix, on two or more regressors take
+    X^T X and X^T y as two products. Wider targets, and one regressor, whose
+    two products would be BLAS dot products that OpenBLAS splits over its
+    threads past 10 000 rows, take their moments from one Gram of the design
+    and the targets side by side, so the solution does not depend on the
+    number of BLAS threads.
     """
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -100,8 +103,10 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     n = design.shape[2]
     vector = targets.ndim == 2
     if vector:
+        targets = targets[..., None]
+    if targets.shape[2] == 1 and n > 1:
         design_t = np.swapaxes(design, 1, 2)
-        gram, moments = design_t @ design, design_t @ targets[..., None]
+        gram, moments = design_t @ design, design_t @ targets
     else:
         # One Gram of [X | Y], whose blocks are X^T X and X^T Y. NumPy sends a
         # matrix times its own transpose down BLAS's symmetric product, whose

@@ -5,7 +5,7 @@ import pytest
 
 from arid import numerics
 from arid.errors import EmbeddingTooShort, HorizonTooShort, NotPositiveDefinite, SingularSystem
-from arid.linear import LossBreakdown
+from arid.linear import LossBreakdown, _sumsq
 from arid.model import SyntheticSpec, TimeSeries, scalar_values, signature_aligned_ar5
 from arid.nar import (
     NARFitConfig,
@@ -343,25 +343,30 @@ def test_exactly_linear_series_is_a_fixed_point():
     assert drift < 1e-6
 
 
+def sumsq(array: np.ndarray) -> float:
+    return float(_sumsq(array[None])[0])
+
+
 def reference_fit_nar(y: TimeSeries, config: NARFitConfig):
-    """One step at a time: re-lift, refit, smooth, one loss evaluation, trajectory-change stop rule."""
+    """One step at a time: re-lift, refit, smooth, one loss evaluation, trajectory-change stop rule.
+
+    Every sum of squares is the fits' own, ``linear._sumsq``.
+    """
     yo = scalar_values(y)
     r, rho = config.order_r, config.rho
     y_hat, history, models, converged = y, [], [], False
     for _ in range(config.max_iterations):
         model = nar_param_step(*build_sig_matrices(y_hat, r, config.depth_d), config.lam)
         states, y_new = nar_state_step(model, y, r, rho, config.lam)
-        resid = states[1:] - states[:-1] @ model.A_sig.T
-        dynamics = float(np.sum(resid * resid))
-        err = yo[r - 1 :] - states @ model.C_sig
-        measurement = float(err @ err)
+        dynamics = sumsq(states[1:] - states[:-1] @ model.A_sig.T)
+        measurement = sumsq(yo[r - 1 :] - states @ model.C_sig)
         total = dynamics + rho * measurement
         history.append(LossBreakdown(dynamics, measurement, total, total / yo.size))
         models.append(model)
         prev = scalar_values(y_hat)
-        delta = float(np.linalg.norm(scalar_values(y_new) - prev))
+        delta = np.sqrt(sumsq(scalar_values(y_new) - prev))
         y_hat = y_new
-        if delta <= config.state_change_tol * max(float(np.linalg.norm(prev)), 1e-300):
+        if delta <= config.state_change_tol * max(np.sqrt(sumsq(prev)), 1e-300):
             converged = True
             break
     return y_hat, tuple(history), tuple(models), converged

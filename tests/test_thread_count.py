@@ -28,9 +28,10 @@ hashes = {}
 # lead, 47 tiles and the last block. At rho = 0.1 it doubles again, to 64
 # blocks, and the steps run over 48 segments. At p = 1 the smoother is
 # tridiagonal, and dptsv solves it below and above the 64 blocks from which a
-# wider one tries the lead.
+# wider one tries the lead; at N = 20000 its refit has one regressor over more
+# rows than OpenBLAS keeps a dot product on one thread for.
 cases = ((4, 500, 0.1), (48, 500, 0.1), (64, 500, 0.1), (32, 3000, 1.0), (32, 3000, 0.1), (1, 100, 0.1),
-         (1, 500, 0.1))
+         (1, 500, 0.1), (1, 20000, 0.1))
 for p, n, rho in cases:
     rng = np.random.Generator(np.random.Philox(key=p))
     x = 0.1 * rng.normal(size=(n, p)).cumsum(axis=0) + rng.normal(size=(n, p))
@@ -47,6 +48,15 @@ series = [spec.trajectory(trial)[1] for trial in range(10)]
 for k, result in enumerate(fit_ar_batch(series, FitConfig(5, 0.1, convergence_tol=1e-300, anchor_all_values=True))):
     hashes[f"scan trial {k}"] = digest(result)
 hashes["nar"] = digest(fit_nar(series[0], NARFitConfig(4, lam=1e-3)))
+# Past 10 000 values OpenBLAS splits a dot product over its threads, so every
+# sum of squares of a long series, and an AR(1) refit, must keep clear of it.
+spec = SyntheticSpec(oscillatory_ar5(), 20000, 0.01, 1.0, 123)
+series = [spec.trajectory(trial)[1] for trial in range(2)]
+for order in (1, 5):
+    config = FitConfig(order, 0.1, max_iterations=3, convergence_tol=1e-300, anchor_all_values=True)
+    for k, result in enumerate(fit_ar_batch(series, config)):
+        hashes[f"long AR({order}) trial {k}"] = digest(result)
+hashes["long nar"] = digest(fit_nar(series[0], NARFitConfig(4, lam=1e-3, max_iterations=3)))
 print(json.dumps(hashes))
 """
 
@@ -60,5 +70,5 @@ def _hashes(threads: int) -> dict:
 
 def test_fits_hash_the_same_on_one_and_two_blas_threads():
     one, two = _hashes(1), _hashes(2)
-    assert len(one) == 8 + 10 + 1
+    assert len(one) == 9 + 10 + 1 + 2 * 2 + 1
     assert [name for name in one if one[name] != two[name]] == []
