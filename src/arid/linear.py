@@ -457,10 +457,15 @@ def fit_ar(y: TimeSeries, config: FitConfig) -> FitResult:
 def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     """:func:`fit_ar` of several equally long series, run in lockstep by :func:`_alternate`.
 
-    Each iteration runs :func:`param_step` (one batched factorization),
-    :func:`state_step` (one banded solve, the systems end to end) and
-    :func:`evaluate_loss` once on the running fits; result i equals
-    ``fit_ar(ys[i], config)`` bit for bit.
+    Each iteration runs :func:`param_step` (one band solve of the normal
+    equations, end to end), :func:`state_step` (one banded solve, the
+    systems end to end) and :func:`evaluate_loss` once on the running fits.
+    Up to order 15, result i equals ``fit_ar(ys[i], config)`` bit for bit.
+    From order 16 on it may differ at rounding level: OpenBLAS's triangular
+    band solve sums dot products of 16 or more terms in SIMD lanes, so in
+    both bands (the smoother's half-bandwidth is r, the refit's r - 1) a
+    member's last rows round with the zero coupling to the next system,
+    which its solo fit does not have.
     """
     ys = tuple(ys)
     if not ys or len({y.n_steps for y in ys}) != 1:

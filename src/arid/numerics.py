@@ -12,15 +12,19 @@ band storage, reused to the end; otherwise the whole band factor, in lower
 band storage. All routines are pure functions of their inputs, apart from
 the :class:`SteadyProbe` through which a fit's solves pass on their lead.
 
-The five LAPACK and BLAS routines (``dpbtrf``, ``dptsv``, ``dpotrs``,
+Every factorization is LAPACK's: the refit's normal equations, a stack of
+them end to end, go through the band Cholesky solver ``dpbsv`` as one band.
+The five LAPACK and BLAS routines (``dpbtrf``, ``dptsv``, ``dpbsv``,
 ``dtbsv``, ``dgemv``) come from SciPy's compiled f2py modules
 ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded from their
-files. Importing ``scipy.linalg.lapack`` or ``scipy.linalg.blas`` would run
-``scipy.linalg``'s package init, which clones the NumPy namespace and with it
-imports ``numpy.f2py``, ``numpy.testing`` and more: over half of every
-command's start-up, for nothing ``arid`` calls. The wrappers are the very
-objects those public modules re-export; where the files are missing, they
-come from the public modules instead.
+files, which are found without importing ``scipy`` itself. Importing
+``scipy.linalg.lapack`` or ``scipy.linalg.blas`` would run ``scipy.linalg``'s
+package init, which clones the NumPy namespace and with it imports
+``numpy.f2py``, ``numpy.testing`` and more: over half of every command's
+start-up, for nothing ``arid`` calls; ``scipy``'s own init imports its test
+utilities (and with them ``subprocess``), version parser and build config.
+The wrappers are the very objects those public modules re-export; where the
+files are missing, they come from the public modules instead.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-import scipy
 
 from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSystem
 
@@ -41,12 +44,13 @@ from .errors import NoConvergence, NonFinite, NotPositiveDefinite, SingularSyste
 def _compiled_module(name: str, public: str):
     """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file.
 
-    Loading the extension alone skips ``scipy.linalg``'s package init.
+    Loading the extension alone skips ``scipy.linalg``'s package init, and
+    locating ``scipy`` by its import spec skips ``scipy``'s own.
     CPython keeps one copy of a single-phase extension, so its wrappers are
     the objects that ``scipy.linalg`` later re-exports, whichever is imported
     first. If no file matches, the public module ``public`` is imported.
     """
-    directory = os.path.join(scipy.__path__[0], "linalg")
+    directory = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(directory, name + suffix)
         if os.path.isfile(path):
@@ -59,7 +63,7 @@ def _compiled_module(name: str, public: str):
 
 _lapack = _compiled_module("_flapack", "scipy.linalg.lapack")
 _blas = _compiled_module("_fblas", "scipy.linalg.blas")
-dpbtrf, dptsv, _potrs = _lapack.dpbtrf, _lapack.dptsv, _lapack.dpotrs
+dpbtrf, dptsv, dpbsv = _lapack.dpbtrf, _lapack.dptsv, _lapack.dpbsv
 dgemv, dtbsv = _blas.dgemv, _blas.dtbsv
 
 
@@ -74,11 +78,17 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     Goes through the normal equations with a Cholesky factorization. At
     ``lam == 0`` the Gram matrix has to be numerically positive definite;
     rank deficiency raises :class:`SingularSystem` instead of silently
-    falling back to a pseudoinverse.
+    falling back to a pseudoinverse. Normal equations that overflow raise
+    :class:`NonFinite`.
 
     A (B, M, n) stack of designs with (B, M) or (B, M, k) targets solves the
-    B problems in one batched factorization; each solution equals the one
-    its problem gets alone, and rank deficiency in any of them raises.
+    B problems in one LAPACK ``dpbsv`` call: their normal matrices lie end
+    to end in one band of half-bandwidth n - 1, with zeros between them, and
+    rank deficiency in any of them raises. Each solution equals the one its
+    problem gets alone for n <= 16. From n = 17 on, OpenBLAS's triangular
+    band solve takes dot products of 16 or more terms in SIMD lanes, so a
+    member's last rows, whose products with the next system's zero coupling
+    the solo solve does not take, may round differently.
     Targets of one column, vector or matrix, on two or more regressors take
     X^T X and X^T y as two products. Wider targets, and one regressor, whose
     two products would be BLAS dot products that OpenBLAS splits over its
@@ -100,7 +110,7 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
     _require_finite("design", design)
     _require_finite("targets", targets)
 
-    n = design.shape[2]
+    count, n = design.shape[0], design.shape[2]
     vector = targets.ndim == 2
     if vector:
         targets = targets[..., None]
@@ -111,28 +121,48 @@ def solve_regularized_ls(design: np.ndarray, targets: np.ndarray, lam: float) ->
         # One Gram of [X | Y], whose blocks are X^T X and X^T Y. NumPy sends a
         # matrix times its own transpose down BLAS's symmetric product, whose
         # result does not depend on the thread count; a general X^T Y product
-        # does at some shapes (p >= 48 with OpenBLAS 0.3.31).
+        # does at some shapes (p >= 48 with OpenBLAS 0.3.31). Its Y^T Y block,
+        # which is not read, may overflow where the others do not; the blocks
+        # read are checked through the factor and the solution.
         augmented = np.concatenate((design, targets), axis=2)
-        full = np.swapaxes(augmented, 1, 2) @ augmented
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.swapaxes(augmented, 1, 2) @ augmented
         gram, moments = full[:, :n, :n], full[:, :n, n:]
+    index, inside = _gram_band_layout(n)
+    # System i's column j is column i * n + j of the band, its subdiagonals in order.
+    bands = np.where(inside, gram.reshape(count, -1)[:, index], 0.0)
     if lam > 0.0:
-        gram = gram + lam * np.eye(n)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("normal matrix is not positive definite") from exc
-    # Every (n + 1)-th entry of each factor: a strided view of its diagonal.
-    pivots = chol.reshape(len(chol), -1)[:, :: n + 1]
+        bands[:, :, 0] += lam
+    factor, solution, info = dpbsv(bands.reshape(-1, n).T, moments.reshape(count * n, -1),
+                                   lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SingularSystem("normal matrix is not positive definite")
+    pivots = factor[0].reshape(count, n)
+    # An overflowed Gram or moment leaves an inf or NaN pivot or solution entry.
+    if not (np.isfinite(pivots).all() and np.isfinite(solution).all()):
+        raise NonFinite("normal equations overflow")
     if lam == 0.0 and (pivots.min(axis=1) <= np.sqrt(n * np.finfo(float).eps) * pivots.max(axis=1)).any():
         # Factorization survived but below the float numerical rank: treat as singular.
         raise SingularSystem("normal matrix is numerically rank-deficient at lam == 0")
-    # LAPACK's triangular solves take one factor at a time.
-    solution = np.empty(moments.shape)
-    for i, c in enumerate(chol):
-        solution[i] = _potrs(c, moments[i], lower=True)[0]
+    solution = solution.reshape(moments.shape)
     if vector:
         solution = solution[..., 0]
     return solution[0] if single else solution
+
+
+@lru_cache(maxsize=64)
+def _gram_band_layout(n: int):
+    """Read-only gather of an n x n matrix's lower band storage for :func:`solve_regularized_ls`.
+
+    ``index[j, k]`` is the flat index of entry (j + k, j), subdiagonal k of
+    column j, where ``inside`` is true, that is j + k < n.
+    """
+    j, k = np.arange(n)[:, None], np.arange(n)
+    inside = j + k < n
+    index = np.where(inside, (j + k) * n + j, 0)
+    for array in (index, inside):
+        array.flags.writeable = False
+    return index, inside
 
 
 @lru_cache(maxsize=64)

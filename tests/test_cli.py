@@ -163,6 +163,15 @@ def test_singular_fit_exits_with_numerical_code(tmp_path):
     assert proc.returncode == 3
 
 
+def test_a_var_fit_whose_refit_gram_overflows_exits_with_numerical_code(tmp_path):
+    # Every value is finite, but X^T X of the refit is not.
+    recording = tmp_path / "huge.csv"
+    write_csv(TimeSeries(1e160 * np.random.default_rng(0).normal(size=(100, 2))), recording)
+    proc = run_cli("fit-var", "--input", str(recording), "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 3
+    assert "normal equations overflow" in proc.stderr
+
+
 def test_order_scan_accepts_comma_separated_orders(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(

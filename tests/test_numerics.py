@@ -1,6 +1,7 @@
 """Tests for the regularized solver, the smoother solve, and root finder."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,40 @@ def test_rank_deficiency_in_one_stacked_problem_raises():
     design[1, :, 1] = design[1, :, 0]
     with pytest.raises(SingularSystem):
         solve_regularized_ls(design, rng.normal(size=(3, 10)), 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_targets_whose_unread_square_overflows_solve_without_a_warning(columns, lam):
+    # Y^T Y of the Gram of [X | Y] overflows; the blocks the solve reads do not.
+    rng = np.random.Generator(np.random.Philox(key=12))
+    for width in (1, 2):
+        design = rng.normal(size=(2, 30, width))
+        targets = 1e200 * rng.normal(size=(2, 30) + ((columns,) if columns else ()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_regularized_ls(design, targets, lam)
+        np.testing.assert_allclose(solution, 1e200 * solve_regularized_ls(design, targets / 1e200, lam), rtol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("columns", [None, 1, 3])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_an_overflowing_gram_or_moment_raises(columns, lam):
+    rng = np.random.Generator(np.random.Philox(key=13))
+    extra = (columns,) if columns else ()
+    for width in (1, 2):
+        design = rng.normal(size=(2, 30, width))
+        targets = rng.normal(size=(2, 30) + extra)
+        # One member's Gram overflows, the other's does not.
+        huge = design.copy()
+        huge[1] *= 1e200
+        with pytest.raises(NonFinite):
+            solve_regularized_ls(huge, targets, lam)
+        # A finite Gram and overflowing moments.
+        huge = 1e308 * np.sign(design[..., 0])
+        with pytest.raises(NonFinite):
+            solve_regularized_ls(design, np.repeat(huge[..., None], columns, axis=2) if columns else huge, lam)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.0, 0.1, 3.0]))

@@ -152,8 +152,8 @@ def test_histories_read_after_a_scan_equal_the_step_by_step_reference(monkeypatc
 def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
     # One call of each AR step, one batched refit, one stacked smoother solve
     # and one windowing per lockstep iteration, through the names the
-    # benchmark's tracer wraps; one band build, inside that solve; LAPACK's
-    # triangular solve once per running fit.
+    # benchmark's tracer wraps; one band build, inside that solve; one
+    # LAPACK band solve of the stacked normal equations, inside the refit.
     calls = {}
 
     def count(module, name):
@@ -169,7 +169,7 @@ def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
                  "solve_banded_spd", "delay_windows"):
         count(arid.linear, name)
     count(arid.numerics, "smoother_bands")
-    count(arid.numerics, "_potrs")
+    count(arid.numerics, "dpbsv")
     batches, batch = [], arid.selection.fit_ar_batch
 
     def recording(series, config):
@@ -188,4 +188,4 @@ def test_each_lockstep_iteration_makes_one_call_of_each_step(monkeypatch):
     assert [calls[name] for name in steps] == [lockstep] * len(steps)
     # Once on the measurements of each order, then once per iteration.
     assert calls["delay_windows"] == lockstep + len(batches)
-    assert calls["_potrs"] == sum(map(sum, runs))
+    assert calls["dpbsv"] == lockstep
