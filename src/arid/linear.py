@@ -527,7 +527,8 @@ def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
     probe = SteadyProbe()
 
     def refit(x_hat, windows):
-        maps, dynamics = param_step(x_hat[:, :-1], x_hat[:, 1:], config.lam)
+        with np.errstate(over="ignore"):  # the held term is inf where the squares overflow, and an inf never holds
+            maps, dynamics = param_step(x_hat[:, :-1], x_hat[:, 1:], config.lam)
         return np.swapaxes(maps, 1, 2), dynamics
 
     def smooth(A, active):

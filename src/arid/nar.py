@@ -83,10 +83,17 @@ class NARModel:
 
 
 def _window_signatures(values: np.ndarray, order_r: int, depth_d: int) -> np.ndarray:
-    """Signatures of all full windows, one row per window end t = r..N."""
-    windows = np.lib.stride_tricks.sliding_window_view(values, order_r)
-    paths = np.stack((windows, np.cumsum(windows, axis=1)), axis=2)
-    return _signatures_flat(paths, depth_d)
+    """Signatures of all full windows, one row per window end t = r..N, as a C-contiguous (B, sig_dim) stack.
+
+    Row s of the strided (r, B) view holds value s of every window; the running
+    sums add along each window, left to right, with the windows on the contiguous axis.
+    """
+    windows = np.lib.stride_tricks.as_strided(values, (order_r, values.size - order_r + 1), values.strides * 2,
+                                              writeable=False)
+    paths = np.stack((windows, windows), axis=1)
+    for s in range(1, order_r):
+        paths[s, 1] += paths[s - 1, 1]
+    return _signatures_flat(np.diff(paths, axis=0), depth_d)
 
 
 def build_sig_matrices(y_hat, order_r: int, depth_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,6 +6,11 @@ level is laid out in lexicographic word order over letters 1..k, which is
 the row-major flattening of the level tensor. Keeping the constant empty
 word makes the vector directly usable as a regression feature with a
 built-in intercept.
+
+The lift holds level m of a batch of B paths as a (k^m, B) array, the paths
+on the contiguous axis, so each tensor operation covers the whole batch.
+Level 0 is exactly 1: Chen's product adds b_m to 0.0 first and a_m last as
+they stand, which rounds as their products with level 0 would.
 """
 
 from __future__ import annotations
@@ -80,40 +85,37 @@ class SignatureVector:
 def _tensor_exp(delta: np.ndarray, depth: int) -> list[np.ndarray]:
     """Truncated tensor exponential of a batch of increments, level by level.
 
-    ``delta`` is (B, k); level m of the result is delta^(x m) / m! with shape
-    (B, k^m), level 0 being all ones.
+    ``delta`` is (k, B), one column per path; level m of the result is
+    delta^(x m) / m! with shape (k^m, B), level 0 being a row of exact ones.
     """
-    b = delta.shape[0]
-    levels = [np.ones(b), delta]
+    levels = [np.ones((1, delta.shape[1])), delta]
     for m in range(2, depth + 1):
-        prev = levels[-1]
-        levels.append((prev[:, :, None] * delta[:, None, :]).reshape(b, -1) / m)
+        levels.append((levels[-1][:, None] * delta).reshape(-1, delta.shape[1]) / m)
     return levels
 
 
-def _chen(a: list[np.ndarray], b: list[np.ndarray], alphabet: int) -> list[np.ndarray]:
-    """Truncated tensor product of two batched signatures given as level lists."""
-    n_levels = len(a)
-    batch = a[0].shape[0]
-    out = [a[0] * b[0]]
-    for m in range(1, n_levels):
-        acc = np.zeros((batch, alphabet ** m))
-        for i in range(m + 1):
-            left = a[i].reshape(batch, -1, 1)
-            right = b[m - i].reshape(batch, 1, -1)
-            acc += (left * right).reshape(batch, -1)
+def _chen(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+    """Truncated tensor product of two batched signatures given as (k^m, B) level lists.
+
+    Level m adds a_i (x) b_(m-i) to 0.0 for i = 0..m in that order; its
+    level-0 terms, b_m and a_m, need no product.
+    """
+    out = [a[0]]
+    for m in range(1, len(a)):
+        acc = b[m] + 0.0
+        for i in range(1, m):
+            acc += (a[i][:, None] * b[m - i]).reshape(acc.shape)
+        acc += a[m]
         out.append(acc)
     return out
 
 
-def _signatures_flat(points: np.ndarray, depth: int) -> np.ndarray:
-    """Signatures of a batch of equally long paths, flattened to (B, sig_dim)."""
-    batch, _, k = points.shape
-    increments = np.diff(points, axis=1)
-    levels = _tensor_exp(increments[:, 0, :], depth)
-    for s in range(1, increments.shape[1]):
-        levels = _chen(levels, _tensor_exp(increments[:, s, :], depth), k)
-    return np.concatenate([lvl.reshape(batch, -1) for lvl in levels], axis=1)
+def _signatures_flat(increments: np.ndarray, depth: int) -> np.ndarray:
+    """Signatures of a batch of paths from their (S, k, B) segment increments, as a C-contiguous (B, sig_dim) stack."""
+    levels = _tensor_exp(increments[0], depth)
+    for delta in increments[1:]:
+        levels = _chen(levels, _tensor_exp(delta, depth))
+    return np.ascontiguousarray(np.concatenate(levels).T)
 
 
 def signature(path: GeometricPath, depth: int) -> SignatureVector:
@@ -126,7 +128,7 @@ def signature(path: GeometricPath, depth: int) -> SignatureVector:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    flat = _signatures_flat(path.points[None, :, :], depth)[0]
+    flat = _signatures_flat(np.diff(path.points, axis=0)[:, :, None], depth)[0]
     return SignatureVector(depth, path.dim, flat)
 
 

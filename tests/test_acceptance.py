@@ -37,10 +37,10 @@ from arid.model import (
     signature_aligned_ar5,
     simulate,
 )
-from arid.nar import NARFitConfig, fit_nar, nar_predict_one_step
+from arid.nar import NARFitConfig, _window_signatures, fit_nar, nar_predict_one_step
 from arid.numerics import _LEAD_BLOCKS, SteadyProbe, solve_smoother
 from arid.selection import order_scan
-from arid.signature import GeometricPath, embed_to_path, sig_dim, signature
+from arid.signature import GeometricPath, SignatureVector, embed_to_path, sig_dim, signature
 
 from test_numerics import dense_smoother, kronecker_smoother, random_stencil_smoother, var_smoother
 from test_signature import brute_force_signature, chen_product, flatten_words, tensor_power
@@ -350,14 +350,39 @@ def test_7_signature_identities(capsys):
         oracle = flatten_words(brute_force_signature(points, 3), alphabet, 3)
         worst = max(worst, float(np.abs(sig.coefficients - oracle).max()))
 
+    # The same identities on rows of the window lift that NAR ships, each
+    # row the signature of a window's path (values, running sum).
+    values = rng.normal(size=40)
+    lift_worst = 0.0
+    for depth in (2, 3, 4):
+        # A one-segment window is the tensor exponential of its increment.
+        for j, row in enumerate(_window_signatures(values, 2, depth)):
+            delta = np.diff(embed_to_path(values[j : j + 2]).points, axis=0)[0]
+            sig, factorial = SignatureVector(depth, 2, row), 1.0
+            for m in range(depth + 1):
+                factorial *= max(m, 1)
+                lift_worst = max(lift_worst, float(np.abs(sig.level(m) - tensor_power(delta, m) / factorial).max()))
+        # Chen's identity: a length-r window is the product of the window of
+        # its first r - 1 points and the segment through its last two.
+        for order_r in (4, 5, 6):
+            heads = _window_signatures(values, order_r - 1, depth)
+            for j, row in enumerate(_window_signatures(values, order_r, depth)):
+                tail = signature(GeometricPath(embed_to_path(values[j : j + order_r]).points[-2:]), depth)
+                stitched = chen_product(SignatureVector(depth, 2, heads[j]), tail)
+                lift_worst = max(lift_worst, float(np.abs(row - stitched).max()))
+    # One window's path against the word-by-word polynomial-integration oracle.
+    oracle = flatten_words(brute_force_signature(embed_to_path(values[10:15]).points, 4), 2, 4)
+    lift_worst = max(lift_worst, float(np.abs(_window_signatures(values, 5, 4)[10] - oracle).max()))
+
     elapsed = time.perf_counter() - start
-    passed = dims_ok and worst < 1e-12 and elapsed < 10.0
+    passed = dims_ok and worst < 1e-12 and lift_worst < 1e-12 and elapsed < 10.0
     emit(
         capsys,
         7,
         "signature identities",
         passed,
-        f"dimension formula {dims_ok}, worst deviation {worst:.2e}, {elapsed:.1f}s",
+        f"dimension formula {dims_ok}, worst deviation {worst:.2e}, on NAR's window lift {lift_worst:.2e}, "
+        f"{elapsed:.1f}s",
     )
     assert passed
 

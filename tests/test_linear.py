@@ -702,9 +702,9 @@ def test_fits_scale_with_the_data_by_powers_of_two(power):
 
 
 # In the VAR fit the dynamics of the raw data overflow, and the guard of
-# iteration 1 then never holds them. (So does the Y^T Y block of the refit's
-# Gram of [X | Y], which the refit does not read and which warns of nothing.)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# iteration 1 then never holds them. That inf, and the Y^T Y block of the
+# refit's Gram of [X | Y], which the refit does not read, warn of nothing.
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("family", ["ar", "var"])
 def test_zero_floor_is_finite_when_the_sum_of_squares_overflows(family):
     # Every value, and every Gram the refit factors, is finite, but the sum

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from arid.errors import EmbeddingTooShort, PathTooShort
+from arid.nar import _window_signatures, build_sig_matrices
 from arid.signature import (
     GeometricPath,
     SignatureVector,
@@ -242,3 +243,71 @@ def test_time_reversal_inverts_the_signature(seed):
     identity = np.zeros_like(product)
     identity[0] = 1.0
     np.testing.assert_allclose(product, identity, rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracle of the batched lift
+
+
+def reference_lift(points: np.ndarray, depth: int) -> np.ndarray:
+    """Signatures of a (B, m, k) batch of paths, segment by segment on (B, k^m) rows.
+
+    Level 0 is a column of ones, and Chen's product adds every term
+    a_i (x) b_(m-i), the products with level 0 included, to zeros in the
+    order i = 0..m. The shipped lift must give the same bits.
+    """
+    batch, _, k = points.shape
+    increments = np.diff(points, axis=1)
+
+    def tensor_exp(delta):
+        levels = [np.ones(batch), delta]
+        for m in range(2, depth + 1):
+            levels.append((levels[-1][:, :, None] * delta[:, None, :]).reshape(batch, -1) / m)
+        return levels
+
+    levels = tensor_exp(increments[:, 0])
+    for s in range(1, increments.shape[1]):
+        right = tensor_exp(increments[:, s])
+        product = [levels[0] * right[0]]
+        for m in range(1, depth + 1):
+            acc = np.zeros((batch, k**m))
+            for i in range(m + 1):
+                acc += (levels[i].reshape(batch, -1, 1) * right[m - i].reshape(batch, 1, -1)).reshape(batch, -1)
+            product.append(acc)
+        levels = product
+    return np.concatenate([level.reshape(batch, -1) for level in levels], axis=1)
+
+
+def reference_windows(values: np.ndarray, order_r: int, depth: int) -> np.ndarray:
+    """The window paths (values, running sum along the window) lifted by :func:`reference_lift`."""
+    windows = np.lib.stride_tricks.sliding_window_view(values, order_r)
+    return reference_lift(np.stack((windows, np.cumsum(windows, axis=1)), axis=2), depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("order_r", [2, 3, 4, 5, 6])
+def test_window_lift_equals_the_segment_loop_bit_for_bit(order_r, depth):
+    rng = np.random.Generator(np.random.Philox(key=57))
+    series = 3.0 * rng.normal(size=(60, 2))
+    contiguous, strided = series[:, 0].copy(), series[:, 1]
+    assert not strided.flags.c_contiguous
+    # The last series has a single window.
+    for values in (contiguous, strided, contiguous[:order_r]):
+        np.testing.assert_array_equal(_window_signatures(values, order_r, depth),
+                                      reference_windows(values, order_r, depth))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_signature_equals_the_segment_loop_bit_for_bit(alphabet, depth):
+    rng = np.random.Generator(np.random.Philox(key=58))
+    for n_points in range(2, 7):
+        points = 3.0 * rng.normal(size=(n_points, alphabet))
+        np.testing.assert_array_equal(signature(GeometricPath(points), depth).coefficients,
+                                      reference_lift(points[None], depth)[0])
+
+
+def test_feature_stacks_are_c_contiguous():
+    values = np.random.Generator(np.random.Philox(key=59)).normal(size=(30, 2))[:, 1]
+    gamma_minus, gamma_plus, _ = build_sig_matrices(values, 4, 3)
+    assert gamma_minus.flags.c_contiguous and gamma_plus.flags.c_contiguous
