@@ -15,7 +15,6 @@ from .errors import (
     NotConjugateClosed,
     NotPositiveDefinite,
     ParseError,
-    PathTooShort,
     RaggedRows,
     SingularSystem,
     ZeroNormReference,
@@ -43,13 +42,12 @@ from .model import (
     coefficients_from_roots,
     delay_windows,
     oscillatory_ar5,
-    predict_one_step,
     simulate,
 )
 from .nar import NARFitConfig, NARModel, fit_nar, nar_predict_one_step
 from .numerics import companion_eigenvalues, solve_regularized_ls
 from .selection import OrderScanReport, lower_median, order_scan
-from .signature import GeometricPath, SignatureVector, embed_to_path, sig_dim, signature
+from .signature import sig_dim
 
 __version__ = "0.1.0"
 
@@ -60,7 +58,6 @@ __all__ = [
     "ErrorMetrics",
     "FitConfig",
     "FitResult",
-    "GeometricPath",
     "HorizonTooShort",
     "IndexOutOfRange",
     "LinearSSModel",
@@ -74,9 +71,7 @@ __all__ = [
     "NotPositiveDefinite",
     "OrderScanReport",
     "ParseError",
-    "PathTooShort",
     "RaggedRows",
-    "SignatureVector",
     "SingularSystem",
     "SyntheticSpec",
     "TimeSeries",
@@ -85,7 +80,6 @@ __all__ = [
     "coefficients_from_roots",
     "companion_eigenvalues",
     "delay_windows",
-    "embed_to_path",
     "error_metrics",
     "evaluate_loss",
     "fit_ar",
@@ -97,9 +91,7 @@ __all__ = [
     "order_scan",
     "oscillatory_ar5",
     "param_step",
-    "predict_one_step",
     "sig_dim",
-    "signature",
     "simulate",
     "solve_regularized_ls",
     "state_step",

@@ -29,10 +29,6 @@ class EmbeddingTooShort(AridError):
     """A window of fewer than two values cannot be turned into a path."""
 
 
-class PathTooShort(AridError):
-    """A geometric path needs at least two sample points."""
-
-
 class NotConjugateClosed(AridError):
     """Root multiset is not closed under complex conjugation."""
 

@@ -138,7 +138,6 @@ class ErrorMetrics:
     """Relative errors against known ground truth."""
 
     e_norm_theta: float
-    e_theta_vector: np.ndarray
     e_x: float
 
 
@@ -555,8 +554,8 @@ def _as_trajectory(y) -> np.ndarray:
 def error_metrics(theta_hat, theta_true, y_hat, x_true) -> ErrorMetrics:
     """Relative coefficient and trajectory errors against ground truth.
 
-    ``e_norm_theta`` and ``e_theta_vector`` are normalized by the true
-    coefficient norm, ``e_x`` by the norm of the true noiseless trajectory.
+    ``e_norm_theta`` is normalized by the true coefficient norm, ``e_x`` by
+    the norm of the true noiseless trajectory.
     """
     th = _as_vector(theta_hat)
     tt = _as_vector(theta_true)
@@ -574,6 +573,5 @@ def error_metrics(theta_hat, theta_true, y_hat, x_true) -> ErrorMetrics:
         raise ZeroNormReference("true trajectory has zero norm")
     return ErrorMetrics(
         float(np.linalg.norm(th - tt)) / t_norm,
-        (th - tt) / t_norm,
         float(np.linalg.norm(yh - xt)) / x_norm,
     )

@@ -266,15 +266,6 @@ def delay_windows(values: np.ndarray, order_r: int) -> tuple[np.ndarray, np.ndar
     return windows.copy(), values[..., order_r:]
 
 
-def predict_one_step(params: ARParams, embedding: np.ndarray) -> float:
-    """One-step forecast from a newest-first delay window."""
-    embedding = np.asarray(embedding, dtype=float)
-    if embedding.shape != (params.order,):
-        raise ValueError(f"embedding must have shape ({params.order},)")
-    _require_finite("embedding", embedding)
-    return float(params.theta @ embedding)
-
-
 @dataclass(frozen=True, eq=False)
 class SyntheticSpec:
     """Recipe for reproducible synthetic AR trials.

@@ -1,4 +1,11 @@
-"""Truncated path signatures of piecewise-linear paths.
+"""Truncated path signatures of piecewise-linear paths, lifted in batches.
+
+The one lift is :func:`_signatures_flat`, which NAR runs on its windows
+(``nar._window_signatures`` builds their two-column paths). Each segment
+contributes the tensor exponential of its increment, and the segments are
+combined left to right with Chen's truncated tensor product. This is exact
+for piecewise-linear paths (no quadrature), so splitting a segment at a
+collinear point leaves the signature unchanged.
 
 A signature is stored as one flat graded vector: the empty-word coefficient
 first, then all words of length 1, 2, ..., up to the truncation depth. Each
@@ -15,12 +22,7 @@ they stand, which rounds as their products with level 0 would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import EmbeddingTooShort, PathTooShort
-from .numerics import _require_finite
 
 
 def sig_dim(alphabet: int, depth: int) -> int:
@@ -28,58 +30,6 @@ def sig_dim(alphabet: int, depth: int) -> int:
     if alphabet < 1 or depth < 0:
         raise ValueError("alphabet must be >= 1 and depth >= 0")
     return int(sum(alphabet ** m for m in range(depth + 1)))
-
-
-@dataclass(frozen=True, eq=False)
-class GeometricPath:
-    """Sample points of a piecewise-linear path in R^k, one row per point."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        points = np.array(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[1] < 1:
-            raise ValueError("points must be a (m, k) array")
-        if points.shape[0] < 2:
-            raise PathTooShort("a path needs at least two points")
-        _require_finite("points", points)
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class SignatureVector:
-    """Flat graded signature coefficients up to ``depth`` over ``alphabet`` letters."""
-
-    depth: int
-    alphabet: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeff = np.array(self.coefficients, dtype=float)
-        expected = sig_dim(self.alphabet, self.depth)
-        if coeff.shape != (expected,):
-            raise ValueError(f"coefficients must have length {expected}")
-        _require_finite("coefficients", coeff)
-        if coeff[0] != 1.0:
-            raise ValueError("the empty-word coefficient must be 1")
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-
-    def level(self, m: int) -> np.ndarray:
-        """Coefficients of all words of length m, in lexicographic order."""
-        if not 0 <= m <= self.depth:
-            raise ValueError(f"level must lie in [0, {self.depth}]")
-        start = sig_dim(self.alphabet, m - 1) if m > 0 else 0
-        return self.coefficients[start:start + self.alphabet ** m]
 
 
 def _tensor_exp(delta: np.ndarray, depth: int) -> list[np.ndarray]:
@@ -116,33 +66,3 @@ def _signatures_flat(increments: np.ndarray, depth: int) -> np.ndarray:
     for delta in increments[1:]:
         levels = _chen(levels, _tensor_exp(delta, depth))
     return np.ascontiguousarray(np.concatenate(levels).T)
-
-
-def signature(path: GeometricPath, depth: int) -> SignatureVector:
-    """Truncated signature of the piecewise-linear path through ``path.points``.
-
-    Each segment contributes the tensor exponential of its increment; the
-    segments are combined left to right with the truncated tensor product.
-    This is exact for piecewise-linear paths (no quadrature) and therefore
-    invariant to splitting a segment at a collinear intermediate point.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    flat = _signatures_flat(np.diff(path.points, axis=0)[:, :, None], depth)[0]
-    return SignatureVector(depth, path.dim, flat)
-
-
-def embed_to_path(values: np.ndarray) -> GeometricPath:
-    """Two-column path for a window of trajectory values, oldest value first.
-
-    Column 1 carries the values themselves, column 2 their running sum. The
-    running sum breaks the translation invariance of the signature, so
-    windows that differ by a constant offset stay distinguishable.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("values must be a flat vector")
-    if values.size < 2:
-        raise EmbeddingTooShort("need at least two values to build a path")
-    _require_finite("values", values)
-    return GeometricPath(np.column_stack((values, np.cumsum(values))))

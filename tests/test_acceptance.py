@@ -40,10 +40,10 @@ from arid.model import (
 from arid.nar import NARFitConfig, _window_signatures, fit_nar, nar_predict_one_step
 from arid.numerics import _LEAD_BLOCKS, SteadyProbe, solve_smoother
 from arid.selection import order_scan
-from arid.signature import GeometricPath, SignatureVector, embed_to_path, sig_dim, signature
+from arid.signature import sig_dim
 
 from test_numerics import dense_smoother, kronecker_smoother, random_stencil_smoother, var_smoother
-from test_signature import brute_force_signature, chen_product, flatten_words, tensor_power
+from test_signature import brute_force_signature, chen_product, flatten_words, level, lift, tensor_power, window_path
 
 TRUE_ORDER = 5
 SCAN_SPEC = SyntheticSpec(oscillatory_ar5(), n_steps=200, transition_std=0.01, measurement_std=1.0, base_seed=0)
@@ -323,32 +323,32 @@ def test_7_signature_identities(capsys):
         for depth in (1, 2, 3, 4)
     )
 
-    # One linear segment: level m is the m-fold tensor power of the
-    # displacement divided by m factorial.
+    # General paths go one at a time through the lift that NAR's windows
+    # run through, signature._signatures_flat. One linear segment: level m
+    # is the m-fold tensor power of the displacement divided by m factorial.
     for alphabet in (2, 3):
         points = rng.normal(size=(2, alphabet))
-        sig = signature(GeometricPath(points), 4)
+        sig = lift(points, 4)
         delta = points[1] - points[0]
         factorial = 1.0
         for m in range(5):
             factorial *= max(m, 1)
-            worst = max(worst, float(np.abs(sig.level(m) - tensor_power(delta, m) / factorial).max()))
+            worst = max(worst, float(np.abs(level(sig, alphabet, m) - tensor_power(delta, m) / factorial).max()))
 
     # Concatenation identity and the symmetry of the second level.
     points = rng.normal(size=(6, 2))
-    whole = signature(GeometricPath(points), 3)
-    stitched = chen_product(signature(GeometricPath(points[:4]), 3), signature(GeometricPath(points[3:]), 3))
-    worst = max(worst, float(np.abs(whole.coefficients - stitched).max()))
-    level2 = whole.level(2).reshape(2, 2)
-    outer = np.outer(whole.level(1), whole.level(1))
+    whole = lift(points, 3)
+    stitched = chen_product(lift(points[:4], 3), lift(points[3:], 3), 2, 3)
+    worst = max(worst, float(np.abs(whole - stitched).max()))
+    level2 = level(whole, 2, 2).reshape(2, 2)
+    outer = np.outer(level(whole, 2, 1), level(whole, 2, 1))
     worst = max(worst, float(np.abs((level2 + level2.T) / 2.0 - outer / 2.0).max()))
 
     # Two segments against the word-by-word polynomial-integration oracle.
     for alphabet in (2, 3):
         points = rng.normal(size=(3, alphabet))
-        sig = signature(GeometricPath(points), 3)
         oracle = flatten_words(brute_force_signature(points, 3), alphabet, 3)
-        worst = max(worst, float(np.abs(sig.coefficients - oracle).max()))
+        worst = max(worst, float(np.abs(lift(points, 3) - oracle).max()))
 
     # The same identities on rows of the window lift that NAR ships, each
     # row the signature of a window's path (values, running sum).
@@ -357,21 +357,21 @@ def test_7_signature_identities(capsys):
     for depth in (2, 3, 4):
         # A one-segment window is the tensor exponential of its increment.
         for j, row in enumerate(_window_signatures(values, 2, depth)):
-            delta = np.diff(embed_to_path(values[j : j + 2]).points, axis=0)[0]
-            sig, factorial = SignatureVector(depth, 2, row), 1.0
+            delta = np.diff(window_path(values[j : j + 2]), axis=0)[0]
+            factorial = 1.0
             for m in range(depth + 1):
                 factorial *= max(m, 1)
-                lift_worst = max(lift_worst, float(np.abs(sig.level(m) - tensor_power(delta, m) / factorial).max()))
+                lift_worst = max(lift_worst, float(np.abs(level(row, 2, m) - tensor_power(delta, m) / factorial).max()))
         # Chen's identity: a length-r window is the product of the window of
         # its first r - 1 points and the segment through its last two.
         for order_r in (4, 5, 6):
             heads = _window_signatures(values, order_r - 1, depth)
             for j, row in enumerate(_window_signatures(values, order_r, depth)):
-                tail = signature(GeometricPath(embed_to_path(values[j : j + order_r]).points[-2:]), depth)
-                stitched = chen_product(SignatureVector(depth, 2, heads[j]), tail)
+                tail = lift(window_path(values[j : j + order_r])[-2:], depth)
+                stitched = chen_product(heads[j], tail, 2, depth)
                 lift_worst = max(lift_worst, float(np.abs(row - stitched).max()))
     # One window's path against the word-by-word polynomial-integration oracle.
-    oracle = flatten_words(brute_force_signature(embed_to_path(values[10:15]).points, 4), 2, 4)
+    oracle = flatten_words(brute_force_signature(window_path(values[10:15]), 4), 2, 4)
     lift_worst = max(lift_worst, float(np.abs(_window_signatures(values, 5, 4)[10] - oracle).max()))
 
     elapsed = time.perf_counter() - start

@@ -16,7 +16,6 @@ from arid.model import (
     coefficients_from_roots,
     delay_windows,
     oscillatory_ar5,
-    predict_one_step,
     scalar_values,
     signature_aligned_ar5,
     simulate,
@@ -296,20 +295,6 @@ def test_delay_embedding_shapes():
         alone = delay_windows(row, 3)
         np.testing.assert_array_equal(windows, alone[0])
         np.testing.assert_array_equal(targets, alone[1])
-
-
-def test_predict_identity_coefficient_echoes_input():
-    assert predict_one_step(ARParams(np.array([1.0])), np.array([7.0])) == 7.0
-
-
-def test_predict_averaging_coefficients():
-    value = predict_one_step(ARParams(np.array([0.5, 0.5])), np.array([2.0, 4.0]))
-    assert value == 3.0
-
-
-def test_predict_validates_window_length():
-    with pytest.raises(ValueError):
-        predict_one_step(ARParams(np.array([0.5, 0.5])), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for truncated path signatures and the value/running-sum embedding."""
+"""Tests for truncated path signatures: the batched lift and its algebraic identities."""
 
 import math
 
@@ -8,15 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from arid.errors import EmbeddingTooShort, PathTooShort
 from arid.nar import _window_signatures, build_sig_matrices
-from arid.signature import (
-    GeometricPath,
-    SignatureVector,
-    embed_to_path,
-    sig_dim,
-    signature,
-)
+from arid.signature import _signatures_flat, sig_dim
 
 
 def brute_force_signature(points: np.ndarray, depth: int) -> dict:
@@ -65,8 +58,24 @@ def tensor_power(delta: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def lift(points: np.ndarray, depth: int) -> np.ndarray:
+    """Flat signature of the path through ``points`` (one row per point), by the lift NAR runs on its windows."""
+    return _signatures_flat(np.diff(points, axis=0)[:, :, None], depth)[0]
+
+
+def level(sig: np.ndarray, alphabet: int, m: int) -> np.ndarray:
+    """Coefficients of all words of length m of a flat signature, in lexicographic order."""
+    start = sig_dim(alphabet, m - 1) if m > 0 else 0
+    return sig[start:start + alphabet**m]
+
+
+def window_path(values: np.ndarray) -> np.ndarray:
+    """The path NAR lifts for a window: its values and their running sum, one row per value."""
+    return np.column_stack((values, np.cumsum(values)))
+
+
 # ---------------------------------------------------------------------------
-# containers and dimensions
+# dimensions and the window path
 
 
 def test_dimension_formula():
@@ -76,55 +85,11 @@ def test_dimension_formula():
             assert sig_dim(alphabet, depth) == expected
 
 
-def test_single_point_path_rejected():
-    with pytest.raises(PathTooShort):
-        GeometricPath(np.ones((1, 2)))
-
-
-def test_signature_vector_validates_leading_coefficient():
-    coeff = np.zeros(sig_dim(2, 1))
-    with pytest.raises(ValueError):
-        SignatureVector(1, 2, coeff)
-
-
-def test_signature_vector_validates_length():
-    with pytest.raises(ValueError):
-        SignatureVector(2, 2, np.array([1.0, 2.0]))
-
-
-def test_level_slices_partition_the_vector():
-    path = GeometricPath(np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0]]))
-    sig = signature(path, 3)
-    rebuilt = np.concatenate([sig.level(m) for m in range(4)])
-    np.testing.assert_array_equal(rebuilt, sig.coefficients)
-    assert sig.level(0).shape == (1,)
-    assert sig.level(2).shape == (4,)
-
-
-# ---------------------------------------------------------------------------
-# embedding
-
-
-def test_embedding_appends_running_sum():
-    path = embed_to_path(np.array([1.0, 1.0, 1.0, 1.0]))
-    np.testing.assert_array_equal(path.points[:, 0], [1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(path.points[:, 1], [1.0, 2.0, 3.0, 4.0])
-
-
-def test_embedding_two_values():
-    path = embed_to_path(np.array([2.0, -2.0]))
-    np.testing.assert_array_equal(path.points, [[2.0, 2.0], [-2.0, 0.0]])
-
-
-def test_embedding_needs_two_values():
-    with pytest.raises(EmbeddingTooShort):
-        embed_to_path(np.array([1.0]))
-
-
 def test_running_sum_displacement_at_level_one():
     values = np.array([0.5, -1.5, 2.0, 1.0])
-    sig = signature(embed_to_path(values), 2)
-    assert sig.level(1)[1] == pytest.approx(float(values.sum() - values[0]), abs=1e-12)
+    sig = _window_signatures(values, 4, 2)[0]
+    np.testing.assert_allclose(level(sig, 2, 1), [values[-1] - values[0], values.sum() - values[0]],
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,57 +98,54 @@ def test_running_sum_displacement_at_level_one():
 
 def test_single_segment_signature_is_tensor_exponential():
     delta = np.array([1.5, -0.5, 2.0])
-    path = GeometricPath(np.vstack((np.zeros(3), delta)))
-    sig = signature(path, 3)
+    sig = lift(np.vstack((np.zeros(3), delta)), 3)
     for m in range(4):
         expected = tensor_power(delta, m) / math.factorial(m)
-        np.testing.assert_allclose(sig.level(m), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(level(sig, 3, m), expected, rtol=0, atol=1e-12)
 
 
 def test_level_one_is_total_displacement():
     rng = np.random.Generator(np.random.Philox(key=51))
     points = rng.normal(size=(6, 2))
-    sig = signature(GeometricPath(points), 2)
     np.testing.assert_allclose(
-        sig.level(1), points[-1] - points[0], rtol=0, atol=1e-14
+        level(lift(points, 2), 2, 1), points[-1] - points[0], rtol=0, atol=1e-14
     )
 
 
 def test_collinear_midpoint_does_not_change_signature():
     a = np.array([0.0, 0.0])
     b = np.array([2.0, 4.0])
-    direct = signature(GeometricPath(np.vstack((a, b))), 3)
-    split = signature(GeometricPath(np.vstack((a, (a + b) / 2, b))), 3)
-    np.testing.assert_allclose(split.coefficients, direct.coefficients, rtol=0, atol=1e-12)
+    direct = lift(np.vstack((a, b)), 3)
+    split = lift(np.vstack((a, (a + b) / 2, b)), 3)
+    np.testing.assert_allclose(split, direct, rtol=0, atol=1e-12)
 
 
 def test_two_segment_path_matches_brute_force_integrals():
     rng = np.random.Generator(np.random.Philox(key=52))
     points = rng.normal(size=(3, 2))
-    sig = signature(GeometricPath(points), 3)
     oracle = flatten_words(brute_force_signature(points, 3), 2, 3)
-    np.testing.assert_allclose(sig.coefficients, oracle, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lift(points, 3), oracle, rtol=0, atol=1e-12)
 
 
 def test_longer_path_matches_brute_force_integrals():
     rng = np.random.Generator(np.random.Philox(key=53))
     points = rng.normal(size=(7, 3))
-    sig = signature(GeometricPath(points), 3)
     oracle = flatten_words(brute_force_signature(points, 3), 3, 3)
     scale = max(1.0, float(np.abs(oracle).max()))
-    np.testing.assert_allclose(sig.coefficients, oracle, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(lift(points, 3), oracle, rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
 # algebraic identities
 
 
-def chen_product(first: SignatureVector, second: SignatureVector) -> np.ndarray:
+def chen_product(first: np.ndarray, second: np.ndarray, alphabet: int, depth: int) -> np.ndarray:
+    """Truncated tensor product of two flat signatures, term by term with ``np.kron``."""
     levels = []
-    for m in range(first.depth + 1):
-        acc = np.zeros(first.alphabet ** m)
+    for m in range(depth + 1):
+        acc = np.zeros(alphabet**m)
         for i in range(m + 1):
-            acc += np.kron(first.level(i), second.level(m - i))
+            acc += np.kron(level(first, alphabet, i), level(second, alphabet, m - i))
         levels.append(acc)
     return np.concatenate(levels)
 
@@ -191,33 +153,29 @@ def chen_product(first: SignatureVector, second: SignatureVector) -> np.ndarray:
 def test_concatenation_multiplies_signatures():
     rng = np.random.Generator(np.random.Philox(key=54))
     points = rng.normal(size=(6, 2))
-    whole = signature(GeometricPath(points), 3)
-    first = signature(GeometricPath(points[:4]), 3)
-    second = signature(GeometricPath(points[3:]), 3)
-    np.testing.assert_allclose(
-        whole.coefficients, chen_product(first, second), rtol=0, atol=1e-12
-    )
+    whole = lift(points, 3)
+    product = chen_product(lift(points[:4], 3), lift(points[3:], 3), 2, 3)
+    np.testing.assert_allclose(whole, product, rtol=0, atol=1e-12)
 
 
 def test_level_two_symmetric_part_is_half_outer_square():
     rng = np.random.Generator(np.random.Philox(key=55))
-    points = rng.normal(size=(5, 3))
-    sig = signature(GeometricPath(points), 2)
-    level_two = sig.level(2).reshape(3, 3)
-    symmetric = (level_two + level_two.T) / 2.0
-    expected = np.outer(sig.level(1), sig.level(1)) / 2.0
-    np.testing.assert_allclose(symmetric, expected, rtol=0, atol=1e-12)
+    for sig in _window_signatures(rng.normal(size=12), 5, 2):
+        level_two = level(sig, 2, 2).reshape(2, 2)
+        symmetric = (level_two + level_two.T) / 2.0
+        expected = np.outer(level(sig, 2, 1), level(sig, 2, 1)) / 2.0
+        np.testing.assert_allclose(symmetric, expected, rtol=0, atol=1e-12)
 
 
 def test_scaling_path_scales_levels_by_degree():
     rng = np.random.Generator(np.random.Philox(key=56))
     points = rng.normal(size=(5, 2))
     factor = 0.5
-    base = signature(GeometricPath(points), 3)
-    scaled = signature(GeometricPath(factor * points), 3)
+    base = lift(points, 3)
+    scaled = lift(factor * points, 3)
     for m in range(4):
         np.testing.assert_allclose(
-            scaled.level(m), factor**m * base.level(m), rtol=0, atol=1e-12
+            level(scaled, 2, m), factor**m * level(base, 2, m), rtol=0, atol=1e-12
         )
 
 
@@ -225,21 +183,17 @@ def test_scaling_path_scales_levels_by_degree():
 def test_chen_identity_holds_for_random_paths(seed, split):
     rng = np.random.Generator(np.random.Philox(key=seed))
     points = rng.uniform(-2.0, 2.0, size=(7, 2))
-    whole = signature(GeometricPath(points), 3)
-    first = signature(GeometricPath(points[: split + 1]), 3)
-    second = signature(GeometricPath(points[split:]), 3)
-    product = chen_product(first, second)
-    scale = max(1.0, float(np.abs(whole.coefficients).max()))
-    np.testing.assert_allclose(whole.coefficients, product, rtol=0, atol=1e-12 * scale)
+    whole = lift(points, 3)
+    product = chen_product(lift(points[: split + 1], 3), lift(points[split:], 3), 2, 3)
+    scale = max(1.0, float(np.abs(whole).max()))
+    np.testing.assert_allclose(whole, product, rtol=0, atol=1e-12 * scale)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_time_reversal_inverts_the_signature(seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     points = rng.uniform(-1.0, 1.0, size=(4, 2))
-    forward = signature(GeometricPath(points), 3)
-    backward = signature(GeometricPath(points[::-1]), 3)
-    product = chen_product(forward, backward)
+    product = chen_product(lift(points, 3), lift(points[::-1], 3), 2, 3)
     identity = np.zeros_like(product)
     identity[0] = 1.0
     np.testing.assert_allclose(product, identity, rtol=0, atol=1e-10)
@@ -303,8 +257,7 @@ def test_signature_equals_the_segment_loop_bit_for_bit(alphabet, depth):
     rng = np.random.Generator(np.random.Philox(key=58))
     for n_points in range(2, 7):
         points = 3.0 * rng.normal(size=(n_points, alphabet))
-        np.testing.assert_array_equal(signature(GeometricPath(points), depth).coefficients,
-                                      reference_lift(points[None], depth)[0])
+        np.testing.assert_array_equal(lift(points, depth), reference_lift(points[None], depth)[0])
 
 
 def test_feature_stacks_are_c_contiguous():
