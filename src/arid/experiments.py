@@ -86,7 +86,7 @@ _OUT = {"out_dir": Key(str, "directory for outputs and report.json", "runs/lates
 _INPUT = {
     "input": Key(str, "CSV file with one column per channel"),
     "has_header": Key(bool, "treat the first CSV row as channel names", False),
-    "sample_rate_hz": Key(float, "sample rate echoed into reports and outputs"),
+    "sample_rate_hz": Key(float, "sample rate, recorded in report.json's config and in no CSV"),
     "channels": Key(_int_list, "1-based channel selection, e.g. 1,3"),
     "limit_steps": Key(int, "keep only the first so many time steps"),
     "first_difference": Key(bool, "difference the series before fitting", False),

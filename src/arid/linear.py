@@ -8,15 +8,15 @@ Both updates are exact minimizers in their own variables, so with ``lam ==
 loop of the AR, VAR and NAR fits: descent guard, stop rule (``stop_reason``),
 history logs and the :class:`FitResult`; each family brings its two steps.
 It keeps every per-fit state on a stack of the running fits only, from
-which a fit's row goes when it stops. The AR steps :func:`param_step`,
-:func:`state_step` and :func:`evaluate_loss` take a (B, ...) stack, one
-series being a stack of one; :func:`fit_ar_batch` calls them by module name.
-The smoothing step returns the delay windows of its candidates, which the
-next refit regresses on, so each trajectory is windowed once. The VAR fit
-refits and scores through the same two, and every sum of squares is :func:`_sumsq`.
-The AR(r) smoothers, with 1 x 1 blocks, and the VAR(1) smoother, with the
-stencil [-A, I], are ``numerics.Smoother`` values: one solve, and one
-diagonal-shift ladder (:func:`_solve_smoother`), which NAR shares. A descent
+which a fit's row goes when it stops. AR(r) and VAR(1) are one fit,
+:func:`_fit`, which calls :func:`param_step`, :func:`state_step` and
+:func:`evaluate_loss` by module name on a (B, N) stack of scalar series
+(:func:`fit_ar_batch`; one series is a stack of one) or on a (1, N, p)
+recording (:func:`fit_var1`). The smoothing step returns the delay windows
+of its candidates, so each trajectory is windowed once; every sum of squares
+is :func:`_sumsq`. The smoothers [-A_r ... -A_1, I], which NAR's state step
+also solves through :func:`state_step`, are ``numerics.Smoother`` values:
+one solve and one diagonal-shift ladder (:func:`_solve_smoother`). A descent
 fit can mix its parameters (:class:`_Mixing`, guarded Anderson acceleration
 of the alternation); the VAR fit does from two channels on.
 """
@@ -41,9 +41,10 @@ from .numerics import (
     solve_smoother,
 )
 
-# The benchmark's tracer (perfbench/tracing.py) wraps the one smoother solve
-# under two names, AR's and VAR/NAR's, and books each as its own span. Both
-# bindings go once ROADMAP item 1 retargets the tracer to solve_smoother.
+# The benchmark's tracer (perfbench/tracing.py) books the one solve as scalar
+# (1 x 1 blocks) or block by these two names, and the one assembler also as
+# assemble_var_smoother, an alias. They, and nar's import of the block name,
+# go once ROADMAP item 1 retargets the tracer to one name each.
 solve_banded_spd = solve_block_tridiagonal_spd = solve_smoother
 
 
@@ -184,30 +185,31 @@ def param_step(windows: np.ndarray, targets: np.ndarray, lam: float) -> tuple[np
     return thetas, _dynamics_term(thetas, windows, targets)
 
 
-def _ar_stencils(thetas: np.ndarray) -> np.ndarray:
-    """The stencils [-theta_r ... -theta_1, 1] of a (B, r) stack of AR coefficients, as (B, r + 1, 1, 1) blocks."""
-    stencils = np.ones((len(thetas), thetas.shape[1] + 1, 1, 1))
-    np.negative(thetas[:, ::-1], out=stencils[:, :-1, 0, 0])
-    return stencils
-
-
 def assemble_ar_smoother(thetas: np.ndarray, n: int, Q: np.ndarray, lam: float, start: int) -> Smoother:
-    """The trajectory smoothers of a (B, r) coefficient stack over n values.
+    """The trajectory smoothers over n steps of (B, r) AR or (B, r p, p) refit coefficients, p the size of Q.
 
-    Every dynamics residual touches r+1 consecutive values, so each system is
-    banded with bandwidth r: a :class:`~arid.numerics.Smoother` with 1 x 1
-    blocks. The measurement block Q = [[rho]] goes on the diagonal from
-    ``start`` on, and the ridge lam everywhere; unanchored, the first r-1
-    values are pinned only through the dynamics terms (and lam), exactly as
-    the loss is written.
+    Every dynamics residual touches r + 1 consecutive steps: a
+    :class:`~arid.numerics.Smoother` with the stencil [-A_r ... -A_1, I], A_k
+    the transpose of the k-th p x p block. The measurement block Q goes on
+    the diagonal from ``start`` on, and the ridge lam everywhere; unanchored,
+    the first r-1 values are pinned only through the dynamics terms (and
+    lam), exactly as the loss is written.
     """
-    return Smoother(_ar_stencils(thetas), Q, n, start, lam)
+    p = len(Q)
+    blocks = thetas.reshape(len(thetas), -1, p, p)
+    stencils = np.zeros((len(thetas), blocks.shape[1] + 1, p, p))
+    stencils.reshape(len(thetas), -1)[:, -p * p :: p + 1] = 1.0  # the last block's diagonal: I, without np.eye's cost
+    np.negative(blocks[:, ::-1].swapaxes(2, 3), out=stencils[:, :-1])
+    return Smoother(stencils, Q, n, start, lam)
+
+
+assemble_var_smoother = assemble_ar_smoother  # the tracer's VAR name; see solve_banded_spd
 
 
 def _measurement_rhs(yo: np.ndarray, rho: float, start: int) -> np.ndarray:
-    """Right-hand side of the AR smoother: rho times the measurements from ``start`` on, zero before."""
+    """Right-hand side of the smoother of a (B, N, ...) stack: rho times the measurements from ``start`` on, zero before."""
     rhs = np.zeros_like(yo)
-    rhs[..., start:] = rho * yo[..., start:]
+    rhs[:, start:] = rho * yo[:, start:]
     return rhs
 
 
@@ -252,15 +254,18 @@ def _solve_smoother(smoother: Smoother, rhs: np.ndarray, solve, probe=None) -> n
     raise NotPositiveDefinite("state smoother stayed indefinite after diagonal shifts")
 
 
-def state_step(thetas: np.ndarray, rhs: np.ndarray, Q: np.ndarray, lam: float, start: int) -> tuple[np.ndarray, ...]:
-    """Exact trajectory update at fixed coefficients: the (B, N) smoothed trajectories and their delay windows.
+def state_step(thetas: np.ndarray, rhs: np.ndarray, Q: np.ndarray, lam: float, start: int,
+               probe: SteadyProbe | None = None) -> tuple[np.ndarray, ...]:
+    """Exact trajectory update at fixed coefficients: the smoothed trajectories and their delay windows.
 
-    ``rhs`` is :func:`_measurement_rhs` of the measurements and Q the 1 x 1
-    measurement block [[rho]]; the B smoothers are solved as one banded system.
+    ``rhs``, (B, N) or (B, N, p) like the trajectories, is the measurements' right-hand side (AR's and VAR's
+    from :func:`_measurement_rhs`) and Q the p x p measurement block; the B smoothers are solved as one
+    banded system, with ``probe`` handed to ``numerics.solve_smoother`` (a fit shares one over its steps).
     """
     smoother = assemble_ar_smoother(thetas, rhs.shape[1], Q, lam, start)
-    candidate = _solve_smoother(smoother, rhs, solve_banded_spd)
-    return candidate, delay_windows(candidate, thetas.shape[1])[0]
+    solve = solve_banded_spd if len(Q) == 1 else solve_block_tridiagonal_spd
+    candidate = _solve_smoother(smoother, rhs.reshape(len(rhs), -1), solve, probe).reshape(rhs.shape)
+    return candidate, delay_windows(candidate, smoother.stencils.shape[1] - 1)[0]
 
 
 # Iterates, with their fixed-point residuals, that a mixed parameter step combines. See _Mixing.
@@ -329,8 +334,8 @@ def _alternate(ys, observed, config, tol, refit, smooth, estimate, roots, window
     candidate trajectories, their delay windows, and their dynamics and
     measurement terms. ``windows`` are those of ``observed``; the driver
     holds and drops each fit's windows with its trajectory and hands them to
-    the next ``refit``, so every trajectory is windowed once. Fits that use
-    no windows (VAR, NAR) pass and return None. Fits whose refit returns
+    the next ``refit``, so every trajectory is windowed once. A fit that uses
+    no windows (NAR) passes and returns None. Fits whose refit returns
     dynamics terms are descents (AR, VAR): guarded, and stopped on the
     objective or the zero floor. A refit returning None (NAR) makes a fit
     stop once its trajectory stops changing. The per-fit state
@@ -469,74 +474,54 @@ def fit_ar_batch(ys, config: FitConfig) -> tuple[FitResult, ...]:
     ys = tuple(ys)
     if not ys or len({y.n_steps for y in ys}) != 1:
         raise ValueError("need one or more series of equal length")
-    yo = np.stack([scalar_values(y) for y in ys])
+    return _fit(ys, np.stack([scalar_values(y) for y in ys]), config, ARParams, companion_eigenvalues)
+
+
+def _fit(ys, yo, config, estimate, roots, mix=False) -> tuple[FitResult, ...]:
+    """The alternating fit of order r of a (B, N) stack of scalar series or a (1, N, p) recording.
+
+    It logs the coefficients, (r,) for AR and the transition A, (p, p), for
+    VAR(1). Its smoothers' Q is rho I_p, and its one
+    :class:`~arid.numerics.SteadyProbe` carries the lead that last settled.
+    """
     r, rho, lam = config.order_r, config.rho, config.lam
     if yo.shape[1] <= r:
         raise HorizonTooShort(f"need more than order {r} steps, got {yo.shape[1]}")
     start = 0 if config.anchor_all_values else r - 1
-    rhs, Q = _measurement_rhs(yo, rho, start), np.full((1, 1), rho)
+    rhs, Q, probe = _measurement_rhs(yo, rho, start), rho * np.eye(yo[0, 0].size), SteadyProbe()
 
     def refit(y_hat, windows):
-        return param_step(windows, y_hat[:, r:], lam)
+        with np.errstate(over="ignore"):  # the held term is inf where the squares overflow, and an inf never holds
+            thetas, dynamics = param_step(windows, y_hat[:, r:], lam)
+        return thetas.swapaxes(1, -1), dynamics
 
-    def smooth(thetas, active):
-        candidate, windows = state_step(thetas, rhs[active], Q, lam, start)
-        return candidate, windows, *evaluate_loss(thetas, windows, candidate, yo[active], start)
+    def smooth(params, active):
+        # Fancy indexing copies, so the stacks go whole while every fit runs.
+        running = active if len(active) < len(yo) else slice(None)
+        thetas = params.swapaxes(1, -1)
+        candidate, windows = state_step(thetas, rhs[running], Q, lam, start, probe)
+        return candidate, windows, *evaluate_loss(thetas, windows, candidate, yo[running], start)
 
-    return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, ARParams, companion_eigenvalues,
-                      windows=delay_windows(yo, r)[0])
-
-
-def assemble_var_smoother(A: np.ndarray, x: np.ndarray, rho: float, lam: float = 0.0) -> tuple[Smoother, np.ndarray]:
-    """The smoother of the VAR(1) state update and its (1, N p) right-hand side.
-
-    With the identity readout every state is measured, so each diagonal
-    block picks up rho directly: the stencil [-A, I] and ``Q = rho I``, one
-    block per time step, and the ridge ``lam``, as in AR's smoother.
-    """
-    n, p = x.shape
-    return Smoother(np.stack((-A, np.eye(p)))[None], rho * np.eye(p), n, 0, lam), (rho * x).reshape(1, -1)
+    return _alternate(ys, yo, config, config.convergence_tol, refit, smooth, estimate, roots,
+                      delay_windows(yo, r)[0], mix)
 
 
 def fit_var1(y: TimeSeries, config: FitConfig) -> FitResult:
-    """First-order VAR variant of the alternating fit with a full transition matrix.
+    """First-order VAR fit with a full transition matrix: :func:`_fit` at r = 1, bit for bit ``fit_ar`` at p = 1.
 
     The readout is the identity, so the smoothing step couples the p
-    channels through the block-tridiagonal smoother of
-    :func:`assemble_var_smoother`, solved by
-    :func:`~arid.numerics.solve_smoother` (on long series a steady-state
-    Cholesky factor, swept tile by tile in O(N p) memory; the whole band
-    factor otherwise) through the diagonal-shift ladder. The fit's one
-    :class:`~arid.numerics.SteadyProbe` carries the lead that last settled
-    from step to step; once no lead up to a quarter of the series settles,
-    the later steps factor their smoothers whole without trying one. It
-    refits and scores by AR's :func:`param_step` and :func:`evaluate_loss`;
-    with p == 1 its smoother is AR(1)'s too, and the fit equals ``fit_ar`` at
-    order 1 bit for bit. It runs as a stack of one in :func:`_alternate`,
-    which from p == 2 on mixes its transition matrices (:class:`_Mixing`): a
+    channels through the block-tridiagonal smoother [-A, I] with Q = rho I,
+    solved by :func:`~arid.numerics.solve_smoother` (on long series a
+    steady-state Cholesky factor, swept tile by tile in O(N p) memory; the
+    whole band factor otherwise, and once no lead up to a quarter of the
+    series settles, without trying one). It runs as a stack of one, which
+    from p == 2 on mixes its transition matrices (:class:`_Mixing`): a
     ``var_wide``-shaped fit (p = 32, N = 500, rho = 3) stops in about 14
     state steps instead of about 33.
     """
     if config.order_r != 1:
         raise ValueError("the VAR fit is first-order; set order_r = 1")
-    x = y.values
-    n, p = x.shape
-    if n < 2:
-        raise HorizonTooShort("need at least two steps")
-    probe = SteadyProbe()
-
-    def refit(x_hat, windows):
-        with np.errstate(over="ignore"):  # the held term is inf where the squares overflow, and an inf never holds
-            maps, dynamics = param_step(x_hat[:, :-1], x_hat[:, 1:], config.lam)
-        return np.swapaxes(maps, 1, 2), dynamics
-
-    def smooth(A, active):
-        system = assemble_var_smoother(A[0], x, config.rho, config.lam)
-        candidate = _solve_smoother(*system, solve_block_tridiagonal_spd, probe).reshape(1, n, p)
-        return candidate, None, *evaluate_loss(np.swapaxes(A, 1, 2), candidate[:, :-1], candidate, x[None], 0)
-
-    return _alternate((y,), x[None], config, config.convergence_tol, refit, smooth, np.asarray, np.linalg.eigvals,
-                      mix=p > 1)[0]
+    return _fit((y,), y.values[None], config, np.asarray, np.linalg.eigvals, mix=y.n_channels > 1)[0]
 
 
 def _as_vector(params) -> np.ndarray:

@@ -32,8 +32,8 @@ class TimeSeries:
         _require_finite("values", values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if self.sample_rate_hz is not None and not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError("sample_rate_hz must be positive and finite")
         if self.channel_names is not None:
             names = tuple(str(n) for n in self.channel_names)
             if len(names) != values.shape[1]:
@@ -253,17 +253,17 @@ def simulate(model: LinearSSModel, x1: np.ndarray, n_steps: int, noise: NoiseSpe
 
 
 def delay_windows(values: np.ndarray, order_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay windows of each row of an unchecked (..., N) array, newest value first, and their one-step targets.
+    """(B, N - r, r p) delay windows along axis 1 of an unchecked (B, N, ...) stack, and their one-step targets.
 
-    Window j of a row y is (y[j + r - 1], ..., y[j]), a contiguous copy; its target y[j + r], a view.
+    Window j of a member y is y[j + r - 1], ..., y[j], newest step first; its target y[j + r], a view.
     """
     values = np.ascontiguousarray(values, dtype=float)
-    step = values.strides[-1]
-    # Window t, a view, starts at value t + r - 1 and steps back; its copy is C-contiguous, which
-    # batched products need to round each series as they round it alone.
-    windows = np.ndarray((*values.shape[:-1], values.shape[-1] - order_r, order_r), float, values,
-                         (order_r - 1) * step, (*values.strides[:-1], step, -step))
-    return windows.copy(), values[..., order_r:]
+    count, n, step = len(values), values.shape[1], values.strides[1]
+    # Window t, a view, starts at step t + r - 1 and steps back. The windows are C-contiguous, which
+    # batched products need to round each series as they round it alone: a copy, unless the view is.
+    windows = np.ndarray((count, n - order_r, order_r, *values.shape[2:]), float, values, (order_r - 1) * step,
+                         (values.strides[0], step, -step, *values.strides[2:]))
+    return np.ascontiguousarray(windows.reshape(count, n - order_r, -1)), values[:, order_r:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,10 @@
 Windows of the trajectory are lifted to truncated signatures of a
 two-column path (values and their running sum); dynamics and readout are
 then linear in signature space. The linear fits' driver, ``linear._alternate``,
-runs the alternation, with the VAR fit's smoother, the stencil [-A, I] with
-Q = rho c c^T + lam I, and its shift ladder as the smoothing step over
-unconstrained signature states and no descent guard, and its sums of
-squares (``linear._sumsq``) for the loss terms. Smoothed states are
+runs the alternation, with the VAR fit's ``linear.state_step``, the stencil
+[-A, I] with Q = rho c c^T + lam I, and its shift ladder as the smoothing
+step over unconstrained signature states and no descent guard, and its sums
+of squares (``linear._sumsq``) for the loss terms. Smoothed states are
 not projected back onto the manifold of true signatures; only their readout
 re-enters the next iteration through the refreshed trajectory.
 """
@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingTooShort, HorizonTooShort
-from .linear import FitResult, _alternate, _dynamics_term, _solve_smoother, _sumsq
+from . import linear
+from .linear import FitResult, _alternate, _dynamics_term, _sumsq
 from .model import TimeSeries, scalar_values
-from .numerics import Smoother, SteadyProbe, solve_regularized_ls
-from .numerics import solve_smoother as solve_block_tridiagonal_spd  # the tracer's name; see linear
+from .numerics import SteadyProbe, solve_regularized_ls
+from .numerics import solve_smoother as solve_block_tridiagonal_spd  # noqa: F401  (the tracer's name; see linear)
 from .signature import _signatures_flat, sig_dim
 
 _ALPHABET = 2  # fixed by the two-column path construction
@@ -124,13 +125,16 @@ def nar_param_step(gamma_minus: np.ndarray, gamma_plus: np.ndarray, y_plus: np.n
     return NARModel(w.T, c)
 
 
-def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: float,
-                          lam: float = 0.0) -> tuple[Smoother, np.ndarray]:
-    """The smoother over the free signature states and its (1, M n_s) right-hand side.
+def nar_state_step(
+    model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float, probe: SteadyProbe | None = None
+) -> tuple[np.ndarray, TimeSeries]:
+    """Smooth the signature states against the measurements at a fixed model.
 
-    One block per time step t = r..N, with the stencil [-A, I]. The readout
-    is rank one, so the measurement contributes ``rho * outer(C, C)`` to Q,
-    the ridge ``lam I``.
+    Returns the stacked smoothed states (one row per t = r..N), from
+    ``linear.state_step`` with the stencil [-A, I] and Q = rho C C^T + lam I
+    (the readout is rank one), and the refreshed trajectory estimate. Values
+    before t = r have no state of their own and keep their measurements.
+    ``probe`` is handed to ``numerics.solve_smoother``; a fit shares one.
     """
     yo = scalar_values(y)
     if yo.size <= order_r:
@@ -140,23 +144,9 @@ def assemble_nar_smoother(model: NARModel, y: TimeSeries, order_r: int, rho: flo
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     Q = rho * np.outer(model.C_sig, model.C_sig) + lam * np.eye(model.n_s)
-    rhs = (rho * yo[order_r - 1:, None] * model.C_sig[None, :]).reshape(1, -1)
-    return Smoother(np.stack((-model.A_sig, np.eye(model.n_s)))[None], Q, yo.size - order_r + 1), rhs
-
-
-def nar_state_step(
-    model: NARModel, y: TimeSeries, order_r: int, rho: float, lam: float, probe: SteadyProbe | None = None
-) -> tuple[np.ndarray, TimeSeries]:
-    """Smooth the signature states against the measurements at a fixed model.
-
-    Returns the stacked smoothed states (one row per t = r..N) and the
-    refreshed trajectory estimate. Values before t = r have no state of
-    their own and keep their measurements. ``probe`` is handed to
-    ``numerics.solve_smoother``; a fit shares one over its steps.
-    """
-    states = _solve_smoother(*assemble_nar_smoother(model, y, order_r, rho, lam), solve_block_tridiagonal_spd,
-                             probe).reshape(-1, model.n_s)
-    refreshed = np.concatenate((scalar_values(y)[: order_r - 1], states @ model.C_sig))
+    rhs = rho * yo[order_r - 1:, None] * model.C_sig[None, :]
+    states = linear.state_step(model.A_sig.T[None], rhs[None], Q, 0.0, 0, probe)[0][0]
+    refreshed = np.concatenate((yo[: order_r - 1], states @ model.C_sig))
     return states, TimeSeries(refreshed, y.sample_rate_hz, y.channel_names)
 
 

@@ -16,7 +16,6 @@ from arid.experiments import ExperimentConfig, run_experiment
 from arid.linear import (
     FitConfig,
     _measurement_rhs,
-    assemble_var_smoother,
     error_metrics,
     evaluate_loss,
     fit_ar,
@@ -223,7 +222,7 @@ def test_5_both_steps_are_stationary_points(capsys):
             err = x - states
             return float(np.sum(resid * resid) + rho * np.sum(err * err))
 
-        smoothed = solve_smoother(*assemble_var_smoother(A, x, rho)).reshape(x.shape)
+        smoothed = state_step(A.T[None], _measurement_rhs(x[None], rho, 0), rho * np.eye(channels), 0.0, 0)[0][0]
         scale = max(1.0, var_loss(smoothed))
         for index in np.ndindex(x.shape):
             step = 1e-6 * max(1.0, abs(smoothed[index]))

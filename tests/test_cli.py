@@ -127,6 +127,17 @@ def test_a_bad_setting_is_refused_under_the_key_typed(tmp_path, capsys, command,
     assert f"{field} must" not in err
 
 
+@pytest.mark.parametrize("rate", ["inf", "0", "-2"])
+def test_a_sample_rate_that_is_not_positive_and_finite_is_refused(tmp_path, capsys, rate):
+    # An infinite rate would go into report.json as Infinity, which is not JSON.
+    recording = tmp_path / "recording.csv"
+    write_csv(TimeSeries(np.sin(np.arange(40.0))), recording)
+    out_dir = tmp_path / "run"
+    assert main(["fit-ar", "--input", str(recording), "--sample-rate-hz", rate, "--out-dir", str(out_dir)]) == 2
+    assert "sample_rate_hz must be positive and finite" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
 def test_unknown_config_key_exits_with_usage_code(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"no_such_knob": 1}))

@@ -17,7 +17,6 @@ from arid.linear import (
     _solve_smoother,
     _sumsq,
     assemble_ar_smoother,
-    assemble_var_smoother,
     error_metrics,
     evaluate_loss,
     fit_ar,
@@ -322,8 +321,8 @@ def test_first_estimate_is_classical_least_squares():
     rng = np.random.Generator(np.random.Philox(key=36))
     y = TimeSeries(rng.normal(size=80))
     result = fit_ar(y, FitConfig(order_r=4, rho=0.1, max_iterations=5))
-    gamma, y_plus = delay_windows(scalar_values(y), 4)
-    baseline = solve_regularized_ls(gamma, y_plus, 0.0)
+    gamma, y_plus = delay_windows(scalar_values(y)[None], 4)
+    baseline = solve_regularized_ls(gamma[0], y_plus[0], 0.0)
     np.testing.assert_array_equal(result.estimate_history[0].theta, baseline)
 
 
@@ -661,9 +660,9 @@ def test_alternation_never_increases_loss(seed):
 
 @pytest.mark.parametrize("n_steps", [2, 3, 40, 127])
 def test_var_with_one_channel_factors_the_ar1_bands(monkeypatch, n_steps):
-    # At lam == 0 the one-channel VAR smoother and the anchored AR(1)
-    # smoother are one system: the solve builds the same bands, byte for
-    # byte, and solves both by dptsv to the same solution.
+    # At lam == 0 the one-channel VAR smoother, built here from its formula,
+    # and the anchored AR(1) smoother are one system: the solve builds the
+    # same bands, byte for byte, and solves both by dptsv to the same solution.
     rng = np.random.Generator(np.random.Philox(key=n_steps))
     y = rng.normal(size=n_steps)
     built = []
@@ -674,7 +673,8 @@ def test_var_with_one_channel_factors_the_ar1_bands(monkeypatch, n_steps):
         return bands
 
     monkeypatch.setattr(numerics, "smoother_bands", recording)
-    var_solution = solve_smoother(*assemble_var_smoother(np.array([[0.7]]), y[:, None], 0.3))
+    var_smoother = Smoother(np.stack((-np.array([[0.7]]), np.eye(1)))[None], 0.3 * np.eye(1), n_steps)
+    var_solution = solve_smoother(var_smoother, (0.3 * y[:, None]).reshape(1, -1))
     ar_smoother = assemble_ar_smoother(np.array([[0.7]]), n_steps, np.full((1, 1), 0.3), 0.0, 0)
     ar_solution = solve_smoother(ar_smoother, _measurement_rhs(y[None], 0.3, 0))
     assert len(built) == 2 and built[0].tobytes() == built[1].tobytes()
@@ -733,6 +733,32 @@ def test_var_requires_first_order_config():
     y = TimeSeries(np.ones((10, 2)))
     with pytest.raises(ValueError):
         fit_var1(y, FitConfig(order_r=2, rho=0.1))
+
+
+def test_each_var_iteration_makes_one_call_of_each_shared_step(monkeypatch):
+    # fit_var1 is the linear fit at r = 1: every iteration runs AR's refit,
+    # state step, assembler and loss once, and solves through the block
+    # binding the benchmark's tracer wraps; the measurements are windowed
+    # once, then each smoothed trajectory.
+    calls = {}
+
+    def count(name):
+        original = getattr(linear, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linear, name, counted)
+
+    steps = ("param_step", "state_step", "evaluate_loss", "assemble_ar_smoother", "solve_block_tridiagonal_spd")
+    for name in (*steps, "delay_windows"):
+        count(name)
+    x = np.random.Generator(np.random.Philox(key=53)).normal(size=(200, 3))
+    result = fit_var1(TimeSeries(x), FitConfig(order_r=1, rho=3.0, max_iterations=12))
+    assert result.iterations_run > 1
+    assert [calls[name] for name in steps] == [result.iterations_run] * len(steps)
+    assert calls["delay_windows"] == result.iterations_run + 1
 
 
 def test_var_reduces_to_scalar_ar():

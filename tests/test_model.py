@@ -278,9 +278,9 @@ def test_simulation_equals_the_per_step_draws_bit_for_bit(structure, n_steps):
 
 def test_delay_embedding_windows_are_newest_first():
     values = np.array([1.0, 2.0, 3.0, 4.0])
-    gamma, y_plus = delay_windows(values, 2)
-    np.testing.assert_array_equal(gamma, [[2.0, 1.0], [3.0, 2.0]])
-    np.testing.assert_array_equal(y_plus, [3.0, 4.0])
+    gamma, y_plus = delay_windows(values[None], 2)
+    np.testing.assert_array_equal(gamma, [[[2.0, 1.0], [3.0, 2.0]]])
+    np.testing.assert_array_equal(y_plus, [[3.0, 4.0]])
     # The targets are a view of the values; the windows a C-contiguous copy.
     assert np.shares_memory(y_plus, values) and not np.shares_memory(gamma, values)
     assert gamma.flags.c_contiguous
@@ -292,9 +292,24 @@ def test_delay_embedding_shapes():
     assert gamma.shape == (2, 7, 3)
     assert y_plus.shape == (2, 7)
     for row, windows, targets in zip(values, gamma, y_plus, strict=True):
-        alone = delay_windows(row, 3)
-        np.testing.assert_array_equal(windows, alone[0])
-        np.testing.assert_array_equal(targets, alone[1])
+        alone = delay_windows(row[None], 3)
+        np.testing.assert_array_equal(windows, alone[0][0])
+        np.testing.assert_array_equal(targets, alone[1][0])
+
+
+@pytest.mark.parametrize("count, order_r, p", [(1, 1, 4), (3, 1, 4), (1, 3, 2), (2, 3, 2), (2, 2, 1)])
+def test_block_delay_windows_concatenate_steps_newest_first(count, order_r, p):
+    values = np.random.Generator(np.random.Philox(key=61)).normal(size=(count, 9, p))
+    gamma, y_plus = delay_windows(values, order_r)
+    assert gamma.shape == (count, 9 - order_r, order_r * p) and gamma.flags.c_contiguous
+    for b, j in np.ndindex(count, 9 - order_r):
+        # Window j: the blocks of steps j + r - 1, ..., j, one after another.
+        np.testing.assert_array_equal(gamma[b, j], np.concatenate(values[b, j : j + order_r][::-1]))
+    np.testing.assert_array_equal(y_plus, values[:, order_r:])
+    # The strided view of the windows is contiguous only for one step of a stack of one: then no copy.
+    assert np.shares_memory(gamma, values) == (count == 1 and order_r == 1)
+    if p == 1:
+        np.testing.assert_array_equal(gamma, delay_windows(values[..., 0], order_r)[0])
 
 
 # ---------------------------------------------------------------------------

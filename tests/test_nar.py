@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from arid import numerics
+from arid import linear, numerics
 from arid.errors import EmbeddingTooShort, HorizonTooShort, NotPositiveDefinite, SingularSystem
 from arid.linear import LossBreakdown, _sumsq
 from arid.model import SyntheticSpec, TimeSeries, scalar_values, signature_aligned_ar5
 from arid.nar import (
     NARFitConfig,
     NARModel,
-    assemble_nar_smoother,
     build_sig_matrices,
     fit_nar,
     nar_param_step,
     nar_predict_one_step,
     nar_state_step,
 )
-from arid.numerics import solve_regularized_ls, solve_smoother
+from arid.numerics import Smoother, solve_regularized_ls, solve_smoother
 from arid.signature import sig_dim
 
 from test_signature import reference_windows
@@ -301,7 +300,9 @@ def test_singular_signature_smoother_goes_down_the_shift_ladder():
     readout[0] = 1.0
     model = NARModel(np.zeros((N_S, N_S)), readout)
     y = TimeSeries(np.sin(np.arange(40.0)))
-    smoother, rhs = assemble_nar_smoother(model, y, 4, 0.1, 0.0)
+    # The smoother and rhs of the state step, from their formulas: 37 blocks, t = 4..40.
+    smoother = Smoother(np.stack((-model.A_sig, np.eye(N_S)))[None], 0.1 * np.outer(readout, readout), 37)
+    rhs = (0.1 * scalar_values(y)[3:, None] * readout).reshape(1, -1)
     with pytest.raises(NotPositiveDefinite):
         solve_smoother(smoother, rhs)
     states, refreshed = nar_state_step(model, y, 4, 0.1, 0.0)
@@ -417,6 +418,28 @@ def test_long_fit_stops_trying_the_steady_lead_once_it_fails(monkeypatch):
     assert result.loss_history == history
     for got, want in zip(result.estimate_history, models, strict=True):
         np.testing.assert_array_equal(got.A_sig, want.A_sig)
+
+
+def test_each_fit_iteration_runs_the_linear_state_step_once(monkeypatch):
+    # NAR smooths its signature states through linear's state step, its
+    # assembler and the block binding the benchmark's tracer wraps.
+    calls = {}
+
+    def count(name):
+        original = getattr(linear, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linear, name, counted)
+
+    steps = ("state_step", "assemble_ar_smoother", "solve_block_tridiagonal_spd")
+    for name in steps:
+        count(name)
+    _, y = SyntheticSpec(signature_aligned_ar5(), 120, 0.05, 0.02, 3).trajectory(0)
+    result = fit_nar(y, NARFitConfig(order_r=4, depth_d=2, rho=0.1, lam=1e-3, max_iterations=5))
+    assert [calls[name] for name in steps] == [result.iterations_run] * len(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from arid import numerics
 from arid.errors import NonFinite, NotPositiveDefinite, SingularSystem
-from arid.linear import _RIDGE_BOOSTS, _solve_smoother, assemble_var_smoother
-from arid.model import ARParams, TimeSeries, build_companion, coefficients_from_roots
-from arid.nar import NARModel, assemble_nar_smoother
+from arid.linear import _RIDGE_BOOSTS, _solve_smoother, assemble_ar_smoother
+from arid.model import ARParams, build_companion, coefficients_from_roots
 from arid.numerics import (
     Smoother,
     companion_eigenvalues,
@@ -470,14 +469,15 @@ def transition_with_radius(rng: np.random.Generator, block_dim: int, radius: flo
 def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radius: float = 0.6):
     """(A, Q, rhs, assembled system) of a VAR or NAR state step with ``num_blocks`` blocks.
 
-    The (smoother, rhs) pair comes from ``assemble_var_smoother`` or
-    ``assemble_nar_smoother``, or is None for a one-block NAR system, which no series can produce.
+    The rhs is built here from each family's formula, and the smoother by
+    ``linear.assemble_ar_smoother`` from A^T, as the state steps call it; the
+    system is None for a one-block NAR system, which no series can produce.
     """
     rng = np.random.default_rng([block_dim, num_blocks, int(1000 * rho)])
     A = transition_with_radius(rng, block_dim, radius)
     if family == "var":
-        system = assemble_var_smoother(A, rng.normal(size=(num_blocks, block_dim)), rho)
-        return A, rho * np.eye(block_dim), system[1][0], system
+        Q, rhs = rho * np.eye(block_dim), rho * rng.normal(size=(num_blocks, block_dim))
+        return A, Q, rhs.ravel(), (assemble_ar_smoother(A.T[None], num_blocks, Q, 0.0, 0), rhs.reshape(1, -1))
     # A unit readout and a ridge of 0.1 keep the condition number of the NAR
     # system below about 100, so 1e-13 bounds the solver, not the problem.
     lam = 0.1
@@ -486,9 +486,9 @@ def smoother_case(family: str, block_dim: int, num_blocks: int, rho: float, radi
     Q = rho * np.outer(readout, readout) + lam * np.eye(block_dim)
     if num_blocks == 1:
         return A, Q, rng.normal(size=block_dim), None
-    y = TimeSeries(rng.normal(size=num_blocks + NAR_ORDER - 1))
-    system = assemble_nar_smoother(NARModel(A, readout), y, NAR_ORDER, rho, lam)
-    return A, Q, system[1][0], system
+    y = rng.normal(size=num_blocks + NAR_ORDER - 1)
+    rhs = (rho * y[NAR_ORDER - 1:, None] * readout[None, :]).reshape(1, -1)
+    return A, Q, rhs[0], (assemble_ar_smoother(A.T[None], num_blocks, Q, 0.0, 0), rhs)
 
 
 def assert_close_relative(actual: np.ndarray, expected: np.ndarray, rtol: float) -> None:
